@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / all properties hold, 1 a property or equation
 failed, 2 usage, parse, universe, or budget errors.  Output goes to
-stdout and is byte-stable across runs except for the elapsed field of
-JSON suite reports.
+stdout and is byte-stable across runs except for the elapsed and
+tables_s timing fields of JSON suite reports.
 """
 
 from __future__ import annotations
@@ -150,6 +150,12 @@ def cmd_check(args: argparse.Namespace, cfg: CliConfig) -> int:
             failed = failed or report.verdict == "fail"
     else:
         eq = terms.parse_equation(args.eq)
+        arity = len(terms.free_vars(eq.lhs) | terms.free_vars(eq.rhs))
+        for n, p in points:
+            params = AlgebraParams(n, p)
+            estimate = len(Window(params, cfg.R)) ** arity
+            harness.enforce_budget("eq", params, cfg.R, estimate,
+                                   force=cfg.force_budget)
         for n, p in points:
             verdict = terms.check_equation(eq, AlgebraParams(n, p), cfg.R)
             print(_eq_line(args.eq, n, p, cfg.R, verdict, fmt))

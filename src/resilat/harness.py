@@ -11,6 +11,17 @@ universe.  Rather than crashing mid-suite, bundle operations replace
 such results with an invalid marker that propagates, equals nothing,
 and satisfies no order relation, so the violation surfaces as an
 ordinary counterexample.
+
+The suites read their operations from tables built once per (params, R,
+bundle): every product, residual, involution, order bit, meet and join of
+window elements.  Meets and joins stay in the window, so they are stored
+as window indices.  Products can leave the window, so a check that
+multiplies twice has no table for its second step.  S2 interns the
+distinct first-step products into ids and multiplies each of them once by
+every window element on either side; its N^3 associativity loop then
+only compares ints.  S13's subalgebra members are window elements, so
+its closure checks read the tables directly.  Each report times the
+table build (tables_s) apart from the checks (elapsed).
 """
 
 from __future__ import annotations
@@ -44,6 +55,23 @@ def effective_budget(override: int | None = None) -> int:
     if env is not None and env.strip():
         return int(env)
     return DEFAULT_BUDGET
+
+
+def enforce_budget(
+    label: str,
+    params: AlgebraParams,
+    R: int,
+    estimate: int,
+    budget: int | None = None,
+    force: bool = False,
+) -> None:
+    """Raise BudgetError when estimate exceeds the effective budget."""
+    limit = effective_budget(budget)
+    if estimate > limit and not force:
+        raise BudgetError(
+            f"{label} at n={params.n} p={params.p} R={R} needs about {estimate} "
+            f"checks, over the budget of {limit}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +380,26 @@ def _s1(ctx: _Ctx):
 def _s2(ctx: _Ctx):
     t, elems, ops = ctx.t, ctx.elems, ctx.ops
     mul_t = t.mul
+    # Products of window elements land in W_2R (anywhere, under a mutant),
+    # so the second step of (a*b)*c and a*(b*c) has no window table.  Each
+    # distinct first-step product, the invalid marker included, gets an id
+    # and is multiplied once on each side; the triple loop then compares
+    # interned ids.  The two sides mark an invalid second step with
+    # different negative ids, so that it equals nothing.
+    prods = list(dict.fromkeys(v for row in mul_t for v in row))
+    first = {v: u for u, v in enumerate(prods)}
+    step = [[first[v] for v in row] for row in mul_t]
+    ids: dict = {}
+
+    def second(v: object, invalid: int) -> int:
+        return invalid if v is _INVALID else ids.setdefault(v, len(ids))
+
+    left = [[second(ops.mul(x, c), -1) for c in elems] for x in prods]
+    right = [[second(ops.mul(a, x), -2) for x in prods] for a in elems]
     checks = 0
     for i, j, k in ctx.indices(3):
         checks += 1
-        if not _eq(ops.mul(mul_t[i][j], elems[k]), ops.mul(elems[i], mul_t[j][k])):
+        if left[step[i][j]][k] != right[i][step[j][k]]:
             return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
     pairs = 0
     for i, j in ctx.indices(2):
@@ -684,8 +728,14 @@ def _s12(ctx: _Ctx):
 
 
 def _s13(ctx: _Ctx):
-    params, ops = ctx.params, ctx.ops
-    p = params.p
+    t, elems = ctx.t, ctx.elems
+    p = ctx.params.p
+    # Members are window elements, so every operation on them is a table
+    # read: mul and div hold the bundle's results, meets and joins stay in
+    # the window and are looked up by index.
+    meet_t = [[elems[z] for z in row] for row in t.meet_i]
+    join_t = [[elems[z] for z in row] for row in t.join_i]
+    tables = (t.mul, t.div, meet_t, join_t)
     targets: list[tuple[str, int | None]] = [
         ("L2", None), ("ChangL2w", None), ("HatLnp", None),
         ("HatLn2", None), ("A2", None),
@@ -696,17 +746,18 @@ def _s13(ctx: _Ctx):
             targets.append(("HatLq", q))
     checks = 0
     for sid, q in targets:
-        members = [a for a in ctx.elems if structure.subalg_member(sid, a, q)]
+        members = [i for i, a in enumerate(elems) if structure.subalg_member(sid, a, q)]
         label = sid if q is None else f"{sid}(q={q})"
-        for a in members:
-            c = ops.inv(a)
+        for i in members:
+            a, c = elems[i], t.inv[i]
             checks += 1
             if c is _INVALID or not structure.subalg_member(sid, c, q):
                 return checks, [f"subalgebra={label}"] + _ce(a=a, inv=c), {}
-            for b in members:
-                for fn in (ops.mul, ops.div, ops.meet, ops.join):
+            for j in members:
+                b = elems[j]
+                for table in tables:
                     checks += 1
-                    c = fn(a, b)
+                    c = table[i][j]
                     if c is _INVALID:
                         return checks, [f"subalgebra={label}"] + _ce(a=a, b=b), {}
                     if abs(c.r) <= ctx.R and not structure.subalg_member(sid, c, q):
@@ -820,6 +871,7 @@ class SuiteReport:
     first_counterexample: tuple[str, ...] | None
     details: dict
     elapsed: float
+    tables_s: float
 
     def text_line(self) -> str:
         """One summary line; deliberately free of timing so output is
@@ -849,6 +901,7 @@ class SuiteReport:
                 ),
                 "details": self.details,
                 "elapsed": round(self.elapsed, 6),
+                "tables_s": round(self.tables_s, 6),
             }
         )
 
@@ -879,18 +932,14 @@ def run_suite(
             raise ValueError(f"sample must be positive, got {sample}")
     w = Window(params, R)
     estimate = entry.cost(len(w)) if sample is None else 2 * sample
-    limit = effective_budget(budget)
-    if estimate > limit and not force:
-        raise BudgetError(
-            f"{sid} at n={params.n} p={params.p} R={R} needs about {estimate} "
-            f"checks, over the budget of {limit}"
-        )
+    enforce_budget(sid, params, R, estimate, budget, force)
     bundle = REFERENCE if ops is None else ops
     start = time.perf_counter()
     tables = _tables(params, R, bundle)
+    built = time.perf_counter()
     ctx = _Ctx(w, bundle, tables, sample, seed)
     checks, ce, details = entry.runner(ctx)
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - built
     return SuiteReport(
         suite=sid,
         title=entry.title,
@@ -902,6 +951,7 @@ def run_suite(
         first_counterexample=tuple(ce) if ce else None,
         details=details,
         elapsed=elapsed,
+        tables_s=built - start,
     )
 
 

@@ -36,7 +36,7 @@ def _window_elements(params: AlgebraParams, radius: int) -> tuple[ApElem, ...]:
 @lru_cache(maxsize=None)
 def _window_index(params: AlgebraParams, radius: int) -> dict[ApElem, int]:
     elems = _window_elements(params, radius)
-    return {a: i for i, a in zip(range(len(elems)), elems)}
+    return {a: i for i, a in enumerate(elems)}
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,6 @@ class Window:
 
     def elements(self) -> tuple[ApElem, ...]:
         return _window_elements(self.params, self.R)
-
-    def enumerate(self) -> tuple[ApElem, ...]:
-        return self.elements()
 
     def index(self, a: ApElem) -> int:
         return _window_index(self.params, self.R)[a]
@@ -190,6 +187,13 @@ def hat_size(params: AlgebraParams) -> int:
     return 2 * (params.n + 1) + params.n * (params.p - 1)
 
 
+def _class_index(x: ApElem, classes: list[list[ApElem]], f: str) -> int:
+    for i, cls in enumerate(classes):
+        if congruent(x, cls[0], f):
+            return i
+    raise RuntimeError(f"{core.render_element(x)} matches no class")
+
+
 def quotient_induced_mul_report(w: Window, f: str) -> dict:
     """Evidence that the quotient carries a product, beyond class counts.
 
@@ -200,24 +204,18 @@ def quotient_induced_mul_report(w: Window, f: str) -> dict:
     r=0 subalgebra at window scale.
     """
     classes = quotient_classes(w, f)
-
-    def class_of(x: ApElem) -> int:
-        for i, cls in zip(range(len(classes)), classes):
-            if congruent(x, cls[0], f):
-                return i
-        raise RuntimeError(f"{core.render_element(x)} matches no class")
-
-    well_defined = True
-    for ci in classes:
-        for cj in classes:
-            seen = None
-            for x in ci:
-                for y in cj:
-                    k = class_of(core.ap_mul(x, y))
-                    if seen is None:
-                        seen = k
-                    elif seen != k:
-                        well_defined = False
+    # one block of products per pair of classes; the class of each
+    # distinct product value is found once
+    blocks = [
+        [core.ap_mul(x, y) for x in ci for y in cj]
+        for ci in classes
+        for cj in classes
+    ]
+    distinct = {v for block in blocks for v in block}
+    class_of = {v: _class_index(v, classes, f) for v in distinct}
+    well_defined = all(
+        len({class_of[v] for v in block}) == 1 for block in blocks
+    )
     return {
         "classes": len(classes),
         "well_defined": well_defined,
@@ -397,9 +395,3 @@ def cover_edges(elems) -> tuple[tuple[int, int], ...]:
             if above[i] >> j & 1 and not (above[i] & below[j]):
                 edges.append((i, j))
     return tuple(edges)
-
-
-# Module-level spelling of the enumeration entry point.  Shadows the
-# builtin inside this module, so nothing above may call bare enumerate().
-def enumerate(w: Window) -> tuple[ApElem, ...]:
-    return w.elements()

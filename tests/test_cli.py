@@ -210,8 +210,9 @@ def test_check_json_stable_modulo_elapsed(capsys):
     argv = ["check", "--n", "1", "--p", "2", "--suite", "S4", "--format", "json"]
     one = json.loads(run(capsys, argv)[1])
     two = json.loads(run(capsys, argv)[1])
-    one.pop("elapsed")
-    two.pop("elapsed")
+    for payload in (one, two):
+        assert isinstance(payload.pop("elapsed"), float)
+        assert isinstance(payload.pop("tables_s"), float)
     assert one == two
 
 
@@ -246,6 +247,22 @@ def test_check_budget_env(capsys, monkeypatch):
     )
     assert code == 0
     assert out == "S1 residuation n=2 p=3 R=2 pass checks=39304\n"
+
+
+def test_check_eq_budget(capsys, monkeypatch):
+    monkeypatch.setenv("RESILAT_BUDGET", "10")
+    argv = ["check", "--n", "3", "--p", "3", "--R", "3",
+            "--eq", "x*(y*z) = (x*y)*z"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "budget: eq at n=3 p=3 R=3 needs about 405224 checks, "
+        "over the budget of 10\n"
+    )
+    code, out, _ = run(capsys, argv + ["--force-budget"])
+    assert code == 0
+    assert out == "eq n=3 p=3 R=3 pass checks=405224\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Windows, filters, quotients, closure, and the order diagram."""
 
-import builtins
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
-from resilat import core, structure
+from resilat import core
 from resilat.core import AlgebraParams, LexPair, ParamsMismatchError
 from resilat.structure import (
     FILTER_IDS,
@@ -66,9 +65,9 @@ def test_window_enumeration_order_frozen():
 def test_window_interface():
     w = Window(P23, 1)
     elems = w.elements()
-    assert w.enumerate() == elems
-    assert structure.enumerate(w) == elems  # module-level spelling
-    assert all(w.index(a) == i for i, a in builtins.enumerate(elems))
+    assert Window(P23, 1).elements() == elems
+    assert len(elems) == len(w)
+    assert all(w.index(a) == i for i, a in enumerate(elems))
     assert el("((1,-1),2)") in w
     assert el("((1,-2),2)") not in w
     assert "top" not in w
@@ -376,8 +375,8 @@ def test_cover_edges_match_a_brute_force_oracle():
     elems = Window(P23, 1).elements()
     strict = {
         (i, j)
-        for i, a in builtins.enumerate(elems)
-        for j, b in builtins.enumerate(elems)
+        for i, a in enumerate(elems)
+        for j, b in enumerate(elems)
         if i != j and core.ap_leq(a, b)
     }
     expected = {
