@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / all properties hold, 1 a property or equation
 failed, 2 usage, parse, universe, or budget errors.  Output goes to
-stdout and is byte-stable across runs except for the elapsed and
-tables_s timing fields of JSON suite reports.
+stdout and is byte-stable across runs except for the elapsed, tables_s
+and checks_per_s timing fields of JSON suite reports.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from resilat import core, harness, structure, terms
 from resilat.core import AlgebraParams
-from resilat.harness import BudgetError
-from resilat.structure import Window
+from resilat.structure import BudgetError, Window, enforce_budget
 
 _FINITE_SUBS = frozenset({"L2", "HatLnp", "HatLn2", "HatLq"})
 _SUB_ALIASES = {s.lower(): s for s in structure.SUBALGEBRA_IDS}
@@ -150,14 +149,14 @@ def cmd_check(args: argparse.Namespace, cfg: CliConfig) -> int:
             failed = failed or report.verdict == "fail"
     else:
         eq = terms.parse_equation(args.eq)
-        arity = len(terms.free_vars(eq.lhs) | terms.free_vars(eq.rhs))
+        # gate every point before printing any, so a budget stop leaves no output
         for n, p in points:
             params = AlgebraParams(n, p)
-            estimate = len(Window(params, cfg.R)) ** arity
-            harness.enforce_budget("eq", params, cfg.R, estimate,
-                                   force=cfg.force_budget)
+            enforce_budget("eq", params, cfg.R,
+                           terms.equation_estimate(eq, params, cfg.R),
+                           force=cfg.force_budget)
         for n, p in points:
-            verdict = terms.check_equation(eq, AlgebraParams(n, p), cfg.R)
+            verdict = terms.check_equation(eq, AlgebraParams(n, p), cfg.R, force=True)
             print(_eq_line(args.eq, n, p, cfg.R, verdict, fmt))
             failed = failed or not verdict.holds
     return 1 if failed else 0

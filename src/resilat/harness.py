@@ -21,14 +21,14 @@ distinct first-step products into ids and multiplies each of them once by
 every window element on either side; its N^3 associativity loop then
 only compares ints.  S13's subalgebra members are window elements, so
 its closure checks read the tables directly.  Each report times the
-table build (tables_s) apart from the checks (elapsed).
+table build (tables_s) apart from the checks (elapsed) and carries the
+estimate its budget gate used next to the checks it ran.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -37,41 +37,16 @@ from typing import Callable
 
 from resilat import core, structure, terms
 from resilat.core import AlgebraParams, ApElem, UniverseError
-from resilat.structure import Window
+from resilat.structure import (  # the budget names stay importable from here
+    BUDGET_ENV,
+    DEFAULT_BUDGET,
+    BudgetError,
+    Window,
+    effective_budget,
+    enforce_budget,
+)
 
-DEFAULT_BUDGET = 10**8
-BUDGET_ENV = "RESILAT_BUDGET"
 DEFAULT_GRID = tuple((n, p) for n in (1, 2, 3) for p in (1, 2, 3))
-
-
-class BudgetError(RuntimeError):
-    """Estimated check count exceeds the budget; pass force to run anyway."""
-
-
-def effective_budget(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None and env.strip():
-        return int(env)
-    return DEFAULT_BUDGET
-
-
-def enforce_budget(
-    label: str,
-    params: AlgebraParams,
-    R: int,
-    estimate: int,
-    budget: int | None = None,
-    force: bool = False,
-) -> None:
-    """Raise BudgetError when estimate exceeds the effective budget."""
-    limit = effective_budget(budget)
-    if estimate > limit and not force:
-        raise BudgetError(
-            f"{label} at n={params.n} p={params.p} R={R} needs about {estimate} "
-            f"checks, over the budget of {limit}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -803,8 +778,9 @@ def _s15(ctx: _Ctx):
 def _s16(ctx: _Ctx):
     params = ctx.params
     kmax = max(params.n + 1, params.p)
+    # run_suite has already gated S16's estimate against the budget
     v1 = terms.check_equation(
-        terms.preset("WL", kmax), params, ctx.R, ops=ctx.ops
+        terms.preset("WL", kmax), params, ctx.R, ops=ctx.ops, force=True
     )
     checks = v1.checked
     details: dict = {"k": kmax}
@@ -816,6 +792,7 @@ def _s16(ctx: _Ctx):
         ctx.R,
         domain=lambda a: structure.subalg_member("HatLn2", a),
         ops=ctx.ops,
+        force=True,
     )
     checks += v2.checked
     if v2.holds:
@@ -867,6 +844,7 @@ class SuiteReport:
     p: int
     R: int
     checks_run: int
+    estimate: int  # the check count the budget was gated on
     verdict: str  # "pass" | "fail"
     first_counterexample: tuple[str, ...] | None
     details: dict
@@ -893,6 +871,7 @@ class SuiteReport:
                 "p": self.p,
                 "R": self.R,
                 "checks_run": self.checks_run,
+                "estimate": self.estimate,
                 "verdict": self.verdict,
                 "first_counterexample": (
                     list(self.first_counterexample)
@@ -902,6 +881,9 @@ class SuiteReport:
                 "details": self.details,
                 "elapsed": round(self.elapsed, 6),
                 "tables_s": round(self.tables_s, 6),
+                "checks_per_s": (
+                    round(self.checks_run / self.elapsed, 1) if self.elapsed > 0 else None
+                ),
             }
         )
 
@@ -947,6 +929,7 @@ def run_suite(
         p=params.p,
         R=R,
         checks_run=checks,
+        estimate=estimate,
         verdict="pass" if ce is None else "fail",
         first_counterexample=tuple(ce) if ce else None,
         details=details,
@@ -977,12 +960,6 @@ def run_grid(
                           force=force, sample=sample, seed=seed)
             )
     return reports
-
-
-def check_monid_invo_generic(w: Window, ops: OpsBundle | None = None) -> SuiteReport:
-    """S15 on an existing window: residuation derived from the inline
-    form ~(a * ~c) rather than the packaged residual."""
-    return run_suite("S15", w.params, w.R, ops=ops)
 
 
 def mutation_check(

@@ -5,11 +5,14 @@ here works over a window: the valid elements whose lex offset r lies in
 [-R, R].  Windows are closed under meet and join but not under the
 monoid operation or the residual, which can push |r| up to 2R; callers
 that need closure under those must either enlarge R or test membership
-of the results.
+of the results.  The check-count budget lives here too, next to the
+windows whose sizes its estimates count, so that both the suites and
+the equation checker obey it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,6 +21,8 @@ from resilat.core import AlgebraParams, ApElem, LexPair, ParamsMismatchError
 
 FILTER_IDS = ("Top", "FOmega", "Radical", "Improper")
 SUBALGEBRA_IDS = ("L2", "ChangL2w", "HatLnp", "HatLn2", "A2", "Aq", "HatLq")
+DEFAULT_BUDGET = 10**8
+BUDGET_ENV = "RESILAT_BUDGET"
 
 
 @lru_cache(maxsize=None)
@@ -62,6 +67,39 @@ class Window:
 
     def __len__(self) -> int:
         return len(self.elements())
+
+
+# ---------------------------------------------------------------------------
+# The check-count budget every exhaustive entry point obeys.
+
+class BudgetError(RuntimeError):
+    """Estimated check count exceeds the budget; pass force to run anyway."""
+
+
+def effective_budget(override: int | None = None) -> int:
+    if override is not None:
+        return int(override)
+    env = os.environ.get(BUDGET_ENV)
+    if env is not None and env.strip():
+        return int(env)
+    return DEFAULT_BUDGET
+
+
+def enforce_budget(
+    label: str,
+    params: AlgebraParams,
+    R: int,
+    estimate: int,
+    budget: int | None = None,
+    force: bool = False,
+) -> None:
+    """Raise BudgetError when estimate exceeds the effective budget."""
+    limit = effective_budget(budget)
+    if estimate > limit and not force:
+        raise BudgetError(
+            f"{label} at n={params.n} p={params.p} R={R} needs about {estimate} "
+            f"checks, over the budget of {limit}"
+        )
 
 
 # ---------------------------------------------------------------------------

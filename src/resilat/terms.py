@@ -14,11 +14,17 @@ Grammar, loosest to tightest binding (arrow is right associative):
 "~" is the involution and "!" is negation (x -> bot); the two coincide
 on these algebras but both spellings parse.  The dual sum has no
 concrete syntax; Oplus nodes render desugared as ~(~l * ~r).
+
+check_equation compiles its equation once per call.  Each distinct
+subterm becomes one node.  A node is recomputed only when the loop
+assigns its last variable, and it calls its operation once per distinct
+tuple of operand values, so the innermost loop mostly compares two
+interned ids.  eval_term walks the same case analysis over node types
+recursively.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -139,15 +145,8 @@ def free_vars(t: Term) -> frozenset[str]:
     """Names of the variables occurring in t."""
     if isinstance(t, Var):
         return frozenset({t.name})
-    if isinstance(t, (Bot, Top)):
-        return frozenset()
-    if isinstance(t, (Star, Arrow, Meet, Join, Oplus)):
-        return free_vars(t.l) | free_vars(t.r)
-    if isinstance(t, (Neg, Inv)):
-        return free_vars(t.t)
-    if isinstance(t, (Pow, Mult)):
-        return free_vars(t.t)
-    raise TypeError(f"not a term: {t!r}")
+    children, _ = _node(t, None, _CORE_OPS)
+    return frozenset().union(*map(free_vars, children))
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +356,41 @@ _CORE_OPS = SimpleNamespace(
 )
 
 
+def _node(t: Term, params: AlgebraParams | None, o):
+    """The children of a non-variable term and the function that maps
+    their values to its value.
+
+    This is the one case analysis over node types: free_vars and eval_term
+    walk it, and check_equation compiles it once per call.
+    """
+    if isinstance(t, Bot):
+        return (), lambda: core.ap_bot(params)
+    if isinstance(t, Top):
+        return (), lambda: core.ap_top(params)
+    if isinstance(t, Star):
+        return (t.l, t.r), o.mul
+    if isinstance(t, Arrow):
+        return (t.l, t.r), o.div
+    if isinstance(t, Meet):
+        return (t.l, t.r), o.meet
+    if isinstance(t, Join):
+        return (t.l, t.r), o.join
+    if isinstance(t, Neg):
+        return (t.t,), o.neg
+    if isinstance(t, Inv):
+        return (t.t,), o.inv
+    if isinstance(t, Oplus):
+        return (t.l, t.r), o.oplus
+    if isinstance(t, Pow):
+        return (t.t,), lambda a: o.power(a, t.k)
+    if isinstance(t, Mult):
+        return (t.t,), lambda a: o.multiple(t.k, a)
+    raise TypeError(f"not a term: {t!r}")
+
+
 def eval_term(t: Term, env: dict[str, ApElem], params: AlgebraParams, ops=None):
     """Evaluate t under env; ops may substitute an operation bundle."""
-    o = _CORE_OPS if ops is None else ops
-    return _eval(t, env, params, o)
+    return _eval(t, env, params, _CORE_OPS if ops is None else ops)
 
 
 def _eval(t, env, params, o):
@@ -369,29 +399,129 @@ def _eval(t, env, params, o):
             return env[t.name]
         except KeyError:
             raise EvalError(f"unbound variable {t.name!r}") from None
-    if isinstance(t, Bot):
-        return core.ap_bot(params)
-    if isinstance(t, Top):
-        return core.ap_top(params)
-    if isinstance(t, Star):
-        return o.mul(_eval(t.l, env, params, o), _eval(t.r, env, params, o))
-    if isinstance(t, Arrow):
-        return o.div(_eval(t.l, env, params, o), _eval(t.r, env, params, o))
-    if isinstance(t, Meet):
-        return o.meet(_eval(t.l, env, params, o), _eval(t.r, env, params, o))
-    if isinstance(t, Join):
-        return o.join(_eval(t.l, env, params, o), _eval(t.r, env, params, o))
-    if isinstance(t, Neg):
-        return o.neg(_eval(t.t, env, params, o))
-    if isinstance(t, Inv):
-        return o.inv(_eval(t.t, env, params, o))
-    if isinstance(t, Oplus):
-        return o.oplus(_eval(t.l, env, params, o), _eval(t.r, env, params, o))
-    if isinstance(t, Pow):
-        return o.power(_eval(t.t, env, params, o), t.k)
-    if isinstance(t, Mult):
-        return o.multiple(t.k, _eval(t.t, env, params, o))
-    raise TypeError(f"not a term: {t!r}")
+    children, fn = _node(t, params, o)
+    return fn(*[_eval(c, env, params, o) for c in children])
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation over a sequence of assignments.
+
+def _step(fn, out, args, slots, values, intern, memo):
+    """One compiled subterm: set slots[out] to the id of fn applied to the
+    values whose ids sit in the args slots.  With a memo dict, fn runs once
+    per distinct tuple of operand ids."""
+    if len(args) == 1:
+        (a,) = args
+        if memo is None:
+            def step():
+                slots[out] = intern(fn(values[slots[a]]))
+        else:
+            def step():
+                key = slots[a]
+                got = memo.get(key)
+                if got is None:
+                    got = memo[key] = intern(fn(values[key]))
+                slots[out] = got
+    else:
+        a, b = args
+        if memo is None:
+            def step():
+                slots[out] = intern(fn(values[slots[a]], values[slots[b]]))
+        else:
+            def step():
+                key = (slots[a], slots[b])
+                got = memo.get(key)
+                if got is None:
+                    got = memo[key] = intern(fn(values[key[0]], values[key[1]]))
+                slots[out] = got
+    return step
+
+
+def _first_failure(eq: Equation, names, elems, params, o) -> list[int] | None:
+    """Positions in elems, one per name, of the first assignment in
+    canonical order on which the two sides of eq differ; None if none does.
+
+    eq is compiled first.  Every distinct subterm owns one slot, which holds
+    the id of its current value; ids are handed out per call, so equal
+    values share one and the two sides compare as ints.  A subterm's level
+    is the position in names of its last variable: it is recomputed right
+    after that variable is assigned, so work on outer variables is hoisted
+    out of the inner loops and closed subterms run once, here.  Each
+    operation still first runs at the assignment where a plain walk of the
+    tree would first reach it.  A subterm calls its operation once per
+    distinct tuple of operand ids, except when its operands are variables
+    covering every level up to its own: no key can repeat there, so a memo
+    would only cost memory.
+    """
+    values: list = []
+    ids: dict = {}
+
+    def intern(v) -> int:
+        i = ids.get(v)
+        if i is None:
+            i = ids[v] = len(values)
+            values.append(v)
+        return i
+
+    slots: list[int] = []
+    levels: list[int] = []
+    index: dict[Term, int] = {}
+    var_slots = [-1] * len(names)
+    steps: list[list] = [[] for _ in names]
+
+    def add(t: Term) -> int:
+        slot = index.get(t)
+        if slot is not None:
+            return slot
+        if isinstance(t, Var):
+            slot = index[t] = len(slots)
+            levels.append(names.index(t.name))
+            var_slots[levels[slot]] = slot
+            slots.append(-1)
+            return slot
+        children, fn = _node(t, params, o)
+        args = tuple(add(c) for c in children)
+        level = max((levels[a] for a in args), default=-1)
+        slot = index[t] = len(slots)
+        levels.append(level)
+        if level < 0:
+            slots.append(intern(fn(*[values[slots[a]] for a in args])))
+            return slot
+        slots.append(-1)
+        unique = all(a in var_slots for a in args) and (
+            {levels[a] for a in args} == set(range(level + 1))
+        )
+        steps[level].append(
+            _step(fn, slot, args, slots, values, intern, None if unique else {})
+        )
+        return slot
+
+    lhs, rhs = add(eq.lhs), add(eq.rhs)
+    if not names:
+        return [] if slots[lhs] != slots[rhs] else None
+    elem_ids = [intern(e) for e in elems]
+    last = len(names) - 1
+
+    def search(level: int) -> list[int] | None:
+        slot, todo = var_slots[level], steps[level]
+        if level == last:
+            for j, vid in enumerate(elem_ids):
+                slots[slot] = vid
+                for step in todo:
+                    step()
+                if slots[lhs] != slots[rhs]:
+                    return [j]
+            return None
+        for j, vid in enumerate(elem_ids):
+            slots[slot] = vid
+            for step in todo:
+                step()
+            found = search(level + 1)
+            if found is not None:
+                return [j, *found]
+        return None
+
+    return search(0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +537,21 @@ class EquationVerdict:
     counterexample: dict[str, ApElem] | None
 
 
+def _candidates(params: AlgebraParams, radius: int, domain) -> tuple[ApElem, ...]:
+    elems = structure.Window(params, radius).elements()
+    return elems if domain is None else tuple(e for e in elems if domain(e))
+
+
+def equation_estimate(eq: Equation, params: AlgebraParams, radius: int, domain=None) -> int:
+    """The checks check_equation makes when eq holds, which the budget
+    gates on: the candidate count to the power of the variable count."""
+    return _estimate(eq, _candidates(params, radius, domain))
+
+
+def _estimate(eq: Equation, elems) -> int:
+    return len(elems) ** len(free_vars(eq.lhs) | free_vars(eq.rhs))
+
+
 def check_equation(
     eq: Equation,
     params: AlgebraParams,
@@ -414,6 +559,8 @@ def check_equation(
     max_vars: int = 3,
     domain=None,
     ops=None,
+    budget: int | None = None,
+    force: bool = False,
 ) -> EquationVerdict:
     """Test eq over every assignment from the radius-R window.
 
@@ -421,6 +568,9 @@ def check_equation(
     window enumeration order), so the first counterexample is canonical.
     domain optionally restricts candidate values (a predicate on elements).
     A True verdict only speaks for the window, hence the radius field.
+    Like the suites, the check raises BudgetError before it starts when
+    equation_estimate exceeds the budget, unless force is set.  Values that
+    ops returns must be hashable, as elements are.
     """
     if radius < 0:
         raise ValueError(f"window radius must be >= 0, got {radius}")
@@ -429,16 +579,18 @@ def check_equation(
         raise ValueError(
             f"{len(names)} free variables exceed the cap of {max_vars}"
         )
-    elems = structure.Window(params, radius).elements()
-    if domain is not None:
-        elems = tuple(e for e in elems if domain(e))
-    checked = 0
-    for values in itertools.product(elems, repeat=len(names)):
-        checked += 1
-        env = dict(zip(names, values))
-        if eval_term(eq.lhs, env, params, ops) != eval_term(eq.rhs, env, params, ops):
-            return EquationVerdict(False, radius, checked, env)
-    return EquationVerdict(True, radius, checked, None)
+    elems = _candidates(params, radius, domain)
+    structure.enforce_budget("eq", params, radius, _estimate(eq, elems), budget, force)
+    if names and not elems:
+        return EquationVerdict(True, radius, 0, None)
+    picks = _first_failure(eq, names, elems, params, _CORE_OPS if ops is None else ops)
+    if picks is None:
+        return EquationVerdict(True, radius, len(elems) ** len(names), None)
+    position = 0
+    for j in picks:
+        position = position * len(elems) + j
+    env = {name: elems[j] for name, j in zip(names, picks)}
+    return EquationVerdict(False, radius, position + 1, env)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,7 @@ def test_check_json_stable_modulo_elapsed(capsys):
     for payload in (one, two):
         assert isinstance(payload.pop("elapsed"), float)
         assert isinstance(payload.pop("tables_s"), float)
+        assert isinstance(payload.pop("checks_per_s"), float)
     assert one == two
 
 

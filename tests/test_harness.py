@@ -17,7 +17,6 @@ from resilat.harness import (
     SUITES,
     BudgetError,
     OpsBundle,
-    check_monid_invo_generic,
     closed_form_div,
     effective_budget,
     mutation_check,
@@ -106,14 +105,17 @@ def test_json_line_round_trips():
         "p": 3,
         "R": 2,
         "checks_run": payload["checks_run"],
+        "estimate": 2 * 34,
         "verdict": "pass",
         "first_counterexample": None,
         "details": {},
         "elapsed": payload["elapsed"],
         "tables_s": payload["tables_s"],
+        "checks_per_s": payload["checks_per_s"],
     }
     assert isinstance(payload["elapsed"], float)
     assert isinstance(payload["tables_s"], float)
+    assert isinstance(payload["checks_per_s"], float)
 
 
 def test_table_build_is_timed_apart_from_the_checks():
@@ -149,7 +151,7 @@ def test_details_surface_the_structure_reports():
 
 
 def test_monid_invo_entry_point():
-    report = check_monid_invo_generic(Window(P23, 1))
+    report = run_suite("S15", P23, 1)
     assert (report.suite, report.R, report.verdict) == ("S15", 1, "pass")
 
 

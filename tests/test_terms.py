@@ -1,13 +1,21 @@
 """Parser, renderer, evaluator, and equation checker."""
 
+import itertools
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
-from resilat import core, terms
+from resilat import core, structure, terms
 from resilat.core import AlgebraParams
+from resilat.harness import DEFAULT_GRID, MUTATIONS, REFERENCE
+from resilat.structure import BUDGET_ENV, BudgetError
 from resilat.terms import (
     Arrow,
     Bot,
+    Equation,
+    EquationVerdict,
     EvalError,
     Inv,
     Join,
@@ -21,6 +29,7 @@ from resilat.terms import (
     Top,
     Var,
     check_equation,
+    equation_estimate,
     eval_term,
     free_vars,
     load_equations,
@@ -290,3 +299,179 @@ def test_load_equations():
     assert loaded[1][1] == parse_equation("x -> x = top")
     with pytest.raises(ParseError):
         load_equations("x * y = y * x\nx ->\n")
+
+
+# ---------------------------------------------------------------------------
+# The compiled checker against a plain walk of the tree.
+
+def walk_eval(t, env, params, o):
+    """Evaluation as a recursive isinstance chain, independent of terms._node."""
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Bot):
+        return core.ap_bot(params)
+    if isinstance(t, Top):
+        return core.ap_top(params)
+    if isinstance(t, Star):
+        return o.mul(walk_eval(t.l, env, params, o), walk_eval(t.r, env, params, o))
+    if isinstance(t, Arrow):
+        return o.div(walk_eval(t.l, env, params, o), walk_eval(t.r, env, params, o))
+    if isinstance(t, Meet):
+        return o.meet(walk_eval(t.l, env, params, o), walk_eval(t.r, env, params, o))
+    if isinstance(t, Join):
+        return o.join(walk_eval(t.l, env, params, o), walk_eval(t.r, env, params, o))
+    if isinstance(t, Neg):
+        return o.neg(walk_eval(t.t, env, params, o))
+    if isinstance(t, Inv):
+        return o.inv(walk_eval(t.t, env, params, o))
+    if isinstance(t, Oplus):
+        return o.oplus(walk_eval(t.l, env, params, o), walk_eval(t.r, env, params, o))
+    if isinstance(t, Pow):
+        return o.power(walk_eval(t.t, env, params, o), t.k)
+    if isinstance(t, Mult):
+        return o.multiple(t.k, walk_eval(t.t, env, params, o))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def walk_check(eq, params, radius, max_vars=3, domain=None, ops=None):
+    """The window check as a plain loop: walk both trees on every assignment."""
+    o = terms._CORE_OPS if ops is None else ops
+    names = sorted(free_vars(eq.lhs) | free_vars(eq.rhs))
+    assert len(names) <= max_vars
+    elems = structure.Window(params, radius).elements()
+    if domain is not None:
+        elems = tuple(e for e in elems if domain(e))
+    checked = 0
+    for values in itertools.product(elems, repeat=len(names)):
+        checked += 1
+        env = dict(zip(names, values))
+        if walk_eval(eq.lhs, env, params, o) != walk_eval(eq.rhs, env, params, o):
+            return EquationVerdict(False, radius, checked, env)
+    return EquationVerdict(True, radius, checked, None)
+
+
+OPS = {"core": None, "reference": REFERENCE, **MUTATIONS}
+
+# the five `resilat check --eq` lines of the benchmark's equations workload;
+# the 3-variable ones at R=1 and the others at R=2 keep the plain walk fast
+BENCH_LINES = [
+    (2, 3, 1, "x*(y*z) = (x*y)*z"),
+    (2, 3, 1, "(x*y) -> z = x -> (y -> z)"),
+    (3, 3, 2, "(x*y)^4 = x^4 * y^4"),
+    (3, 3, 2, "4.(x /\\ y) = 4.x /\\ 4.y"),
+    (2, 3, 2, "x \\/ !(x^2) = top"),
+]
+
+
+def random_term(rng, depth, names):
+    if depth == 0 or rng.random() < 0.15:
+        return rng.choice([Var(v) for v in names] + [Var(names[0]), Bot(), Top()])
+    kind = rng.randrange(9)
+    if kind < 5:
+        node = (Star, Arrow, Meet, Join, Oplus)[kind]
+        return node(random_term(rng, depth - 1, names), random_term(rng, depth - 1, names))
+    if kind < 7:
+        return (Neg, Inv)[kind - 5](random_term(rng, depth - 1, names))
+    if kind == 7:
+        return Pow(random_term(rng, depth - 1, names), rng.randrange(5))
+    return Mult(rng.randrange(5), random_term(rng, depth - 1, names))
+
+
+# (params, radius, variables): at most 10^3 or 22^2 assignments per case;
+# the R=1 points have nonzero offsets, where the mutations go wrong
+RANDOM_POINTS = ((P23, 0, "xyz"), (P23, 1, "xy"), (AlgebraParams(3, 2), 1, "xy"))
+
+
+def random_cases(seed, count):
+    """Random depth-3 equations with a point to check them at.  Every other
+    one commutes the root of its left side, so it holds under the reference
+    operations and runs through the whole window."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        params, R, names = RANDOM_POINTS[i % 3]
+        lhs = random_term(rng, 3, names)
+        if i % 2 and isinstance(lhs, (Star, Meet, Join, Oplus)):
+            rhs = type(lhs)(lhs.r, lhs.l)
+        else:
+            rhs = random_term(rng, 3, names)
+        out.append((Equation(lhs, rhs), params, R))
+    return out
+
+
+def assert_same(eq, params, radius, **kw):
+    assert check_equation(eq, params, radius, **kw) == walk_check(eq, params, radius, **kw)
+
+
+@pytest.mark.parametrize("n,p", DEFAULT_GRID)
+def test_compiled_check_matches_the_walk_on_presets(n, p):
+    params = AlgebraParams(n, p)
+    eqs = [preset(name, m) for name in ("E", "EM", "WL") for m in (1, 2, 3, 4)]
+    eqs += [preset("Bterm", params=params), preset("WLwitness", params=params)]
+    for eq in eqs:
+        for ops in (None, REFERENCE):
+            assert_same(eq, params, 2, ops=ops)
+
+
+def test_compiled_check_matches_the_walk_on_the_bench_lines():
+    for n, p, R, text in BENCH_LINES:
+        assert_same(parse_equation(text), AlgebraParams(n, p), R)
+
+
+@pytest.mark.parametrize("ops", list(OPS), ids=list(OPS))
+def test_compiled_check_matches_the_walk_on_random_equations(ops):
+    for eq, params, R in random_cases(seed=2024, count=60):
+        assert_same(eq, params, R, ops=OPS[ops])
+
+
+def test_compiled_check_matches_the_walk_on_edge_cases():
+    hatln2 = lambda a: structure.subalg_member("HatLn2", a)  # noqa: E731
+    for params in (AlgebraParams(1, 1), P23, AlgebraParams(3, 2)):
+        assert_same(preset("WLwitness", params=params), params, 2, domain=hatln2)
+        assert_same(parse_equation("x -> y = ~(x * ~y)"), params, 1,
+                    domain=lambda a: a.alpha != 1, ops=MUTATIONS["inv-reflect-sign"])
+    # a domain that leaves nothing: no assignment, no check, vacuously true
+    assert_same(preset("EM", 2), P23, 2, domain=lambda a: False)
+    # closed equations: one check each, and {} as the counterexample
+    for text in ("bot -> bot = top", "bot = top", "~bot * top = top", "2.bot = bot^0"):
+        for ops in OPS.values():
+            assert_same(parse_equation(text), P23, 0, ops=ops)
+    assert check_equation(parse_equation("bot = top"), P23, 0).counterexample == {}
+    # four variables under a raised cap, holding and failing
+    for text in ("w * x * y * z = z * y * x * w", "w * x -> y = z \\/ w"):
+        for ops in (None, MUTATIONS["mul-case2-sign"]):
+            assert_same(parse_equation(text), P23, 0, max_vars=4, ops=ops)
+
+
+def test_compiled_check_runs_each_operation_once_per_distinct_operand():
+    calls = []
+    counting = SimpleNamespace(**vars(terms._CORE_OPS))
+    counting.power = lambda a, k: calls.append(a) or core.ap_pow(a, k)
+    eq = parse_equation("x^4 * y^4 = y^4 * x^4")
+    verdict = check_equation(eq, P23, 1, ops=counting)
+    N = len(structure.Window(P23, 1))
+    assert (verdict.holds, verdict.checked) == (True, N * N)
+    # x^4 once per x, y^4 once per distinct y; a plain walk makes 4 * N^2 calls
+    assert len(calls) == 2 * N
+
+
+def test_check_equation_obeys_the_budget(monkeypatch):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    eq = parse_equation("x*(y*z) = (x*y)*z")
+    P33 = AlgebraParams(3, 3)
+    assert equation_estimate(eq, P33, 3) == 74**3
+    with pytest.raises(BudgetError) as exc:
+        check_equation(eq, P33, 3, budget=10)
+    assert str(exc.value) == (
+        "eq at n=3 p=3 R=3 needs about 405224 checks, over the budget of 10"
+    )
+    verdict = check_equation(eq, P33, 3, budget=10, force=True)
+    assert (verdict.holds, verdict.checked) == (True, 405224)
+    # the estimate counts the candidates left after the domain filter
+    top = core.ap_top(P23)
+    assert equation_estimate(preset("EM", 2), P23, 2, domain=lambda a: a == top) == 1
+    assert check_equation(preset("EM", 2), P23, 2, budget=1,
+                          domain=lambda a: a == top).holds
+    monkeypatch.setenv(BUDGET_ENV, "1")
+    with pytest.raises(BudgetError):
+        check_equation(parse_equation("x * y = y * x"), P23, 0)
