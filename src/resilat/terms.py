@@ -409,7 +409,8 @@ def _eval(t, env, params, o):
 def _step(fn, out, args, slots, values, intern, memo):
     """One compiled subterm: set slots[out] to the id of fn applied to the
     values whose ids sit in the args slots.  With a memo dict, fn runs once
-    per distinct tuple of operand ids."""
+    per distinct tuple of operand ids.  One closure per arity: a single one
+    over *args made the equations benchmark about 1.6x slower."""
     if len(args) == 1:
         (a,) = args
         if memo is None:
@@ -452,6 +453,10 @@ def _first_failure(eq: Equation, names, elems, params, o) -> list[int] | None:
     distinct tuple of operand ids, except when its operands are variables
     covering every level up to its own: no key can repeat there, so a memo
     would only cost memory.
+
+    The compiled order within one assignment differs from the walk's, so
+    when an operation raises, that assignment is walked again and the
+    exception the walk meets first is the one that surfaces.
     """
     values: list = []
     ids: dict = {}
@@ -496,32 +501,46 @@ def _first_failure(eq: Equation, names, elems, params, o) -> list[int] | None:
         )
         return slot
 
-    lhs, rhs = add(eq.lhs), add(eq.rhs)
-    if not names:
-        return [] if slots[lhs] != slots[rhs] else None
-    elem_ids = [intern(e) for e in elems]
     last = len(names) - 1
+    # the assignment an exception was raised at; only written while it unwinds
+    raised_at = [0] * len(names)
 
     def search(level: int) -> list[int] | None:
         slot, todo = var_slots[level], steps[level]
-        if level == last:
+        j = 0
+        try:
+            if level == last:
+                for j, vid in enumerate(elem_ids):
+                    slots[slot] = vid
+                    for step in todo:
+                        step()
+                    if slots[lhs] != slots[rhs]:
+                        return [j]
+                return None
             for j, vid in enumerate(elem_ids):
                 slots[slot] = vid
                 for step in todo:
                     step()
-                if slots[lhs] != slots[rhs]:
-                    return [j]
+                found = search(level + 1)
+                if found is not None:
+                    return [j, *found]
             return None
-        for j, vid in enumerate(elem_ids):
-            slots[slot] = vid
-            for step in todo:
-                step()
-            found = search(level + 1)
-            if found is not None:
-                return [j, *found]
-        return None
+        except Exception:
+            raised_at[level] = j
+            raise
 
-    return search(0)
+    try:
+        lhs, rhs = add(eq.lhs), add(eq.rhs)
+        if not names:
+            return [] if slots[lhs] != slots[rhs] else None
+        elem_ids = [intern(e) for e in elems]
+        return search(0)
+    except Exception as exc:
+        failure = exc
+    env = {name: elems[j] for name, j in zip(names, raised_at)}
+    _eval(eq.lhs, env, params, o)
+    _eval(eq.rhs, env, params, o)
+    raise failure
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +564,8 @@ def _candidates(params: AlgebraParams, radius: int, domain) -> tuple[ApElem, ...
 def equation_estimate(eq: Equation, params: AlgebraParams, radius: int, domain=None) -> int:
     """The checks check_equation makes when eq holds, which the budget
     gates on: the candidate count to the power of the variable count."""
-    return _estimate(eq, _candidates(params, radius, domain))
-
-
-def _estimate(eq: Equation, elems) -> int:
-    return len(elems) ** len(free_vars(eq.lhs) | free_vars(eq.rhs))
+    names = free_vars(eq.lhs) | free_vars(eq.rhs)
+    return len(_candidates(params, radius, domain)) ** len(names)
 
 
 def check_equation(
@@ -559,7 +575,6 @@ def check_equation(
     max_vars: int = 3,
     domain=None,
     ops=None,
-    budget: int | None = None,
     force: bool = False,
 ) -> EquationVerdict:
     """Test eq over every assignment from the radius-R window.
@@ -569,8 +584,12 @@ def check_equation(
     domain optionally restricts candidate values (a predicate on elements).
     A True verdict only speaks for the window, hence the radius field.
     Like the suites, the check raises BudgetError before it starts when
-    equation_estimate exceeds the budget, unless force is set.  Values that
-    ops returns must be hashable, as elements are.
+    equation_estimate exceeds the budget, unless force is set.
+
+    A substitute ops bundle must be pure and return hashable values, as
+    elements are: each operation runs once per distinct tuple of operands.
+    An operation that raises does so at the same assignment, with the same
+    exception, as under a plain walk of both trees.
     """
     if radius < 0:
         raise ValueError(f"window radius must be >= 0, got {radius}")
@@ -580,7 +599,7 @@ def check_equation(
             f"{len(names)} free variables exceed the cap of {max_vars}"
         )
     elems = _candidates(params, radius, domain)
-    structure.enforce_budget("eq", params, radius, _estimate(eq, elems), budget, force)
+    structure.enforce_budget("eq", params, radius, len(elems) ** len(names), force=force)
     if names and not elems:
         return EquationVerdict(True, radius, 0, None)
     picks = _first_failure(eq, names, elems, params, _CORE_OPS if ops is None else ops)

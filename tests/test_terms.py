@@ -455,23 +455,59 @@ def test_compiled_check_runs_each_operation_once_per_distinct_operand():
     assert len(calls) == 2 * N
 
 
+def raising_ops(seed):
+    """Core operations, each of which raises its own error on a seeded
+    fifth of its operand tuples."""
+    def guard(name, fn):
+        def op(*args):
+            if random.Random(repr((seed, name, args))).random() < 0.2:
+                raise ArithmeticError(name, *args)
+            return fn(*args)
+        return op
+    return SimpleNamespace(**{name: guard(name, fn) for name, fn in vars(terms._CORE_OPS).items()})
+
+
+def outcome(check, *args, **kw):
+    try:
+        return check(*args, **kw)
+    except ArithmeticError as exc:
+        return exc.args
+
+
+def test_compiled_check_raises_where_and_what_the_walk_raises():
+    # the compiled order runs ~x (level 0) before y^2 (level 1), and a
+    # closed ~bot before either; the walk meets y^2 first in both
+    always = SimpleNamespace(**vars(terms._CORE_OPS))
+    always.power = lambda a, k: (_ for _ in ()).throw(ArithmeticError("power"))
+    always.inv = lambda a: (_ for _ in ()).throw(ArithmeticError("inv"))
+    for text in ("y^2 = ~x", "y^2 = ~bot", "x * y^2 = ~x"):
+        with pytest.raises(ArithmeticError, match="power"):
+            check_equation(parse_equation(text), P23, 0, ops=always)
+    raised = 0
+    for seed, (eq, params, R) in enumerate(random_cases(seed=7, count=60)):
+        ops = raising_ops(seed)
+        got = outcome(check_equation, eq, params, R, ops=ops)
+        assert got == outcome(walk_check, eq, params, R, ops=ops)
+        raised += isinstance(got, tuple)
+    assert raised > 20
+
+
 def test_check_equation_obeys_the_budget(monkeypatch):
-    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    monkeypatch.setenv(BUDGET_ENV, "10")
     eq = parse_equation("x*(y*z) = (x*y)*z")
     P33 = AlgebraParams(3, 3)
     assert equation_estimate(eq, P33, 3) == 74**3
     with pytest.raises(BudgetError) as exc:
-        check_equation(eq, P33, 3, budget=10)
+        check_equation(eq, P33, 3)
     assert str(exc.value) == (
         "eq at n=3 p=3 R=3 needs about 405224 checks, over the budget of 10"
     )
-    verdict = check_equation(eq, P33, 3, budget=10, force=True)
+    verdict = check_equation(eq, P33, 3, force=True)
     assert (verdict.holds, verdict.checked) == (True, 405224)
     # the estimate counts the candidates left after the domain filter
+    monkeypatch.setenv(BUDGET_ENV, "1")
     top = core.ap_top(P23)
     assert equation_estimate(preset("EM", 2), P23, 2, domain=lambda a: a == top) == 1
-    assert check_equation(preset("EM", 2), P23, 2, budget=1,
-                          domain=lambda a: a == top).holds
-    monkeypatch.setenv(BUDGET_ENV, "1")
+    assert check_equation(preset("EM", 2), P23, 2, domain=lambda a: a == top).holds
     with pytest.raises(BudgetError):
         check_equation(parse_equation("x * y = y * x"), P23, 0)
