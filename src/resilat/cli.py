@@ -101,7 +101,8 @@ def _grid_points(cfg: CliConfig):
     raise ValueError("give both --n and --p, or neither for the default grid")
 
 
-def _eq_line(eq_text: str, n: int, p: int, R: int, verdict, fmt: str) -> str:
+def _eq_line(eq_text: str, n: int, p: int, R: int, estimate: int, verdict,
+             fmt: str) -> str:
     ce = verdict.counterexample
     if fmt == "json":
         return json.dumps(
@@ -112,6 +113,7 @@ def _eq_line(eq_text: str, n: int, p: int, R: int, verdict, fmt: str) -> str:
                 "R": R,
                 "holds": verdict.holds,
                 "checked": verdict.checked,
+                "estimate": estimate,
                 "counterexample": (
                     {k: core.render_element(v) for k, v in sorted(ce.items())}
                     if ce
@@ -150,14 +152,14 @@ def cmd_check(args: argparse.Namespace, cfg: CliConfig) -> int:
     else:
         eq = terms.parse_equation(args.eq)
         # gate every point before printing any, so a budget stop leaves no output
+        estimates = []
         for n, p in points:
             params = AlgebraParams(n, p)
-            enforce_budget("eq", params, cfg.R,
-                           terms.equation_estimate(eq, params, cfg.R),
-                           force=cfg.force_budget)
-        for n, p in points:
+            estimates.append(terms.equation_estimate(eq, params, cfg.R))
+            enforce_budget("eq", params, cfg.R, estimates[-1], force=cfg.force_budget)
+        for (n, p), estimate in zip(points, estimates):
             verdict = terms.check_equation(eq, AlgebraParams(n, p), cfg.R, force=True)
-            print(_eq_line(args.eq, n, p, cfg.R, verdict, fmt))
+            print(_eq_line(args.eq, n, p, cfg.R, estimate, verdict, fmt))
             failed = failed or not verdict.holds
     return 1 if failed else 0
 

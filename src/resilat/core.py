@@ -44,43 +44,17 @@ class LexPair(NamedTuple):
     r: int
 
 
-def lex_cmp(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Three-way lexicographic comparison: first coordinate, then second."""
-    if a[0] != b[0]:
-        return -1 if a[0] < b[0] else 1
-    if a[1] != b[1]:
-        return -1 if a[1] < b[1] else 1
-    return 0
-
-
-def lex_min(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """Minimum in the lex order (never coordinatewise)."""
-    return a if lex_cmp(a, b) <= 0 else b
-
-
-def lex_max(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """Maximum in the lex order (never coordinatewise)."""
-    return b if lex_cmp(a, b) <= 0 else a
-
-
 # ---------------------------------------------------------------------------
 # The pair chain [(0,0), (n,0)] under the lex order.
 
-def omega_validate(pair: tuple[int, int], n: int) -> LexPair:
-    """Check (0,0) =< (m,r) =< (n,0); return the pair or raise."""
-    if lex_cmp(pair, (0, 0)) < 0 or lex_cmp(pair, (n, 0)) > 0:
-        raise UniverseError(f"pair {tuple(pair)} outside [(0,0),({n},0)]")
-    return LexPair(*pair)
-
-
 def omega_star(a: tuple[int, int], b: tuple[int, int], n: int) -> LexPair:
     """Chain product max{(0,0), (m+k-n, r+s)}."""
-    return LexPair(*lex_max((0, 0), (a[0] + b[0] - n, a[1] + b[1])))
+    return LexPair(*max((0, 0), (a[0] + b[0] - n, a[1] + b[1])))
 
 
 def omega_arrow(a: tuple[int, int], b: tuple[int, int], n: int) -> LexPair:
     """Chain residual min{(n,0), (n-m+k, s-r)}."""
-    return LexPair(*lex_min((n, 0), (n - a[0] + b[0], b[1] - a[1])))
+    return LexPair(*min((n, 0), (n - a[0] + b[0], b[1] - a[1])))
 
 
 def omega_neg(a: tuple[int, int], n: int) -> LexPair:
@@ -90,12 +64,6 @@ def omega_neg(a: tuple[int, int], n: int) -> LexPair:
 
 # ---------------------------------------------------------------------------
 # The finite chain {0, ..., p}.
-
-def fin_validate(a: int, p: int) -> int:
-    if not 0 <= a <= p:
-        raise UniverseError(f"level {a} outside [0,{p}]")
-    return a
-
 
 def fin_star(a: int, b: int, p: int) -> int:
     return max(0, a + b - p)
@@ -116,10 +84,11 @@ def fin_neg(a: int, p: int) -> int:
 class ApElem:
     """Element <(m, r), alpha> of the algebra with parameters (n, p).
 
-    Construction itself does not validate; every operation funnels its
-    result through ap_validate (via _mk), which is the single place
-    universe membership is checked.  Equality is structural, including
-    the parameters.
+    Construction itself does not validate.  _mk is the single place
+    universe membership is checked: every operation builds its result
+    there, and so do ap_validate, parse_element and the harness's mutant
+    operations, so an element outside the universe raises UniverseError
+    where it is made.  Equality is structural, including the parameters.
     """
 
     m: int
@@ -146,11 +115,12 @@ class ApElem:
 
 def _mk(m: int, r: int, alpha: int, n: int, p: int) -> ApElem:
     """Validating constructor; all operation results pass through here."""
-    fin_validate(alpha, p)
-    bound = n if alpha in (0, p) else n - 1
-    if lex_cmp((m, r), (0, 0)) < 0:
+    if not 0 <= alpha <= p:
+        raise UniverseError(f"level {alpha} outside [0,{p}]")
+    if (m, r) < (0, 0):
         raise UniverseError(f"pair ({m},{r}) below (0,0)")
-    if lex_cmp((m, r), (bound, 0)) > 0:
+    bound = n if alpha == 0 or alpha == p else n - 1
+    if (m, r) > (bound, 0):
         raise UniverseError(
             f"pair ({m},{r}) above ({bound},0), the cap for level {alpha}"
         )
@@ -191,10 +161,10 @@ def ap_leq(a: ApElem, b: ApElem) -> bool:
     """
     _same_params(a, b)
     if a.alpha != 0:
-        return a.alpha <= b.alpha and lex_cmp((a.m, a.r), (b.m, b.r)) <= 0
+        return a.alpha <= b.alpha and (a.m, a.r) <= (b.m, b.r)
     if b.alpha == 0:
-        return lex_cmp((b.m, b.r), (a.m, a.r)) <= 0
-    return lex_cmp((a.n - 1, 0), (a.m + b.m, a.r + b.r)) <= 0
+        return (b.m, b.r) <= (a.m, a.r)
+    return (a.n - 1, 0) <= (a.m + b.m, a.r + b.r)
 
 
 def ap_join(a: ApElem, b: ApElem) -> ApElem:
@@ -202,16 +172,16 @@ def ap_join(a: ApElem, b: ApElem) -> ApElem:
     _same_params(a, b)
     n, p = a.n, a.p
     if a.alpha != 0 and b.alpha != 0:
-        pr = lex_max((a.m, a.r), (b.m, b.r))
+        pr = max((a.m, a.r), (b.m, b.r))
         return _mk(pr[0], pr[1], max(a.alpha, b.alpha), n, p)
     if a.alpha == 0 and b.alpha == 0:
-        pr = lex_min((a.m, a.r), (b.m, b.r))  # pair order reversed at level 0
+        pr = min((a.m, a.r), (b.m, b.r))  # pair order reversed at level 0
         return _mk(pr[0], pr[1], 0, n, p)
     if a.alpha == 0:
         a, b = b, a  # now a holds the nonzero level
-    if lex_cmp((b.m, b.r), (n - 1, 0)) >= 0:
+    if (b.m, b.r) >= (n - 1, 0):
         return _mk(a.m, a.r, a.alpha, n, p)
-    pr = lex_max((a.m, a.r), (n - 1 - b.m, -b.r))
+    pr = max((a.m, a.r), (n - 1 - b.m, -b.r))
     return _mk(pr[0], pr[1], a.alpha, n, p)
 
 
@@ -220,16 +190,16 @@ def ap_meet(a: ApElem, b: ApElem) -> ApElem:
     _same_params(a, b)
     n, p = a.n, a.p
     if a.alpha != 0 and b.alpha != 0:
-        pr = lex_min((a.m, a.r), (b.m, b.r))
+        pr = min((a.m, a.r), (b.m, b.r))
         return _mk(pr[0], pr[1], min(a.alpha, b.alpha), n, p)
     if a.alpha == 0 and b.alpha == 0:
-        pr = lex_max((a.m, a.r), (b.m, b.r))
+        pr = max((a.m, a.r), (b.m, b.r))
         return _mk(pr[0], pr[1], 0, n, p)
     if a.alpha == 0:
         a, b = b, a
-    if lex_cmp((b.m, b.r), (n - 1, 0)) >= 0:
+    if (b.m, b.r) >= (n - 1, 0):
         return _mk(b.m, b.r, 0, n, p)
-    pr = lex_max((n - 1 - a.m, -a.r), (b.m, b.r))
+    pr = max((n - 1 - a.m, -a.r), (b.m, b.r))
     return _mk(pr[0], pr[1], 0, n, p)
 
 
@@ -253,7 +223,7 @@ def ap_mul(a: ApElem, b: ApElem) -> ApElem:
         if g != 0:
             pr = omega_star((m, r), (k, s), n)
             return _mk(pr[0], pr[1], g, n, p)
-        pr = lex_min((n, 0), (2 * n - (m + k + 1), -(r + s)))
+        pr = min((n, 0), (2 * n - (m + k + 1), -(r + s)))
         return _mk(pr[0], pr[1], 0, n, p)
     if al != 0:
         pr = omega_arrow((m, r), (k, s), n)
@@ -261,7 +231,7 @@ def ap_mul(a: ApElem, b: ApElem) -> ApElem:
     if be != 0:
         pr = omega_arrow((k, s), (m, r), n)
         return _mk(pr[0], pr[1], 0, n, p)
-    pr = lex_min((n, 0), (m + k + 1, r + s))
+    pr = min((n, 0), (m + k + 1, r + s))
     return _mk(pr[0], pr[1], 0, n, p)
 
 

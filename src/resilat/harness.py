@@ -7,10 +7,11 @@ be swapped for deliberately corrupted variants; the five entries in
 MUTATIONS exist to prove the suites are not vacuous.
 
 A corrupted operation can produce a pair/level combination outside the
-universe.  Rather than crashing mid-suite, bundle operations replace
-such results with an invalid marker that propagates, equals nothing,
-and satisfies no order relation, so the violation surfaces as an
-ordinary counterexample.
+universe, and the validating constructor then raises UniverseError.
+Rather than crashing mid-suite, bundle operations replace such results
+with an invalid marker that propagates, equals nothing, and satisfies
+no order relation, so the violation surfaces as an ordinary
+counterexample.
 
 The suites read their operations from tables built once per (params, R,
 bundle): every product, residual, involution, order bit, meet and join of
@@ -62,16 +63,6 @@ class _Invalid:
 _INVALID = _Invalid()
 
 
-def _lawful(c: object) -> bool:
-    if not isinstance(c, ApElem):
-        return False
-    try:
-        core.ap_validate(core.LexPair(c.m, c.r), c.alpha, c.params)
-    except UniverseError:
-        return False
-    return True
-
-
 def _eq(x: object, y: object) -> bool:
     """Equality where the invalid marker equals nothing, itself included."""
     if x is _INVALID or y is _INVALID:
@@ -92,6 +83,11 @@ class OpsBundle:
     neg, oplus, meet, join, power, multiple), plus bterm.  The lattice
     operations are never swapped; everything else routes through the two
     raws so a single corrupted constant shows up everywhere it should.
+
+    A raw reports an out-of-universe result by raising UniverseError, as
+    it does when it builds its results through core._mk; the bundle turns
+    that into the invalid marker.  A raw that returns an element it did
+    not validate is trusted.
     """
 
     def __init__(self, raw_mul, raw_inv, name: str = "reference"):
@@ -106,19 +102,17 @@ class OpsBundle:
         if a is _INVALID or b is _INVALID:
             return _INVALID
         try:
-            c = self.raw_mul(a, b)
+            return self.raw_mul(a, b)
         except UniverseError:
             return _INVALID
-        return c if _lawful(c) else _INVALID
 
     def inv(self, a):
         if a is _INVALID:
             return _INVALID
         try:
-            c = self.raw_inv(a)
+            return self.raw_inv(a)
         except UniverseError:
             return _INVALID
-        return c if _lawful(c) else _INVALID
 
     def div(self, a, b):
         return self.inv(self.mul(a, self.inv(b)))
@@ -173,9 +167,10 @@ REFERENCE = OpsBundle(core.ap_mul, core.ap_inv)
 # ---------------------------------------------------------------------------
 # Documented single-constant mutations of the product and involution.
 #
-# The variants rebuild the reference case analysis but construct elements
-# directly, without the validating constructor; an out-of-universe result
-# escapes to the bundle guards instead of raising inside the operation.
+# The variants rebuild the reference case analysis and build their results
+# through the validating constructor core._mk, as the reference does; an
+# out-of-universe result raises UniverseError, which the bundle turns into
+# the invalid marker.
 
 def _mul_variant(case2_shift: int = 1, case2_sign: int = -1, case4_shift: int = 1):
     def raw(a: ApElem, b: ApElem) -> ApElem:
@@ -186,19 +181,17 @@ def _mul_variant(case2_shift: int = 1, case2_sign: int = -1, case4_shift: int = 
             g = core.fin_star(al, be, p)
             if g != 0:
                 pr = core.omega_star((m, r), (k, s), n)
-                return ApElem(pr[0], pr[1], g, n, p)
-            pr = core.lex_min(
-                (n, 0), (2 * n - (m + k + case2_shift), case2_sign * (r + s))
-            )
-            return ApElem(pr[0], pr[1], 0, n, p)
+                return core._mk(pr[0], pr[1], g, n, p)
+            pr = min((n, 0), (2 * n - (m + k + case2_shift), case2_sign * (r + s)))
+            return core._mk(pr[0], pr[1], 0, n, p)
         if al != 0:
             pr = core.omega_arrow((m, r), (k, s), n)
-            return ApElem(pr[0], pr[1], 0, n, p)
+            return core._mk(pr[0], pr[1], 0, n, p)
         if be != 0:
             pr = core.omega_arrow((k, s), (m, r), n)
-            return ApElem(pr[0], pr[1], 0, n, p)
-        pr = core.lex_min((n, 0), (m + k + case4_shift, r + s))
-        return ApElem(pr[0], pr[1], 0, n, p)
+            return core._mk(pr[0], pr[1], 0, n, p)
+        pr = min((n, 0), (m + k + case4_shift, r + s))
+        return core._mk(pr[0], pr[1], 0, n, p)
 
     return raw
 
@@ -207,8 +200,8 @@ def _inv_variant(reflect_shift: int = 1, reflect_sign: int = -1):
     def raw(a: ApElem) -> ApElem:
         n, p = a.n, a.p
         if a.alpha in (0, p):
-            return ApElem(a.m, a.r, p - a.alpha, n, p)
-        return ApElem(
+            return core._mk(a.m, a.r, p - a.alpha, n, p)
+        return core._mk(
             n - reflect_shift - a.m, reflect_sign * a.r, p - a.alpha, n, p
         )
 
@@ -239,10 +232,7 @@ MUTATIONS: dict[str, OpsBundle] = {
 # against the composite route inv(mul(a, inv(b))).
 
 def closed_form_div(a: ApElem, b: ApElem) -> ApElem:
-    if a.params != b.params:
-        raise core.ParamsMismatchError(
-            f"mixed parameters ({a.n},{a.p}) vs ({b.n},{b.p})"
-        )
+    core._same_params(a, b)
     n, p = a.n, a.p
     params = a.params
     m, r, al = a.m, a.r, a.alpha
@@ -251,17 +241,17 @@ def closed_form_div(a: ApElem, b: ApElem) -> ApElem:
         # level 0 is order-reversed, so the pair residual runs backwards
         return core.ap_validate(core.omega_arrow((k, s), (m, r), n), p, params)
     if al == 0:
-        pr = core.lex_min((n, 0), (m + k + 1, r + s))
+        pr = min((n, 0), (m + k + 1, r + s))
         return core.ap_validate(pr, p, params)
     if be == 0:
         if al == p:
             return core.ap_validate(core.omega_star((m, r), (k, s), n), 0, params)
-        pr = core.lex_min((n - 1, 0), (2 * n - 1 - (m + k), -(r + s)))
+        pr = min((n - 1, 0), (2 * n - 1 - (m + k), -(r + s)))
         return core.ap_validate(pr, p - al, params)
     if al <= be:
         return core.ap_validate(core.omega_arrow((m, r), (k, s), n), p, params)
     # al > be forces be < p; the middle-level cap clamps the pair
-    pr = core.lex_min((n - 1, 0), core.omega_arrow((m, r), (k, s), n))
+    pr = min((n - 1, 0), core.omega_arrow((m, r), (k, s), n))
     return core.ap_validate(pr, core.fin_arrow(al, be, p), params)
 
 
@@ -809,29 +799,32 @@ class _SuiteEntry:
     sid: str
     title: str
     runner: Callable[[_Ctx], tuple]
-    cost: Callable[[int], int]  # estimated checks as a function of |W|
+    # Estimated checks from |W| and draws(k), the number of k-tuples the
+    # ctx.indices loops visit: N**k exhaustively, sample when sampled.
+    # Every other loop runs in full either way.
+    cost: Callable[[int, Callable[[int], int]], int]
 
 
 SUITES: dict[str, _SuiteEntry] = {
     e.sid: e
     for e in (
-        _SuiteEntry("S1", "residuation", _s1, lambda N: N**3),
-        _SuiteEntry("S2", "associativity", _s2, lambda N: N**3 + N**2),
-        _SuiteEntry("S3", "monotonicity", _s3, lambda N: N**3),
-        _SuiteEntry("S4", "involution", _s4, lambda N: N**2 + 2 * N),
-        _SuiteEntry("S5", "annihilation", _s5, lambda N: N**2),
-        _SuiteEntry("S6", "unit-absorb", _s6, lambda N: 2 * N),
+        _SuiteEntry("S1", "residuation", _s1, lambda N, d: d(3)),
+        _SuiteEntry("S2", "associativity", _s2, lambda N, d: d(3) + d(2)),
+        _SuiteEntry("S3", "monotonicity", _s3, lambda N, d: d(3)),
+        _SuiteEntry("S4", "involution", _s4, lambda N, d: d(2) + 2 * N),
+        _SuiteEntry("S5", "annihilation", _s5, lambda N, d: d(2)),
+        _SuiteEntry("S6", "unit-absorb", _s6, lambda N, d: 2 * N),
         _SuiteEntry("S7", "lattice-glb-lub-distributivity", _s7,
-                    lambda N: N**3 + N**2 + N),
-        _SuiteEntry("S8", "local-nilpotency", _s8, lambda N: 2 * N + 1),
-        _SuiteEntry("S9", "power-thresholds", _s9, lambda N: 2 * N + 8),
-        _SuiteEntry("S10", "boolean-radical-term", _s10, lambda N: 9 * N),
-        _SuiteEntry("S11", "filters", _s11, lambda N: 7 * N**2),
-        _SuiteEntry("S12", "boolean-elements", _s12, lambda N: N**2),
-        _SuiteEntry("S13", "subalgebra-closure", _s13, lambda N: 40 * N**2),
-        _SuiteEntry("S14", "residual-closed-form", _s14, lambda N: N**2),
-        _SuiteEntry("S15", "residuation-generic", _s15, lambda N: N**3 + N**2),
-        _SuiteEntry("S16", "wl-membership", _s16, lambda N: 2 * N),
+                    lambda N, d: d(3) + N**2 + N),
+        _SuiteEntry("S8", "local-nilpotency", _s8, lambda N, d: 2 * N + 1),
+        _SuiteEntry("S9", "power-thresholds", _s9, lambda N, d: 2 * N + 8),
+        _SuiteEntry("S10", "boolean-radical-term", _s10, lambda N, d: 9 * N),
+        _SuiteEntry("S11", "filters", _s11, lambda N, d: 6 * d(2) + N**2),
+        _SuiteEntry("S12", "boolean-elements", _s12, lambda N, d: N**2),
+        _SuiteEntry("S13", "subalgebra-closure", _s13, lambda N, d: 40 * N**2),
+        _SuiteEntry("S14", "residual-closed-form", _s14, lambda N, d: d(2)),
+        _SuiteEntry("S15", "residuation-generic", _s15, lambda N, d: d(3) + d(2)),
+        _SuiteEntry("S16", "wl-membership", _s16, lambda N, d: 2 * N),
     )
 }
 
@@ -902,7 +895,8 @@ def run_suite(
 
     sample switches to seeded-random assignments and needs R >= 4; below
     that, windows are small enough that exhaustion is both feasible and
-    the stronger claim.
+    the stronger claim.  A sampled run's budget estimate counts sample
+    draws for each sampled loop and every other loop in full.
     """
     entry = SUITES.get(sid)
     if entry is None:
@@ -913,7 +907,9 @@ def run_suite(
         if sample < 1:
             raise ValueError(f"sample must be positive, got {sample}")
     w = Window(params, R)
-    estimate = entry.cost(len(w)) if sample is None else 2 * sample
+    N = len(w)
+    draws = (lambda k: N**k) if sample is None else (lambda k: sample)
+    estimate = entry.cost(N, draws)
     enforce_budget(sid, params, R, estimate, budget, force)
     bundle = REFERENCE if ops is None else ops
     start = time.perf_counter()

@@ -38,12 +38,6 @@ def _window_elements(params: AlgebraParams, radius: int) -> tuple[ApElem, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _window_index(params: AlgebraParams, radius: int) -> dict[ApElem, int]:
-    elems = _window_elements(params, radius)
-    return {a: i for i, a in enumerate(elems)}
-
-
 @dataclass(frozen=True)
 class Window:
     """The valid elements with |r| <= R, in a fixed enumeration order:
@@ -58,12 +52,6 @@ class Window:
 
     def elements(self) -> tuple[ApElem, ...]:
         return _window_elements(self.params, self.R)
-
-    def index(self, a: ApElem) -> int:
-        return _window_index(self.params, self.R)[a]
-
-    def __contains__(self, a: object) -> bool:
-        return a in _window_index(self.params, self.R)
 
     def __len__(self) -> int:
         return len(self.elements())
@@ -151,46 +139,6 @@ def max_nonradical(params: AlgebraParams, radius: int = 2) -> ApElem:
         if all(core.ap_leq(a, c) for a in outside):
             return c
     raise RuntimeError("no maximum among non-radical elements")
-
-
-def power_threshold_check(params: AlgebraParams, radius: int = 2) -> dict:
-    """Nilpotency thresholds over a window, with the witness powers.
-
-    Checks that a^k0 = bot exactly off the radical for k0 = max(n+1,p),
-    that the maximal non-radical element survives every smaller power,
-    and (when n < p) that its (p-1)-th power is its involution.  Also
-    records whether the computed maximum matches the p >= 2 closed form
-    ((n-1,0),p-1).
-    """
-    n, p = params.n, params.p
-    k0 = max(n + 1, p)
-    bot = core.ap_bot(params)
-    w = Window(params, radius)
-
-    part_a = all(
-        (core.ap_pow(a, k0) == bot) == (not filter_member("Radical", a))
-        for a in w.elements()
-    )
-
-    c = max_nonradical(params, radius)
-    literal = core.ap_validate(LexPair(n - 1, 0), p - 1, params)
-    c_powers = [core.ap_pow(c, k) for k in range(1, k0 + 1)]
-    part_b = all(v != bot for v in c_powers[: k0 - 1])
-    cyclic = None
-    if n < p:
-        cyclic = core.ap_pow(c, p - 1) == core.ap_inv(c)
-    return {
-        "k_threshold": k0,
-        "part_a_holds": part_a,
-        "part_b_holds": part_b,
-        "max_nonradical": core.render_element(c),
-        "max_matches_literal": c == literal,
-        "max_powers": [core.render_element(v) for v in c_powers],
-        "literal_powers": [
-            core.render_element(core.ap_pow(literal, k)) for k in range(1, k0 + 1)
-        ],
-        "cyclic": cyclic,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,7 @@ def test_check_json_format(capsys):
         "R": 2,
         "holds": True,
         "checked": 12,
+        "estimate": 12,
         "counterexample": None,
     }
 

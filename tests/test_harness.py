@@ -224,6 +224,26 @@ def test_sampled_mutant_still_caught():
     assert report.verdict == "fail"
 
 
+def test_estimate_bounds_the_checks_run():
+    runs = [run_grid(R=1), run_grid(R=2), run_grid(R=4, sample=300),
+            run_grid(grid=[(2, 3)], R=8, sample=10)]
+    for report in itertools.chain(*runs):
+        assert report.checks_run <= report.estimate, report.text_line()
+
+
+def test_sampled_budget_counts_the_unsampled_loops():
+    # only the drawn tuples shrink: S7's N^2 order checks and S13's member
+    # pairs run in full whatever the sample
+    with pytest.raises(BudgetError) as exc:
+        run_suite("S7", P23, R=8, sample=10, budget=100)
+    assert str(exc.value) == (
+        "S7 at n=2 p=3 R=8 needs about 11352 checks, over the budget of 100"
+    )
+    with pytest.raises(BudgetError):
+        run_suite("S13", P23, R=8, sample=10, budget=100)
+    assert run_suite("S1", P23, R=8, sample=10, budget=100).estimate == 10
+
+
 # ---------------------------------------------------------------------------
 # Dual-route residual oracle.
 
@@ -361,10 +381,11 @@ def _plain_s13(ctx):
 
 def _mul_invalid_past_r2(a, b):
     """The product, except that an operand with |r| > 2 gives a level
-    outside the universe: at R=2 only second steps go invalid, on either
-    side or both; at R=4 first steps do too."""
+    outside the universe, which raises as the validating constructor
+    does: at R=2 only second steps go invalid, on either side or both;
+    at R=4 first steps do too."""
     if abs(a.r) > 2 or abs(b.r) > 2:
-        return ApElem(a.m, a.r, a.p + 1, a.n, a.p)
+        return core.ap_validate(core.LexPair(a.m, a.r), a.p + 1, a.params)
     return core.ap_mul(a, b)
 
 
@@ -390,3 +411,11 @@ def test_two_step_suites_match_plain_guarded_calls(name, R, sample):
             assert report.verdict == ("pass" if ce is None else "fail")
             assert report.first_counterexample == (tuple(ce) if ce else None)
             assert report.details == details
+
+
+def test_invalid_past_r2_bundle_marks_its_invalid_products():
+    bundle = TWO_STEP_BUNDLES["invalid-past-r2"]
+    a, b = el("((1,3),3)"), el("((1,0),3)")
+    assert bundle.mul(a, b) is harness._INVALID
+    assert bundle.mul(b, a) is harness._INVALID
+    assert bundle.mul(b, b) == core.ap_mul(b, b)

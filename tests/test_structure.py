@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from resilat import core
 from resilat.core import AlgebraParams, LexPair, ParamsMismatchError
+from resilat.harness import run_suite
 from resilat.structure import (
     FILTER_IDS,
     SUBALGEBRA_IDS,
@@ -20,7 +21,6 @@ from resilat.structure import (
     generated_filter,
     hat_size,
     max_nonradical,
-    power_threshold_check,
     quotient_classes,
     quotient_induced_mul_report,
     rad_quotient_report,
@@ -67,10 +67,10 @@ def test_window_interface():
     elems = w.elements()
     assert Window(P23, 1).elements() == elems
     assert len(elems) == len(w)
-    assert all(w.index(a) == i for i, a in enumerate(elems))
-    assert el("((1,-1),2)") in w
-    assert el("((1,-2),2)") not in w
-    assert "top" not in w
+    assert all(elems.index(a) == i for i, a in enumerate(elems))
+    assert el("((1,-1),2)") in elems
+    assert el("((1,-2),2)") not in elems
+    assert "top" not in elems
     with pytest.raises(ValueError):
         Window(P23, -1)
 
@@ -86,20 +86,19 @@ def test_window_is_valid_and_duplicate_free(params, radius):
 
 def test_window_holds_the_landmark_elements():
     for params in GRID:
-        w = Window(params, 0)
-        assert core.ap_bot(params) in w
-        assert core.ap_top(params) in w
-        assert core.ap_validate(LexPair(0, 0), params.p, params) in w
-        assert max_nonradical(params) in w
+        elems = Window(params, 0).elements()
+        assert core.ap_bot(params) in elems
+        assert core.ap_top(params) in elems
+        assert core.ap_validate(LexPair(0, 0), params.p, params) in elems
+        assert max_nonradical(params) in elems
 
 
 @given(st.sampled_from(GRID), st.integers(0, 2))
 def test_windows_close_under_meet_and_join(params, radius):
-    w = Window(params, radius)
-    elems = w.elements()
+    elems = Window(params, radius).elements()
     for a, b in itertools.product(elems[:8], elems[-8:]):
-        assert core.ap_meet(a, b) in w
-        assert core.ap_join(a, b) in w
+        assert core.ap_meet(a, b) in elems
+        assert core.ap_join(a, b) in elems
 
 
 # ---------------------------------------------------------------------------
@@ -144,38 +143,50 @@ def test_max_nonradical_bends_at_p1():
         assert max_nonradical(params) == core.ap_validate(LexPair(0, 0), 0, params)
 
 
+# The nilpotency thresholds are S9's details; the (p-1)-th power of the
+# maximal non-radical element equals its involution when S8 passes with a
+# cyclic_witness, which it records exactly when n < p.
+
 def test_power_threshold_frozen_23():
-    assert power_threshold_check(P23) == {
+    report = run_suite("S9", P23)
+    assert report.verdict == "pass"  # every threshold part holds
+    assert report.details == {
         "k_threshold": 3,
-        "part_a_holds": True,
-        "part_b_holds": True,
         "max_nonradical": "((1,0),2)",
         "max_matches_literal": True,
         "max_powers": ["((1,0),2)", "((0,0),1)", "((2,0),0)"],
-        "literal_powers": ["((1,0),2)", "((0,0),1)", "((2,0),0)"],
-        "cyclic": True,
     }
+    literal = core.ap_validate(LexPair(1, 0), 2, P23)
+    assert [core.render_element(core.ap_pow(literal, k)) for k in (1, 2, 3)] == [
+        "((1,0),2)", "((0,0),1)", "((2,0),0)"
+    ]
+    cyclic = run_suite("S8", P23)
+    assert cyclic.verdict == "pass"
+    assert cyclic.details["cyclic_witness"] == "((1,0),2)"
 
 
 def test_power_threshold_frozen_32():
-    report = power_threshold_check(AlgebraParams(3, 2))
-    assert report["k_threshold"] == 4
-    assert report["max_nonradical"] == "((2,0),1)"
-    assert report["max_powers"] == [
+    params = AlgebraParams(3, 2)
+    details = run_suite("S9", params).details
+    assert details["k_threshold"] == 4
+    assert details["max_nonradical"] == "((2,0),1)"
+    assert details["max_powers"] == [
         "((2,0),1)", "((1,0),0)", "((2,0),0)", "((3,0),0)"
     ]
-    assert report["cyclic"] is None  # the spiral shortcut needs n < p
+    # the spiral shortcut needs n < p
+    assert "cyclic_witness" not in run_suite("S8", params).details
 
 
 def test_power_threshold_grid():
     for params in GRID:
-        report = power_threshold_check(params)
-        assert report["part_a_holds"] and report["part_b_holds"]
-        assert report["k_threshold"] == max(params.n + 1, params.p)
+        report = run_suite("S9", params)
+        assert report.verdict == "pass"
+        assert report.details["k_threshold"] == max(params.n + 1, params.p)
         if params.p >= 2:
-            assert report["max_matches_literal"]
+            assert report.details["max_matches_literal"]
         if params.n < params.p:
-            assert report["cyclic"] is True
+            cyclic = run_suite("S8", params)
+            assert cyclic.verdict == "pass" and "cyclic_witness" in cyclic.details
 
 
 # ---------------------------------------------------------------------------
