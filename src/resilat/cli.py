@@ -21,13 +21,7 @@ from resilat.structure import BudgetError, Window, enforce_budget
 
 _FINITE_SUBS = frozenset({"L2", "HatLnp", "HatLn2", "HatLq"})
 _SUB_ALIASES = {s.lower(): s for s in structure.SUBALGEBRA_IDS}
-_TABLE_OPS = {
-    "mul": core.ap_mul,
-    "div": core.ap_div,
-    "meet": core.ap_meet,
-    "join": core.ap_join,
-    "oplus": core.ap_oplus,
-}
+_TABLE_OPS = ("mul", "div", "meet", "join", "oplus")
 
 
 @dataclass(frozen=True)
@@ -224,7 +218,7 @@ def cmd_export(args: argparse.Namespace, cfg: CliConfig) -> int:
         for a in Window(params, radius).elements()
         if structure.subalg_member(sid, a, args.q)
     )
-    fn = _TABLE_OPS[args.op]
+    fn = getattr(core.REFERENCE, args.op)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = [args.op] + [core.render_element(b) for b in members]

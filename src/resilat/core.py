@@ -6,12 +6,18 @@ integer pairs with top (n, 0), and the finite Lukasiewicz chain
 level and (m, r) lives in the full chain on the boundary levels 0 and p
 but only in the short segment [(0,0), (n-1,0)] on the middle levels.
 Everything is integer arithmetic; there are no floats anywhere.
+
+OpsBundle, the one table of operations, derives all but the lattice
+operations from a product and an involution; ap_div, ap_neg, ap_oplus,
+ap_pow, ap_mult and boolean_term are methods of REFERENCE, its instance
+over ap_mul and ap_inv.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 
@@ -107,10 +113,16 @@ class ApElem:
 
     @property
     def params(self) -> AlgebraParams:
-        return AlgebraParams(self.n, self.p)
+        return _params(self.n, self.p)
 
     def __repr__(self) -> str:
         return f"(({self.m},{self.r}),{self.alpha})"
+
+
+@cache
+def _params(n: int, p: int) -> AlgebraParams:
+    """The one shared AlgebraParams per (n, p)."""
+    return AlgebraParams(n, p)
 
 
 def _mk(m: int, r: int, alpha: int, n: int, p: int) -> ApElem:
@@ -204,7 +216,7 @@ def ap_meet(a: ApElem, b: ApElem) -> ApElem:
 
 
 # ---------------------------------------------------------------------------
-# Monoid operation, involution, residual.
+# Monoid operation and involution.
 
 def ap_mul(a: ApElem, b: ApElem) -> ApElem:
     """The monoid product, four cases on the levels.
@@ -243,51 +255,128 @@ def ap_inv(a: ApElem) -> ApElem:
     return _mk(n - 1 - a.m, -a.r, p - a.alpha, n, p)
 
 
-def ap_div(a: ApElem, b: ApElem) -> ApElem:
-    """The residual a / b = ~(a . ~b); a.b =< c iff b =< a/c."""
-    return ap_inv(ap_mul(a, ap_inv(b)))
-
-
 # ---------------------------------------------------------------------------
-# Derived terms.
+# The operation table.
 
-def ap_neg(a: ApElem) -> ApElem:
-    """Negation a / bot; coincides with the involution on this algebra."""
-    return ap_div(a, ap_bot(a.params))
+class _Invalid:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<invalid>"
 
 
-def ap_oplus(a: ApElem, b: ApElem) -> ApElem:
-    """Dual sum ~(~a . ~b).
+_INVALID = _Invalid()
 
-    Written out deliberately: the factors are ~a and ~b, not ~a twice;
-    the symmetric form is what the recursion (k+1).x = x + k.x needs.
+
+class OpsBundle:
+    """Operations derived from a product and an involution.
+
+    Satisfies the evaluation protocol of the term module (mul, inv, div,
+    neg, oplus, meet, join, power, multiple), plus bterm.  The lattice
+    operations are never swapped; the rest routes through mul and inv, so
+    a single corrupted constant shows up everywhere it should.
+
+    The pair (ap_mul, ap_inv) is closed on the universe and used as it is.
+    Any other pair is guarded, both raws, so ap_mul passes on a corrupted
+    involution's marker: a raw raising UniverseError (as results built by
+    _mk do) gives the invalid marker, which propagates, equals nothing and
+    satisfies no order.  An unvalidated result is trusted.
     """
-    return ap_inv(ap_mul(ap_inv(a), ap_inv(b)))
+
+    __slots__ = ("mul", "inv", "name")
+
+    def __init__(self, mul, inv, name: str = "reference"):
+        if mul is not ap_mul or inv is not ap_inv:
+            raw_mul, raw_inv = mul, inv
+
+            def mul(a, b):
+                if a is _INVALID or b is _INVALID:
+                    return _INVALID
+                try:
+                    return raw_mul(a, b)
+                except UniverseError:
+                    return _INVALID
+
+            def inv(a):
+                if a is _INVALID:
+                    return _INVALID
+                try:
+                    return raw_inv(a)
+                except UniverseError:
+                    return _INVALID
+
+        self.mul = mul
+        self.inv = inv
+        self.name = name
+
+    def __repr__(self) -> str:
+        return f"OpsBundle({self.name})"
+
+    def div(self, a, b):
+        """The residual a / b = ~(a . ~b); a.b =< c iff b =< a/c."""
+        return self.inv(self.mul(a, self.inv(b)))
+
+    def neg(self, a):
+        """Negation a / bot; coincides with the involution on this algebra."""
+        if a is _INVALID:
+            return _INVALID
+        return self.div(a, ap_bot(a.params))
+
+    def oplus(self, a, b):
+        """Dual sum ~(~a . ~b).
+
+        Written out deliberately: the factors are ~a and ~b, not ~a twice;
+        the symmetric form is what the recursion (k+1).x = x + k.x needs.
+        """
+        return self.inv(self.mul(self.inv(a), self.inv(b)))
+
+    def meet(self, a, b):
+        if a is _INVALID or b is _INVALID:
+            return _INVALID
+        return ap_meet(a, b)
+
+    def join(self, a, b):
+        if a is _INVALID or b is _INVALID:
+            return _INVALID
+        return ap_join(a, b)
+
+    def power(self, a, k: int):
+        """k-th product power; a^0 is top."""
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
+        if a is _INVALID:
+            return _INVALID
+        out = ap_top(a.params)
+        for _ in range(k):
+            out = self.mul(a, out)
+        return out
+
+    def multiple(self, k: int, a):
+        """k-fold dual sum; 0.a is bot."""
+        if k < 0:
+            raise ValueError(f"negative multiple {k}")
+        if a is _INVALID:
+            return _INVALID
+        out = ap_bot(a.params)
+        for _ in range(k):
+            out = self.oplus(a, out)
+        return out
+
+    def bterm(self, a):
+        """(n+1).a^max(n+1, p); lands in {bot, top}, top exactly on the radical."""
+        if a is _INVALID:
+            return _INVALID
+        return self.multiple(a.n + 1, self.power(a, max(a.n + 1, a.p)))
 
 
-def ap_pow(a: ApElem, k: int) -> ApElem:
-    """k-th product power; a^0 is top."""
-    if k < 0:
-        raise ValueError(f"negative exponent {k}")
-    out = ap_top(a.params)
-    for _ in range(k):
-        out = ap_mul(a, out)
-    return out
+REFERENCE = OpsBundle(ap_mul, ap_inv)
 
-
-def ap_mult(k: int, a: ApElem) -> ApElem:
-    """k-fold dual sum; 0.a is bot."""
-    if k < 0:
-        raise ValueError(f"negative multiple {k}")
-    out = ap_bot(a.params)
-    for _ in range(k):
-        out = ap_oplus(a, out)
-    return out
-
-
-def boolean_term(a: ApElem) -> ApElem:
-    """(n+1).a^max(n+1, p); lands in {bot, top}, top exactly on the radical."""
-    return ap_mult(a.n + 1, ap_pow(a, max(a.n + 1, a.p)))
+ap_div = REFERENCE.div
+ap_neg = REFERENCE.neg
+ap_oplus = REFERENCE.oplus
+ap_pow = REFERENCE.power
+ap_mult = REFERENCE.multiple
+boolean_term = REFERENCE.bterm
 
 
 # ---------------------------------------------------------------------------

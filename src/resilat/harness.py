@@ -2,16 +2,13 @@
 
 Each suite exhaustively checks one family of laws on a window and
 reports the first counterexample in a canonical order.  The operations
-under test come from an OpsBundle, whose raw product and involution can
-be swapped for deliberately corrupted variants; the five entries in
-MUTATIONS exist to prove the suites are not vacuous.
+under test come from a core.OpsBundle, REFERENCE by default; the five
+MUTATIONS build on it with corrupted products or involutions, to prove
+the suites are not vacuous.
 
-A corrupted operation can produce a pair/level combination outside the
-universe, and the validating constructor then raises UniverseError.
-Rather than crashing mid-suite, bundle operations replace such results
-with an invalid marker that propagates, equals nothing, and satisfies
-no order relation, so the violation surfaces as an ordinary
-counterexample.
+A corrupted operation can leave the universe; the bundle then returns
+core's invalid marker instead of raising, so the violation surfaces as
+an ordinary counterexample rather than a crash mid-suite.
 
 The suites read their operations from tables built once per (params, R,
 bundle): every product, residual, involution, order bit, meet and join of
@@ -37,7 +34,8 @@ from functools import lru_cache
 from typing import Callable
 
 from resilat import core, structure, terms
-from resilat.core import AlgebraParams, ApElem, UniverseError
+# OpsBundle, REFERENCE and the invalid marker stay importable from here
+from resilat.core import _INVALID, REFERENCE, AlgebraParams, ApElem, OpsBundle
 from resilat.structure import (  # the budget names stay importable from here
     BUDGET_ENV,
     DEFAULT_BUDGET,
@@ -48,19 +46,6 @@ from resilat.structure import (  # the budget names stay importable from here
 )
 
 DEFAULT_GRID = tuple((n, p) for n in (1, 2, 3) for p in (1, 2, 3))
-
-
-# ---------------------------------------------------------------------------
-# Guarded operation bundles.
-
-class _Invalid:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "<invalid>"
-
-
-_INVALID = _Invalid()
 
 
 def _eq(x: object, y: object) -> bool:
@@ -74,94 +59,6 @@ def _leq(x: object, y: object) -> bool:
     if x is _INVALID or y is _INVALID:
         return False
     return core.ap_leq(x, y)
-
-
-class OpsBundle:
-    """Operations derived from a raw product and involution.
-
-    Satisfies the evaluation protocol of the term module (mul, inv, div,
-    neg, oplus, meet, join, power, multiple), plus bterm.  The lattice
-    operations are never swapped; everything else routes through the two
-    raws so a single corrupted constant shows up everywhere it should.
-
-    A raw reports an out-of-universe result by raising UniverseError, as
-    it does when it builds its results through core._mk; the bundle turns
-    that into the invalid marker.  A raw that returns an element it did
-    not validate is trusted.
-    """
-
-    def __init__(self, raw_mul, raw_inv, name: str = "reference"):
-        self.raw_mul = raw_mul
-        self.raw_inv = raw_inv
-        self.name = name
-
-    def __repr__(self) -> str:
-        return f"OpsBundle({self.name})"
-
-    def mul(self, a, b):
-        if a is _INVALID or b is _INVALID:
-            return _INVALID
-        try:
-            return self.raw_mul(a, b)
-        except UniverseError:
-            return _INVALID
-
-    def inv(self, a):
-        if a is _INVALID:
-            return _INVALID
-        try:
-            return self.raw_inv(a)
-        except UniverseError:
-            return _INVALID
-
-    def div(self, a, b):
-        return self.inv(self.mul(a, self.inv(b)))
-
-    def neg(self, a):
-        if a is _INVALID:
-            return _INVALID
-        return self.div(a, core.ap_bot(a.params))
-
-    def oplus(self, a, b):
-        return self.inv(self.mul(self.inv(a), self.inv(b)))
-
-    def meet(self, a, b):
-        if a is _INVALID or b is _INVALID:
-            return _INVALID
-        return core.ap_meet(a, b)
-
-    def join(self, a, b):
-        if a is _INVALID or b is _INVALID:
-            return _INVALID
-        return core.ap_join(a, b)
-
-    def power(self, a, k: int):
-        if k < 0:
-            raise ValueError(f"negative exponent {k}")
-        if a is _INVALID:
-            return _INVALID
-        out = core.ap_top(a.params)
-        for _ in range(k):
-            out = self.mul(a, out)
-        return out
-
-    def multiple(self, k: int, a):
-        if k < 0:
-            raise ValueError(f"negative multiple {k}")
-        if a is _INVALID:
-            return _INVALID
-        out = core.ap_bot(a.params)
-        for _ in range(k):
-            out = self.oplus(a, out)
-        return out
-
-    def bterm(self, a):
-        if a is _INVALID:
-            return _INVALID
-        return self.multiple(a.n + 1, self.power(a, max(a.n + 1, a.p)))
-
-
-REFERENCE = OpsBundle(core.ap_mul, core.ap_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -746,23 +643,17 @@ def _s14(ctx: _Ctx):
 
 
 def _s15(ctx: _Ctx):
-    t, elems, ops = ctx.t, ctx.elems, ctx.ops
-    N = ctx.N
-    # the right-hand side written out as ~(a * ~c), never via the packaged residual
-    sep = [
-        [ops.inv(ops.mul(elems[i], ops.inv(elems[k]))) for k in range(N)]
-        for i in range(N)
-    ]
+    t, elems = ctx.t, ctx.elems
+    # OpsBundle.div is ~(a * ~c) written out, so the residual table is the
+    # written-out right-hand side; it disagrees with itself only where it
+    # is invalid.  The residuation loop is S1's.
     checks = 0
     for i, k in ctx.indices(2):
         checks += 1
-        if not _eq(sep[i][k], t.div[i][k]):
+        if t.div[i][k] is _INVALID:
             return checks, _ce(a=elems[i], c=elems[k]), {"law": "residual agreement"}
-    for i, j, k in ctx.indices(3):
-        checks += 1
-        if _leq(t.mul[i][j], elems[k]) != _leq(elems[j], sep[i][k]):
-            return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
-    return checks, None, {}
+    more, ce, details = _s1(ctx)
+    return checks + more, ce, details
 
 
 def _s16(ctx: _Ctx):

@@ -19,15 +19,14 @@ check_equation compiles its equation once per call.  Each distinct
 subterm becomes one node.  A node is recomputed only when the loop
 assigns its last variable, and it calls its operation once per distinct
 tuple of operand values, so the innermost loop mostly compares two
-interned ids.  eval_term walks the same case analysis over node types
-recursively.
+interned ids.  eval_term walks the same case analysis recursively.  Both
+take their operations from core.REFERENCE unless given another bundle.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 from resilat import core, structure
 from resilat.core import AlgebraParams, ApElem
@@ -145,7 +144,7 @@ def free_vars(t: Term) -> frozenset[str]:
     """Names of the variables occurring in t."""
     if isinstance(t, Var):
         return frozenset({t.name})
-    children, _ = _node(t, None, _CORE_OPS)
+    children, _ = _node(t, None, core.REFERENCE)
     return frozenset().union(*map(free_vars, children))
 
 
@@ -343,19 +342,6 @@ def render_equation(eq: Equation) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation.
 
-_CORE_OPS = SimpleNamespace(
-    mul=core.ap_mul,
-    inv=core.ap_inv,
-    div=core.ap_div,
-    neg=core.ap_neg,
-    oplus=core.ap_oplus,
-    meet=core.ap_meet,
-    join=core.ap_join,
-    power=core.ap_pow,
-    multiple=core.ap_mult,
-)
-
-
 def _node(t: Term, params: AlgebraParams | None, o):
     """The children of a non-variable term and the function that maps
     their values to its value.
@@ -390,7 +376,7 @@ def _node(t: Term, params: AlgebraParams | None, o):
 
 def eval_term(t: Term, env: dict[str, ApElem], params: AlgebraParams, ops=None):
     """Evaluate t under env; ops may substitute an operation bundle."""
-    return _eval(t, env, params, _CORE_OPS if ops is None else ops)
+    return _eval(t, env, params, core.REFERENCE if ops is None else ops)
 
 
 def _eval(t, env, params, o):
@@ -602,7 +588,7 @@ def check_equation(
     structure.enforce_budget("eq", params, radius, len(elems) ** len(names), force=force)
     if names and not elems:
         return EquationVerdict(True, radius, 0, None)
-    picks = _first_failure(eq, names, elems, params, _CORE_OPS if ops is None else ops)
+    picks = _first_failure(eq, names, elems, params, core.REFERENCE if ops is None else ops)
     if picks is None:
         return EquationVerdict(True, radius, len(elems) ** len(names), None)
     position = 0

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from resilat import core
+from resilat import core, harness, structure
 from resilat.core import (
     AlgebraParams,
     LexPair,
@@ -25,6 +25,30 @@ def window_elements(draw, count=1, radius=2):
     params = draw(st.sampled_from(GRID))
     pool = Window(params, radius).elements()
     return tuple(draw(st.sampled_from(pool)) for _ in range(count))
+
+
+MAX_R = 10**15
+
+
+@st.composite
+def wide_elements(draw, count=1):
+    """Valid elements of one A(n,p) with 1 <= n, p <= 20, far off the
+    windows: |r| is either tiny or up to 10^15.
+
+    Levels 0 and p allow pairs up to (n,0), the middle levels only up to
+    (n-1,0); at m=0 the offset must be >= 0 and at the cap <= 0.
+    """
+    params = AlgebraParams(draw(st.integers(1, 20)), draw(st.integers(1, 20)))
+    out = []
+    for _ in range(count):
+        # the boundary levels, where the level-0 cases live, half the time
+        alpha = draw(st.one_of(st.sampled_from((0, params.p)), st.integers(0, params.p)))
+        cap = params.n if alpha in (0, params.p) else params.n - 1
+        m = draw(st.integers(0, cap))
+        span = draw(st.sampled_from((3, MAX_R)))
+        r = draw(st.integers(0 if m == 0 else -span, 0 if m == cap else span))
+        out.append(core.ap_validate(LexPair(m, r), alpha, params))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +212,22 @@ def test_powers_and_multiples():
         core.ap_mult(-2, a)
 
 
+def test_params_are_shared_per_algebra():
+    a, b = el("((1,0),2)"), el("((0,3),0)")
+    assert a.params is b.params
+    assert a.params == P23
+    assert core.ap_top(AlgebraParams(3, 2)).params is core.ap_bot(AlgebraParams(3, 2)).params
+
+
+def test_reference_raws_raise_on_hand_built_elements():
+    # ApElem construction does not validate; the reference product and
+    # involution raise where a guarded substitute gives the invalid marker
+    outside = core.ApElem(5, 0, 1, 2, 3)
+    with pytest.raises(UniverseError):
+        core.REFERENCE.inv(outside)
+    assert harness.MUTATIONS["mul-case2-const"].inv(outside) is core._INVALID
+
+
 def test_boolean_term_frozen():
     assert core.boolean_term(el("((1,0),2)")) == core.ap_bot(P23)
     assert core.boolean_term(el("((0,2),3)")) == core.ap_top(P23)
@@ -263,3 +303,41 @@ def test_unit_and_absorption(args):
     params = a.params
     assert core.ap_mul(a, core.ap_top(params)) == a
     assert core.ap_mul(a, core.ap_bot(params)) == core.ap_bot(params)
+
+
+# ---------------------------------------------------------------------------
+# The same laws off the windows: 1 <= n, p <= 20 and |r| up to 10^15.
+
+@given(wide_elements(count=3))
+def test_residuation_off_window(args):
+    a, b, c = args
+    assert core.ap_leq(core.ap_mul(a, b), c) == core.ap_leq(b, core.ap_div(a, c))
+    assert core.ap_leq(b, core.ap_div(a, core.ap_mul(a, b)))
+    assert core.ap_leq(core.ap_mul(a, core.ap_div(a, c)), c)
+
+
+@given(wide_elements(count=3))
+def test_associativity_off_window(args):
+    a, b, c = args
+    assert core.ap_mul(core.ap_mul(a, b), c) == core.ap_mul(a, core.ap_mul(b, c))
+
+
+@given(wide_elements())
+def test_involution_is_involutive_off_window(args):
+    (a,) = args
+    assert core.ap_inv(core.ap_inv(a)) == a
+
+
+@given(wide_elements(count=2))
+def test_closed_form_div_off_window(args):
+    a, b = args
+    assert harness.closed_form_div(a, b) == core.ap_div(a, b)
+
+
+@given(wide_elements())
+def test_boolean_term_off_window(args):
+    (a,) = args
+    t = core.boolean_term(a)
+    top, bot = core.ap_top(a.params), core.ap_bot(a.params)
+    assert t in (bot, top)
+    assert (t == top) == structure.filter_member("Radical", a)

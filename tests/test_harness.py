@@ -280,6 +280,26 @@ def test_reference_bundle_matches_core():
     assert repr(REFERENCE) == "OpsBundle(reference)"
 
 
+def test_reference_bundle_is_the_raw_core_ops():
+    assert REFERENCE is core.REFERENCE
+    assert harness.OpsBundle is core.OpsBundle
+    assert harness._INVALID is core._INVALID
+    assert core.REFERENCE.mul is core.ap_mul
+    assert core.REFERENCE.inv is core.ap_inv
+    elems = Window(P23, 1).elements()
+    for a in elems:
+        assert core.ap_neg(a) == core.REFERENCE.neg(a)
+        assert core.boolean_term(a) == core.REFERENCE.bterm(a)
+        for k in range(5):
+            assert core.ap_pow(a, k) == core.REFERENCE.power(a, k)
+            assert core.ap_mult(k, a) == core.REFERENCE.multiple(k, a)
+        for b in elems:
+            assert core.ap_div(a, b) == core.REFERENCE.div(a, b)
+            assert core.ap_oplus(a, b) == core.REFERENCE.oplus(a, b)
+            assert core.ap_meet(a, b) == core.REFERENCE.meet(a, b)
+            assert core.ap_join(a, b) == core.REFERENCE.join(a, b)
+
+
 def test_mutant_product_differs_visibly():
     a = el("((1,0),1)")
     assert core.ap_mul(a, a) == el("((1,0),0)")

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from resilat import core, structure, terms
+from resilat import core, structure
 from resilat.core import AlgebraParams
 from resilat.harness import DEFAULT_GRID, MUTATIONS, REFERENCE
 from resilat.structure import BUDGET_ENV, BudgetError
@@ -335,7 +335,7 @@ def walk_eval(t, env, params, o):
 
 def walk_check(eq, params, radius, max_vars=3, domain=None, ops=None):
     """The window check as a plain loop: walk both trees on every assignment."""
-    o = terms._CORE_OPS if ops is None else ops
+    o = core.REFERENCE if ops is None else ops
     names = sorted(free_vars(eq.lhs) | free_vars(eq.rhs))
     assert len(names) <= max_vars
     elems = structure.Window(params, radius).elements()
@@ -351,6 +351,15 @@ def walk_check(eq, params, radius, max_vars=3, domain=None, ops=None):
 
 
 OPS = {"core": None, "reference": REFERENCE, **MUTATIONS}
+
+# the evaluation protocol of the term module
+PROTOCOL = ("mul", "inv", "div", "neg", "oplus", "meet", "join", "power", "multiple")
+
+
+def reference_ops():
+    """A plain namespace holding the reference operations, to override."""
+    return SimpleNamespace(**{name: getattr(core.REFERENCE, name) for name in PROTOCOL})
+
 
 # the five `resilat check --eq` lines of the benchmark's equations workload;
 # the 3-variable ones at R=1 and the others at R=2 keep the plain walk fast
@@ -445,7 +454,7 @@ def test_compiled_check_matches_the_walk_on_edge_cases():
 
 def test_compiled_check_runs_each_operation_once_per_distinct_operand():
     calls = []
-    counting = SimpleNamespace(**vars(terms._CORE_OPS))
+    counting = reference_ops()
     counting.power = lambda a, k: calls.append(a) or core.ap_pow(a, k)
     eq = parse_equation("x^4 * y^4 = y^4 * x^4")
     verdict = check_equation(eq, P23, 1, ops=counting)
@@ -464,7 +473,8 @@ def raising_ops(seed):
                 raise ArithmeticError(name, *args)
             return fn(*args)
         return op
-    return SimpleNamespace(**{name: guard(name, fn) for name, fn in vars(terms._CORE_OPS).items()})
+    return SimpleNamespace(**{name: guard(name, getattr(core.REFERENCE, name))
+                              for name in PROTOCOL})
 
 
 def outcome(check, *args, **kw):
@@ -477,7 +487,7 @@ def outcome(check, *args, **kw):
 def test_compiled_check_raises_where_and_what_the_walk_raises():
     # the compiled order runs ~x (level 0) before y^2 (level 1), and a
     # closed ~bot before either; the walk meets y^2 first in both
-    always = SimpleNamespace(**vars(terms._CORE_OPS))
+    always = reference_ops()
     always.power = lambda a, k: (_ for _ in ()).throw(ArithmeticError("power"))
     always.inv = lambda a: (_ for _ in ()).throw(ArithmeticError("inv"))
     for text in ("y^2 = ~x", "y^2 = ~bot", "x * y^2 = ~x"):
