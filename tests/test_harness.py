@@ -416,21 +416,152 @@ TWO_STEP_BUNDLES = {
 }
 
 
-@pytest.mark.parametrize("name", list(TWO_STEP_BUNDLES))
-@pytest.mark.parametrize("R, sample", [(1, None), (2, None), (4, 300)])
-def test_two_step_suites_match_plain_guarded_calls(name, R, sample):
+def _assert_suites_match_plain(name, R, sample, suites):
     bundle = TWO_STEP_BUNDLES[name]
     for n, p in ((1, 1), (2, 3), (3, 2)):
         params = AlgebraParams(n, p)
         ctx = harness._Ctx(Window(params, R), bundle,
                            harness._tables(params, R, bundle), sample, 5)
-        for sid, plain in (("S2", _plain_s2), ("S13", _plain_s13)):
+        for sid, plain in suites:
             checks, ce, details = plain(ctx)
             report = run_suite(sid, params, R, ops=bundle, sample=sample, seed=5)
             assert report.checks_run == checks, (sid, n, p)
             assert report.verdict == ("pass" if ce is None else "fail")
             assert report.first_counterexample == (tuple(ce) if ce else None)
             assert report.details == details
+
+
+@pytest.mark.parametrize("name", list(TWO_STEP_BUNDLES))
+@pytest.mark.parametrize("R, sample", [(1, None), (2, None), (4, 300)])
+def test_two_step_suites_match_plain_guarded_calls(name, R, sample):
+    _assert_suites_match_plain(name, R, sample, (("S2", _plain_s2), ("S13", _plain_s13)))
+
+
+# S1, S3, S4, S5 and S15 read the order of interned values as bit rows
+# when exhaustive.  These plain versions compare every triple or pair with
+# the guarded order, as the suites once did, and must agree with them on
+# every report field but the timings.
+
+def _plain_s1(ctx):
+    t, elems = ctx.t, ctx.elems
+    checks = 0
+    for i, j, k in ctx.indices(3):
+        checks += 1
+        if harness._leq(t.mul[i][j], elems[k]) != harness._leq(elems[j], t.div[i][k]):
+            return checks, harness._ce(a=elems[i], b=elems[j], c=elems[k]), {}
+    return checks, None, {}
+
+
+def _plain_s3(ctx):
+    t, elems = ctx.t, ctx.elems
+    leq, mul_t, div_t = t.leq, t.mul, t.div
+    checks = 0
+    for i, j, k in ctx.indices(3):
+        checks += 1
+        if not leq[j][k]:
+            continue
+        if not harness._leq(mul_t[i][j], mul_t[i][k]):
+            return checks, harness._ce(a=elems[i], b=elems[j], c=elems[k]), {}
+        if not harness._leq(div_t[i][j], div_t[i][k]):
+            return checks, harness._ce(a=elems[i], b=elems[j], c=elems[k]), {}
+        if not harness._leq(div_t[k][i], div_t[j][i]):
+            return checks, harness._ce(a=elems[i], b=elems[j], c=elems[k]), {}
+    return checks, None, {"implications": "mul and div monotone, div antitone left"}
+
+
+def _plain_s4(ctx):
+    t, elems, ops = ctx.t, ctx.elems, ctx.ops
+    checks = 0
+    for i in range(ctx.N):
+        checks += 1
+        if not harness._eq(ops.inv(t.inv[i]), elems[i]):
+            return checks, harness._ce(a=elems[i]), {}
+        checks += 1
+        if not harness._eq(t.inv[i], t.div[i][t.bot_i]):
+            return checks, harness._ce(a=elems[i]), {}
+    for i, j in ctx.indices(2):
+        checks += 1
+        if t.leq[i][j] != harness._leq(t.inv[j], t.inv[i]):
+            return checks, harness._ce(a=elems[i], b=elems[j]), {}
+    return checks, None, {}
+
+
+def _plain_s5(ctx):
+    t, elems = ctx.t, ctx.elems
+    bot = core.ap_bot(ctx.params)
+    checks = 0
+    for i, j in ctx.indices(2):
+        checks += 1
+        if harness._eq(t.mul[i][j], bot) != harness._leq(elems[i], t.inv[j]):
+            return checks, harness._ce(a=elems[i], b=elems[j]), {}
+    return checks, None, {}
+
+
+def _plain_s15(ctx):
+    t, elems = ctx.t, ctx.elems
+    checks = 0
+    for i, k in ctx.indices(2):
+        checks += 1
+        if t.div[i][k] is harness._INVALID:
+            ce = harness._ce(a=elems[i], c=elems[k])
+            return checks, ce, {"law": "residual agreement"}
+    more, ce, details = _plain_s1(ctx)
+    return checks + more, ce, details
+
+
+@pytest.mark.parametrize("name", list(TWO_STEP_BUNDLES))
+@pytest.mark.parametrize("R, sample", [(1, None), (2, None), (4, 300)])
+def test_order_suites_match_plain_guarded_calls(name, R, sample):
+    _assert_suites_match_plain(name, R, sample, (
+        ("S1", _plain_s1), ("S3", _plain_s3), ("S4", _plain_s4),
+        ("S5", _plain_s5), ("S15", _plain_s15),
+    ))
+
+
+def _count_leq_calls(monkeypatch):
+    calls = []
+    real = core.ap_leq
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(core, "ap_leq", counting)
+    return calls
+
+
+@pytest.mark.parametrize("bundle, line", [
+    (REFERENCE, "pass checks=157464"),
+    (MUTATIONS["mul-case2-sign"], "fail checks=47967 counterexample "
+     "a=((0,0),1) b=((2,-2),1) c=((3,-1),0)"),
+])
+def test_exhaustive_s1_reads_the_order_from_bit_rows(monkeypatch, bundle, line):
+    params = AlgebraParams(3, 3)
+    N = len(Window(params, 2))
+    harness._tables.cache_clear()
+    calls = _count_leq_calls(monkeypatch)
+    report = run_suite("S1", params, R=2, ops=bundle)
+    assert report.text_line() == "S1 residuation n=3 p=3 R=2 " + line
+    # the window order and the ids' masks, on cold tables; not 2 per triple
+    assert len(calls) <= 4 * N * N
+    assert harness._tables(params, 2, bundle).ge is not None
+
+
+def test_sampled_s1_builds_no_order_ids(monkeypatch):
+    harness._tables.cache_clear()
+    tables = harness._tables(P23, 4, REFERENCE)
+    calls = _count_leq_calls(monkeypatch)
+    report = run_suite("S1", P23, R=4, sample=50, seed=1)
+    assert report.checks_run == 50
+    assert len(calls) <= 2 * 50
+    assert tables.ge is None and tables.mul_id is None
+
+
+def test_transpose_and_low_bit():
+    rows = [0b011, 0b110, 0b000, 0b101]
+    assert harness._transpose(rows, 3) == [0b1001, 0b0011, 0b1010]
+    assert harness._transpose([], 2) == [0, 0]
+    assert harness._low(0b10100) == 2
 
 
 def test_invalid_past_r2_bundle_marks_its_invalid_products():
