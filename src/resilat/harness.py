@@ -11,9 +11,9 @@ core's invalid marker instead of raising, so the violation surfaces as
 an ordinary counterexample rather than a crash mid-suite.
 
 The suites read their operations from tables built once per (params, R,
-bundle): every product, residual, involution, order bit, meet and join of
-window elements.  Meets and joins stay in the window, so they are stored
-as window indices.  Products can leave the window, so a check that
+bundle): every product, residual, involution, meet and join of window
+elements, and the order of those values.  Meets and joins stay in the
+window, so they are stored as window indices.  Products can leave the window, so a check that
 multiplies twice has no table for its second step.  S2 interns the
 distinct first-step products into ids and multiplies each of them once by
 every window element on either side; its N^3 associativity loop then
@@ -22,18 +22,17 @@ its closure checks read the tables directly.  Each report times the
 table build (tables_s) apart from the checks (elapsed) and carries the
 estimate its budget gate used next to the checks it ran.
 
-The order is tabulated as bitmasks: up[u] holds the window elements above
-value u and down[u] those below it.  Before an exhaustive suite runs, the
-distinct products, residuals and involutions are interned into ids, window
-elements first, and each id gets its window masks and, in ge, the ids
-above it; the invalid marker gets empty masks.  That costs about P**2
-order calls for P ids (P is about 1.7N on the default grid at R=2),
-against about 2N**3 for comparing each triple.  S1, S3, S4 and S5 (and
-S15, through S1) then compare whole rows of bits and read the first
-counterexample off the lowest differing bit.  Sampled mode builds no ids
-and calls the order once per comparison: a few thousand draws cost fewer
-order calls than the P**2 that the ids would.  The interning is timed
-into tables_s.
+The order is tabulated as bitmasks over interned ids.  The distinct
+products, residuals and involutions get ids, window elements first; up[u]
+holds the window elements above value u, down[u] those below it, and
+ge[u] the ids above it.  The invalid marker gets empty masks.  That costs
+about P**2 order calls for P ids (P is about 1.7N on the default grid),
+against about 2N**3 for comparing each triple, and every suite reads the
+order from it.  Exhaustive S1 and S3 (and S15, through S1) compare whole
+rows of bits and read the first counterexample off the lowest differing
+bit; sampled runs and the pair suites test one bit per comparison.  The
+masks serve every draw of every order suite on the window, which in a
+sampled run at R=4 and 2000 draws is more order calls than the P**2.
 """
 
 from __future__ import annotations
@@ -193,9 +192,9 @@ def _low(x: int) -> int:
 
 
 class _Tables:
-    __slots__ = ("elems", "N", "idx", "mul", "div", "inv", "leq", "up", "down",
-                 "meet_i", "join_i", "bot_i", "top_i",
-                 "mul_id", "div_id", "inv_id", "ge")
+    __slots__ = ("elems", "N", "idx", "mul", "div", "inv", "mul_id", "div_id",
+                 "inv_id", "up", "down", "ge", "meet_i", "join_i", "bot_i",
+                 "top_i")
 
     def __init__(self, w: Window, ops: OpsBundle):
         elems = w.elements()
@@ -206,49 +205,36 @@ class _Tables:
         self.mul = [[ops.mul(a, b) for b in elems] for a in elems]
         self.div = [[ops.div(a, b) for b in elems] for a in elems]
         self.inv = [ops.inv(a) for a in elems]
-        self.leq = [[core.ap_leq(a, b) for b in elems] for a in elems]
+        # Every distinct product, residual and involution gets an id,
+        # window elements first, so ids 0..N-1 are the window indices.
+        values = list(dict.fromkeys(
+            itertools.chain(elems, self.inv, *self.mul, *self.div)
+        ))
+        ids = {v: u for u, v in enumerate(values)}
+        # a bytes row holds an id in a byte, where a list holds a pointer
+        row_of = bytes if len(values) <= 256 else list
+        self.mul_id = [row_of([ids[v] for v in row]) for row in self.mul]
+        self.div_id = [row_of([ids[v] for v in row]) for row in self.div]
+        self.inv_id = [ids[v] for v in self.inv]
         # up[u] and down[u] are the window elements above and below value
-        # u, as bitmasks over window indices.  Ids 0..N-1 are the window;
-        # intern_order appends the values that leave it.
-        self.up = [_mask(row) for row in self.leq]
-        self.down = _transpose(self.up, N)
+        # u, and ge[u] the ids above it, as bitmasks.  The invalid marker
+        # satisfies no order, so its masks are empty and it sits in none.
+        # The order is called for each value against each window element
+        # on either side, and for each pair of values outside the window.
+        extra = values[N:]
+        up = [_mask([_leq(v, e) for e in elems]) for v in values]
+        down = _transpose(up[:N], N)
+        down += [_mask([_leq(e, v) for e in elems]) for v in extra]
+        high = _transpose(down[N:], N)  # bit x: window i below extra x
+        ge = [up[i] | high[i] << N for i in range(N)]
+        ge += [up[N + x] | _mask([_leq(v, y) for y in extra]) << N
+               for x, v in enumerate(extra)]
+        self.up, self.down, self.ge = up, down, ge
         # meets and joins of window elements stay in the window
         self.meet_i = [[self.idx[core.ap_meet(a, b)] for b in elems] for a in elems]
         self.join_i = [[self.idx[core.ap_join(a, b)] for b in elems] for a in elems]
         self.bot_i = self.idx[core.ap_bot(w.params)]
         self.top_i = self.idx[core.ap_top(w.params)]
-        self.mul_id = self.div_id = self.inv_id = self.ge = None
-
-    def intern_order(self) -> None:
-        """Give each distinct product, residual and involution value an id,
-        window elements first, and extend the order to the new ids.
-
-        After it, up and down have one window mask per id, and ge[u] holds
-        the ids whose values lie above value u, as a bitmask over ids.  The
-        invalid marker satisfies no order, so its masks are empty and it
-        sits in no one else's.  Only pairs of values both outside the window
-        call the order; pairs with a window element read up and down.
-        Idempotent.
-        """
-        if self.ge is not None:
-            return
-        elems, N = self.elems, self.N
-        values = list(dict.fromkeys(
-            itertools.chain(elems, self.inv, *self.mul, *self.div)
-        ))
-        ids = {v: u for u, v in enumerate(values)}
-        self.mul_id = [[ids[v] for v in row] for row in self.mul]
-        self.div_id = [[ids[v] for v in row] for row in self.div]
-        self.inv_id = [ids[v] for v in self.inv]
-        extra = values[N:]
-        up = self.up + [_mask([_leq(v, e) for e in elems]) for v in extra]
-        down = self.down + [_mask([_leq(e, v) for e in elems]) for v in extra]
-        # bit x of high[i]: window element i lies below extra value x
-        high = _transpose(down[N:], N)
-        ge = [up[i] | high[i] << N for i in range(N)]
-        ge += [up[N + x] | _mask([_leq(v, y) for y in extra]) << N
-               for x, v in enumerate(extra)]
-        self.up, self.down, self.ge = up, down, ge
 
 
 @lru_cache(maxsize=64)
@@ -269,11 +255,6 @@ class _Ctx:
         self.t = t
         self.sample = sample
         self.seed = seed
-        if sample is None:
-            # exhaustive suites read the order of their values as bit rows;
-            # a sampled run reads a few of its N**3 tuples, fewer than the
-            # order calls the ids would cost
-            t.intern_order()
 
     def indices(self, arity: int):
         """Index tuples: the full product, or seeded-random draws in
@@ -300,21 +281,22 @@ def _ce(**kw) -> list[str]:
 
 def _s1(ctx: _Ctx):
     t, elems, N = ctx.t, ctx.elems, ctx.N
+    # a*b_j <= c_k is bit k of up[a*b_j], and b_j <= a->c_k is bit j of
+    # down[a->c_k]
+    up, down, mul_id, div_id = t.up, t.down, t.mul_id, t.div_id
     if ctx.sample is not None:
         checks = 0
         for i, j, k in ctx.indices(3):
             checks += 1
-            if _leq(t.mul[i][j], elems[k]) != _leq(elems[j], t.div[i][k]):
+            if up[mul_id[i][j]] >> k & 1 != down[div_id[i][k]] >> j & 1:
                 return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
         return checks, None, {}
-    # Row i as bit rows over k: a*b_j <= c_k is bit k of up[a*b_j], and
-    # b_j <= a->c_k is bit j of down[a->c_k], so the transpose of the
-    # down rows lines up with the up rows.  The lowest differing bit is
-    # the first counterexample in (i, j, k) order.
-    up, down = t.up, t.down
+    # Row i as bit rows over k: the transpose of the down rows lines up
+    # with the up rows.  The lowest differing bit is the first
+    # counterexample in (i, j, k) order.
     for i in range(N):
-        cols = _transpose([down[u] for u in t.div_id[i]], N)
-        for j, u in enumerate(t.mul_id[i]):
+        cols = _transpose([down[u] for u in div_id[i]], N)
+        for j, u in enumerate(mul_id[i]):
             x = up[u] ^ cols[j]
             if x:
                 k = _low(x)
@@ -359,28 +341,29 @@ def _s2(ctx: _Ctx):
 def _s3(ctx: _Ctx):
     t, elems, N = ctx.t, ctx.elems, ctx.N
     details = {"implications": "mul and div monotone, div antitone left"}
+    # value u <= value v is bit v of ge[u]
+    up, ge, mul_id, div_id = t.up, t.ge, t.mul_id, t.div_id
     if ctx.sample is not None:
-        leq, mul_t, div_t = t.leq, t.mul, t.div
         checks = 0
         for i, j, k in ctx.indices(3):
             checks += 1
-            if not leq[j][k]:
+            if not up[j] >> k & 1:
                 continue
-            if not _leq(mul_t[i][j], mul_t[i][k]):
-                return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
-            if not _leq(div_t[i][j], div_t[i][k]):
-                return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
-            if not _leq(div_t[k][i], div_t[j][i]):
+            if not (
+                ge[mul_id[i][j]] >> mul_id[i][k] & 1
+                and ge[div_id[i][j]] >> div_id[i][k] & 1
+                and ge[div_id[k][i]] >> div_id[j][i] & 1
+            ):
                 return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
         return checks, None, details
     # For each i, three masks per id v over k: v <= a*c_k, v <= a->c_k
     # and c_k->a <= v.  A triple breaks a law when c_k lies above b_j but
     # outside the mask at a*b_j, at a->b_j or at b_j->a.
-    up, ge, P = t.up, t.ge, len(t.ge)
+    P = len(ge)
     le = _transpose(ge, P)  # le[v]: the ids below value v
     for i in range(N):
-        mul_row, div_row = t.mul_id[i], t.div_id[i]
-        div_col = [row[i] for row in t.div_id]
+        mul_row, div_row = mul_id[i], div_id[i]
+        div_col = [row[i] for row in div_id]
         mul_up = _transpose([le[u] for u in mul_row], P)
         div_up = _transpose([le[u] for u in div_row], P)
         col_down = _transpose([ge[u] for u in div_col], P)
@@ -405,17 +388,10 @@ def _s4(ctx: _Ctx):
         checks += 1
         if not _eq(t.inv[i], t.div[i][t.bot_i]):
             return checks, _ce(a=elems[i]), {}
-    if ctx.sample is None:
-        ge, inv_id = t.ge, t.inv_id
-
-        def inv_leq(j: int, i: int) -> bool:
-            return ge[inv_id[j]] >> inv_id[i] & 1 == 1
-    else:
-        def inv_leq(j: int, i: int) -> bool:
-            return _leq(t.inv[j], t.inv[i])
+    up, ge, inv_id = t.up, t.ge, t.inv_id
     for i, j in ctx.indices(2):
         checks += 1
-        if t.leq[i][j] != inv_leq(j, i):
+        if up[i] >> j & 1 != ge[inv_id[j]] >> inv_id[i] & 1:
             return checks, _ce(a=elems[i], b=elems[j]), {}
     return checks, None, {}
 
@@ -423,18 +399,11 @@ def _s4(ctx: _Ctx):
 def _s5(ctx: _Ctx):
     t, elems = ctx.t, ctx.elems
     bot = core.ap_bot(ctx.params)
-    if ctx.sample is None:
-        down, inv_id = t.down, t.inv_id
-
-        def leq_inv(i: int, j: int) -> bool:
-            return down[inv_id[j]] >> i & 1 == 1
-    else:
-        def leq_inv(i: int, j: int) -> bool:
-            return _leq(elems[i], t.inv[j])
+    down, inv_id = t.down, t.inv_id
     checks = 0
     for i, j in ctx.indices(2):
         checks += 1
-        if _eq(t.mul[i][j], bot) != leq_inv(i, j):
+        if _eq(t.mul[i][j], bot) != down[inv_id[j]] >> i & 1:
             return checks, _ce(a=elems[i], b=elems[j]), {}
     return checks, None, {}
 
@@ -454,7 +423,7 @@ def _s6(ctx: _Ctx):
         ):
             return checks, _ce(a=a), {}
         checks += 1
-        if not (t.leq[t.bot_i][i] and t.leq[i][t.top_i]):
+        if not (t.up[t.bot_i] >> i & 1 and t.up[i] >> t.top_i & 1):
             return checks, _ce(a=a), {}
     return checks, None, {}
 
@@ -462,25 +431,26 @@ def _s6(ctx: _Ctx):
 def _s7(ctx: _Ctx):
     t, elems = ctx.t, ctx.elems
     N = ctx.N
-    leq, up, down = t.leq, t.up, t.down
+    up, down = t.up, t.down
     meet_i, join_i = t.meet_i, t.join_i
     checks = 0
     for i in range(N):
         checks += 1
-        if not leq[i][i]:
+        if not up[i] >> i & 1:
             return checks, _ce(a=elems[i]), {}
     for i in range(N):
         for j in range(N):
             checks += 1
-            if leq[i][j] and leq[j][i] and i != j:
+            i_le_j = up[i] >> j & 1
+            if i_le_j and up[j] >> i & 1 and i != j:
                 return checks, _ce(a=elems[i], b=elems[j]), {"law": "antisymmetry"}
-            if leq[i][j] and up[j] & ~up[i]:
+            if i_le_j and up[j] & ~up[i]:
                 return checks, _ce(a=elems[i], b=elems[j]), {"law": "transitivity"}
-            z = meet_i[i][j]
-            if not (leq[z][i] and leq[z][j]) or (down[i] & down[j]) & ~down[z]:
+            z, lower = meet_i[i][j], down[i] & down[j]
+            if not lower >> z & 1 or lower & ~down[z]:
                 return checks, _ce(a=elems[i], b=elems[j]), {"law": "glb"}
-            u = join_i[i][j]
-            if not (leq[i][u] and leq[j][u]) or (up[i] & up[j]) & ~up[u]:
+            u, upper = join_i[i][j], up[i] & up[j]
+            if not upper >> u & 1 or upper & ~up[u]:
                 return checks, _ce(a=elems[i], b=elems[j]), {"law": "lub"}
     for i, j, k in ctx.indices(3):
         checks += 1
@@ -619,7 +589,7 @@ def _s11(ctx: _Ctx):
                 v = t.mul[i][j]
                 if v is _INVALID or not structure.filter_member(f, v):
                     return checks, [f"filter={f}"] + _ce(a=elems[i], b=elems[j]), {}
-            if mf[i] and t.leq[i][j]:
+            if mf[i] and t.up[i] >> j & 1:
                 checks += 1
                 if not mf[j]:
                     return checks, [f"filter={f}"] + _ce(a=elems[i], b=elems[j]), {
@@ -926,8 +896,9 @@ def run_suite(
     enforce_budget(sid, params, R, estimate, budget, force)
     bundle = REFERENCE if ops is None else ops
     start = time.perf_counter()
-    ctx = _Ctx(w, bundle, _tables(params, R, bundle), sample, seed)
+    tables = _tables(params, R, bundle)
     built = time.perf_counter()
+    ctx = _Ctx(w, bundle, tables, sample, seed)
     checks, ce, details = entry.runner(ctx)
     elapsed = time.perf_counter() - built
     return SuiteReport(

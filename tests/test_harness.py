@@ -416,9 +416,10 @@ TWO_STEP_BUNDLES = {
 }
 
 
-def _assert_suites_match_plain(name, R, sample, suites):
+def _assert_suites_match_plain(name, R, sample, suites,
+                               points=((1, 1), (2, 3), (3, 2))):
     bundle = TWO_STEP_BUNDLES[name]
-    for n, p in ((1, 1), (2, 3), (3, 2)):
+    for n, p in points:
         params = AlgebraParams(n, p)
         ctx = harness._Ctx(Window(params, R), bundle,
                            harness._tables(params, R, bundle), sample, 5)
@@ -437,10 +438,10 @@ def test_two_step_suites_match_plain_guarded_calls(name, R, sample):
     _assert_suites_match_plain(name, R, sample, (("S2", _plain_s2), ("S13", _plain_s13)))
 
 
-# S1, S3, S4, S5 and S15 read the order of interned values as bit rows
-# when exhaustive.  These plain versions compare every triple or pair with
-# the guarded order, as the suites once did, and must agree with them on
-# every report field but the timings.
+# S1, S3, S4, S5 and S15 read the order of interned values as bit rows.
+# These plain versions compare every triple or pair with the guarded
+# order, as the suites once did, and must agree with them on every report
+# field but the timings.
 
 def _plain_s1(ctx):
     t, elems = ctx.t, ctx.elems
@@ -454,11 +455,11 @@ def _plain_s1(ctx):
 
 def _plain_s3(ctx):
     t, elems = ctx.t, ctx.elems
-    leq, mul_t, div_t = t.leq, t.mul, t.div
+    mul_t, div_t = t.mul, t.div
     checks = 0
     for i, j, k in ctx.indices(3):
         checks += 1
-        if not leq[j][k]:
+        if not harness._leq(elems[j], elems[k]):
             continue
         if not harness._leq(mul_t[i][j], mul_t[i][k]):
             return checks, harness._ce(a=elems[i], b=elems[j], c=elems[k]), {}
@@ -481,7 +482,7 @@ def _plain_s4(ctx):
             return checks, harness._ce(a=elems[i]), {}
     for i, j in ctx.indices(2):
         checks += 1
-        if t.leq[i][j] != harness._leq(t.inv[j], t.inv[i]):
+        if harness._leq(elems[i], elems[j]) != harness._leq(t.inv[j], t.inv[i]):
             return checks, harness._ce(a=elems[i], b=elems[j]), {}
     return checks, None, {}
 
@@ -509,13 +510,24 @@ def _plain_s15(ctx):
     return checks + more, ce, details
 
 
+_ORDER_SUITES = (
+    ("S1", _plain_s1), ("S3", _plain_s3), ("S4", _plain_s4),
+    ("S5", _plain_s5), ("S15", _plain_s15),
+)
+
+
 @pytest.mark.parametrize("name", list(TWO_STEP_BUNDLES))
 @pytest.mark.parametrize("R, sample", [(1, None), (2, None), (4, 300)])
 def test_order_suites_match_plain_guarded_calls(name, R, sample):
-    _assert_suites_match_plain(name, R, sample, (
-        ("S1", _plain_s1), ("S3", _plain_s3), ("S4", _plain_s4),
-        ("S5", _plain_s5), ("S15", _plain_s15),
-    ))
+    _assert_suites_match_plain(name, R, sample, _ORDER_SUITES)
+
+
+@pytest.mark.parametrize("name", ["reference", "mul-case2-sign"])
+def test_order_suites_match_plain_past_256_ids(name):
+    # (4,4) at R=4 has 294 ids, too many for one byte each
+    tables = harness._tables(AlgebraParams(4, 4), 4, TWO_STEP_BUNDLES[name])
+    assert len(tables.ge) > 256 and isinstance(tables.mul_id[0], list)
+    _assert_suites_match_plain(name, 4, 200, _ORDER_SUITES, points=((4, 4),))
 
 
 def _count_leq_calls(monkeypatch):
@@ -542,19 +554,17 @@ def test_exhaustive_s1_reads_the_order_from_bit_rows(monkeypatch, bundle, line):
     calls = _count_leq_calls(monkeypatch)
     report = run_suite("S1", params, R=2, ops=bundle)
     assert report.text_line() == "S1 residuation n=3 p=3 R=2 " + line
-    # the window order and the ids' masks, on cold tables; not 2 per triple
+    # the masks of the ids, on cold tables; not 2 per triple
     assert len(calls) <= 4 * N * N
-    assert harness._tables(params, 2, bundle).ge is not None
 
 
-def test_sampled_s1_builds_no_order_ids(monkeypatch):
-    harness._tables.cache_clear()
-    tables = harness._tables(P23, 4, REFERENCE)
+def test_sampled_order_suites_read_the_order_from_bit_rows(monkeypatch):
+    harness._tables(P23, 4, REFERENCE)
     calls = _count_leq_calls(monkeypatch)
-    report = run_suite("S1", P23, R=4, sample=50, seed=1)
-    assert report.checks_run == 50
-    assert len(calls) <= 2 * 50
-    assert tables.ge is None and tables.mul_id is None
+    for sid in ("S1", "S3", "S4", "S5", "S15"):
+        report = run_suite(sid, P23, R=4, sample=50, seed=1)
+        assert report.verdict == "pass"
+    assert calls == []
 
 
 def test_transpose_and_low_bit():
