@@ -134,6 +134,8 @@ def cmd_check(args: argparse.Namespace, cfg: CliConfig) -> int:
     failed = False
     if args.suite:
         sids = [s.strip() for s in args.suite.split(",") if s.strip()]
+        if not sids:
+            raise ValueError(f"no suite ids in --suite {args.suite!r}")
         for sid in sids:
             if sid not in harness.SUITES:
                 raise ValueError(f"unknown suite {sid!r}")

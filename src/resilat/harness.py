@@ -2,9 +2,9 @@
 
 Each suite exhaustively checks one family of laws on a window and
 reports the first counterexample in a canonical order.  The operations
-under test come from a core.OpsBundle, REFERENCE by default; the five
-MUTATIONS build on it with corrupted products or involutions, to prove
-the suites are not vacuous.
+under test come from a core.OpsBundle, REFERENCE by default; each of
+the five MUTATIONS overrides one case of the product or involution, to
+prove the suites are not vacuous.
 
 A corrupted operation can leave the universe; the bundle then returns
 core's invalid marker instead of raising, so the violation surfaces as
@@ -13,14 +13,14 @@ an ordinary counterexample rather than a crash mid-suite.
 The suites read their operations from tables built once per (params, R,
 bundle): every product, residual, involution, meet and join of window
 elements, and the order of those values.  Meets and joins stay in the
-window, so they are stored as window indices.  Products can leave the window, so a check that
-multiplies twice has no table for its second step.  S2 interns the
-distinct first-step products into ids and multiplies each of them once by
-every window element on either side; its N^3 associativity loop then
-only compares ints.  S13's subalgebra members are window elements, so
-its closure checks read the tables directly.  Each report times the
-table build (tables_s) apart from the checks (elapsed) and carries the
-estimate its budget gate used next to the checks it ran.
+window, so they are stored as window indices.  Products can leave the
+window, so a check that multiplies twice has no table for its second
+step.  S2 interns the distinct first-step products into ids and
+multiplies each once by every window element on either side; its N^3
+associativity loop then only compares ints.  S13's subalgebra members are
+window elements, so its closure checks read the tables directly.  Each
+report times the table build (tables_s) apart from the checks (elapsed)
+and carries the estimate its budget gate used next to the checks it ran.
 
 The order is tabulated as bitmasks over interned ids.  The distinct
 products, residuals and involutions get ids, window elements first; up[u]
@@ -46,16 +46,8 @@ from functools import lru_cache
 from typing import Callable
 
 from resilat import core, structure, terms
-# OpsBundle, REFERENCE and the invalid marker stay importable from here
 from resilat.core import _INVALID, REFERENCE, AlgebraParams, ApElem, OpsBundle
-from resilat.structure import (  # the budget names stay importable from here
-    BUDGET_ENV,
-    DEFAULT_BUDGET,
-    BudgetError,
-    Window,
-    effective_budget,
-    enforce_budget,
-)
+from resilat.structure import Window, enforce_budget
 
 DEFAULT_GRID = tuple((n, p) for n in (1, 2, 3) for p in (1, 2, 3))
 
@@ -76,64 +68,52 @@ def _leq(x: object, y: object) -> bool:
 # ---------------------------------------------------------------------------
 # Documented single-constant mutations of the product and involution.
 #
-# The variants rebuild the reference case analysis and build their results
-# through the validating constructor core._mk, as the reference does; an
-# out-of-universe result raises UniverseError, which the bundle turns into
-# the invalid marker.
+# Each mutant is the reference outside one case of core.ap_mul or
+# core.ap_inv and its own formula inside it.  A product mutant sends the
+# operands in its case to level 0 at pair(a, b), capped at (n, 0); an
+# involution mutant sends a middle-level element to the flipped level at
+# pair(a).  Results in the case are built by core._mk, so one outside the
+# universe raises UniverseError, which the bundle turns into the marker.
 
-def _mul_variant(case2_shift: int = 1, case2_sign: int = -1, case4_shift: int = 1):
+def _case2(a: ApElem, b: ApElem) -> bool:  # nonzero levels, level product 0
+    return a.alpha != 0 != b.alpha and core.fin_star(a.alpha, b.alpha, a.p) == 0
+
+
+def _case4(a: ApElem, b: ApElem) -> bool:  # both levels 0
+    return a.alpha == 0 == b.alpha
+
+
+def _mul_override(case, pair):
     def raw(a: ApElem, b: ApElem) -> ApElem:
-        n, p = a.n, a.p
-        m, r, al = a.m, a.r, a.alpha
-        k, s, be = b.m, b.r, b.alpha
-        if al != 0 and be != 0:
-            g = core.fin_star(al, be, p)
-            if g != 0:
-                pr = core.omega_star((m, r), (k, s), n)
-                return core._mk(pr[0], pr[1], g, n, p)
-            pr = min((n, 0), (2 * n - (m + k + case2_shift), case2_sign * (r + s)))
-            return core._mk(pr[0], pr[1], 0, n, p)
-        if al != 0:
-            pr = core.omega_arrow((m, r), (k, s), n)
-            return core._mk(pr[0], pr[1], 0, n, p)
-        if be != 0:
-            pr = core.omega_arrow((k, s), (m, r), n)
-            return core._mk(pr[0], pr[1], 0, n, p)
-        pr = min((n, 0), (m + k + case4_shift, r + s))
-        return core._mk(pr[0], pr[1], 0, n, p)
+        if not case(a, b):
+            return core.ap_mul(a, b)
+        core._same_params(a, b)
+        m, r = min((a.n, 0), pair(a, b))
+        return core._mk(m, r, 0, a.n, a.p)
 
     return raw
 
 
-def _inv_variant(reflect_shift: int = 1, reflect_sign: int = -1):
+def _inv_override(pair):
     def raw(a: ApElem) -> ApElem:
-        n, p = a.n, a.p
-        if a.alpha in (0, p):
-            return core._mk(a.m, a.r, p - a.alpha, n, p)
-        return core._mk(
-            n - reflect_shift - a.m, reflect_sign * a.r, p - a.alpha, n, p
-        )
+        if a.alpha in (0, a.p):
+            return core.ap_inv(a)
+        m, r = pair(a)
+        return core._mk(m, r, a.p - a.alpha, a.n, a.p)
 
     return raw
 
 
-MUTATIONS: dict[str, OpsBundle] = {
-    "mul-case2-const": OpsBundle(
-        _mul_variant(case2_shift=0), core.ap_inv, "mul-case2-const"
-    ),
-    "mul-case2-sign": OpsBundle(
-        _mul_variant(case2_sign=1), core.ap_inv, "mul-case2-sign"
-    ),
-    "mul-case4-const": OpsBundle(
-        _mul_variant(case4_shift=0), core.ap_inv, "mul-case4-const"
-    ),
-    "inv-reflect-const": OpsBundle(
-        core.ap_mul, _inv_variant(reflect_shift=0), "inv-reflect-const"
-    ),
-    "inv-reflect-sign": OpsBundle(
-        core.ap_mul, _inv_variant(reflect_sign=1), "inv-reflect-sign"
-    ),
-}
+MUTATIONS = {name: OpsBundle(mul, inv, name) for name, mul, inv in [
+    ("mul-case2-const", _mul_override(
+        _case2, lambda a, b: (2 * a.n - (a.m + b.m), -(a.r + b.r))), core.ap_inv),
+    ("mul-case2-sign", _mul_override(
+        _case2, lambda a, b: (2 * a.n - (a.m + b.m + 1), a.r + b.r)), core.ap_inv),
+    ("mul-case4-const", _mul_override(
+        _case4, lambda a, b: (a.m + b.m, a.r + b.r)), core.ap_inv),
+    ("inv-reflect-const", core.ap_mul, _inv_override(lambda a: (a.n - a.m, -a.r))),
+    ("inv-reflect-sign", core.ap_mul, _inv_override(lambda a: (a.n - 1 - a.m, a.r))),
+]}
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,14 @@ def test_check_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite", [",", " "])
+def test_check_empty_suite_list_is_a_usage_error(capsys, suite):
+    # a run that checked nothing must not report a pass
+    code, out, err = run(capsys, ["check", "--n", "1", "--p", "1", "--suite", suite])
+    assert code == 2 and out == ""
+    assert err == f"error: no suite ids in --suite {suite!r}\n"
+
+
 def test_check_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("RESILAT_BUDGET", "1")
     code, out, err = run(capsys, ["check", "--n", "2", "--p", "3", "--suite", "S1"])

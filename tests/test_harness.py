@@ -9,23 +9,26 @@ import pytest
 from resilat import core, harness, structure
 from resilat.core import AlgebraParams, ApElem
 from resilat.harness import (
-    BUDGET_ENV,
-    DEFAULT_BUDGET,
     DEFAULT_GRID,
     MUTATIONS,
     REFERENCE,
     SUITES,
-    BudgetError,
     OpsBundle,
     closed_form_div,
-    effective_budget,
     mutation_check,
     run_grid,
     run_suite,
 )
-from resilat.structure import Window
+from resilat.structure import (
+    BUDGET_ENV,
+    DEFAULT_BUDGET,
+    BudgetError,
+    Window,
+    effective_budget,
+)
 
 P23 = AlgebraParams(2, 3)
+P11 = AlgebraParams(1, 1)
 
 
 def el(text, params=P23):
@@ -262,14 +265,52 @@ def test_closed_form_div_params_mismatch():
 # ---------------------------------------------------------------------------
 # Bundles and mutations.
 
-def test_variant_skeletons_reproduce_the_reference():
-    mul = harness._mul_variant()
-    inv = harness._inv_variant()
-    elems = Window(P23, 2).elements()
-    for a in elems:
-        assert inv(a) == core.ap_inv(a)
-        for b in elems:
-            assert mul(a, b) == core.ap_mul(a, b)
+# Each mutation's case, read off the ap_mul and ap_inv docstrings rather
+# than taken from harness, which would make the check below circular.
+def _case2(a, b):  # both levels nonzero, level product 0
+    return a.alpha != 0 and b.alpha != 0 and a.alpha + b.alpha <= a.p
+
+
+def _case4(a, b):  # both levels 0
+    return a.alpha == 0 and b.alpha == 0
+
+
+def _middle(a):  # the levels where the involution reflects the pair
+    return 0 < a.alpha < a.p
+
+
+MUTANT_CASES = {
+    "mul-case2-const": ("mul", _case2),
+    "mul-case2-sign": ("mul", _case2),
+    "mul-case4-const": ("mul", _case4),
+    "inv-reflect-const": ("inv", _middle),
+    "inv-reflect-sign": ("inv", _middle),
+}
+
+
+def test_each_mutant_is_the_reference_off_its_case():
+    for name, (op, case) in MUTANT_CASES.items():
+        bundle = MUTATIONS[name]
+        differs = set()
+        for n, p in DEFAULT_GRID:
+            elems = Window(AlgebraParams(n, p), 3).elements()
+            for which, args, got, want in (
+                ("inv", [(a,) for a in elems], bundle.inv, core.ap_inv),
+                ("mul", itertools.product(elems, repeat=2), bundle.mul, core.ap_mul),
+            ):
+                for xs in args:
+                    out, ref = got(*xs), want(*xs)
+                    if which == op and case(*xs):
+                        if out != ref:
+                            differs.add((n, p))
+                    else:  # off the case: the reference, never the marker
+                        assert isinstance(out, ApElem) and out == ref, (name, xs)
+        # not at every point: case 2 and the middle levels are empty at p=1,
+        # and at n=1 the middle levels hold only the pair (0, 0)
+        assert differs, name
+    # mixed parameters are in no case: they raise, as for the reference
+    with pytest.raises(core.ParamsMismatchError):
+        MUTATIONS["mul-case4-const"].mul(core.ap_bot(P23), core.ap_bot(P11))
 
 
 def test_reference_bundle_matches_core():
