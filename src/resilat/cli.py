@@ -136,9 +136,11 @@ def cmd_check(args: argparse.Namespace, cfg: CliConfig) -> int:
         sids = [s.strip() for s in args.suite.split(",") if s.strip()]
         if not sids:
             raise ValueError(f"no suite ids in --suite {args.suite!r}")
-        for sid in sids:
+        for k, sid in enumerate(sids):
             if sid not in harness.SUITES:
                 raise ValueError(f"unknown suite {sid!r}")
+            if sid in sids[:k]:
+                raise ValueError(f"suite {sid!r} named twice in --suite {args.suite!r}")
         reports = harness.run_grid(
             suites=sids, grid=points, R=cfg.R, force=cfg.force_budget
         )

@@ -8,16 +8,23 @@ that need closure under those must either enlarge R or test membership
 of the results.  The check-count budget lives here too, next to the
 windows whose sizes its estimates count, so that both the suites and
 the equation checker obey it.
+
+So do the per-window tables of every operation, the order and the named
+filters under one bundle.  The filter, quotient and complement scans
+read the REFERENCE tables whatever bundle a suite runs, and a scan on a
+cold window pays their build first.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 from resilat import core
-from resilat.core import AlgebraParams, ApElem, LexPair, ParamsMismatchError
+from resilat.core import _INVALID, REFERENCE, AlgebraParams, ApElem, LexPair
+from resilat.core import OpsBundle, ParamsMismatchError
 
 FILTER_IDS = ("Top", "FOmega", "Radical", "Improper")
 SUBALGEBRA_IDS = ("L2", "ChangL2w", "HatLnp", "HatLn2", "A2", "Aq", "HatLq")
@@ -55,6 +62,94 @@ class Window:
 
     def __len__(self) -> int:
         return len(self.elements())
+
+
+# ---------------------------------------------------------------------------
+# Per-window tables of one bundle.
+
+def _leq(x: object, y: object) -> bool:
+    if x is _INVALID or y is _INVALID:
+        return False
+    return core.ap_leq(x, y)
+
+
+def _mask(flags) -> int:
+    """The int whose bit k is set when flags[k] is true."""
+    return sum(1 << k for k, f in enumerate(flags) if f)
+
+
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """The bit-matrix transpose: bit k of out[j] is bit j of rows[k].
+
+    Every row must be below 2**width.  The rows are written out as one
+    binary string, last row first, and each column is a strided slice of
+    it, so the N x width bit loop runs in C.
+    """
+    if not rows:
+        return [0] * width
+    fmt = f"0{width}b"
+    s = "".join([format(r, fmt) for r in reversed(rows)])
+    return [int(s[c::width], 2) for c in range(width - 1, -1, -1)]
+
+
+def _low(x: int) -> int:
+    """Index of the lowest set bit of x > 0."""
+    return (x & -x).bit_length() - 1
+
+
+class _Tables:
+    __slots__ = ("elems", "N", "idx", "mul", "div", "inv", "vals", "mul_id",
+                 "div_id", "inv_id", "up", "down", "ge", "meet_i", "join_i",
+                 "bot_i", "top_i", "filters")
+
+    def __init__(self, w: Window, ops: OpsBundle):
+        elems = w.elements()
+        N = len(elems)
+        self.elems = elems
+        self.N = N
+        self.idx = {a: i for i, a in enumerate(elems)}
+        self.mul = [[ops.mul(a, b) for b in elems] for a in elems]
+        self.div = [[ops.div(a, b) for b in elems] for a in elems]
+        self.inv = [ops.inv(a) for a in elems]
+        # Every distinct product, residual and involution gets an id,
+        # window elements first, so ids 0..N-1 are the window indices;
+        # vals[u] is the value of id u.
+        self.vals = values = list(dict.fromkeys(
+            itertools.chain(elems, self.inv, *self.mul, *self.div)
+        ))
+        ids = {v: u for u, v in enumerate(values)}
+        # a bytes row holds an id in a byte, where a list holds a pointer
+        row_of = bytes if len(values) <= 256 else list
+        self.mul_id = [row_of([ids[v] for v in row]) for row in self.mul]
+        self.div_id = [row_of([ids[v] for v in row]) for row in self.div]
+        self.inv_id = [ids[v] for v in self.inv]
+        # up[u] and down[u] are the window elements above and below value
+        # u, and ge[u] the ids above it, as bitmasks.  The invalid marker
+        # satisfies no order, so its masks are empty and it sits in none.
+        # The order is called for each value against each window element
+        # on either side, and for each pair of values outside the window.
+        extra = values[N:]
+        up = [_mask([_leq(v, e) for e in elems]) for v in values]
+        down = _transpose(up[:N], N)
+        down += [_mask([_leq(e, v) for e in elems]) for v in extra]
+        high = _transpose(down[N:], N)  # bit x: window i below extra x
+        ge = [up[i] | high[i] << N for i in range(N)]
+        ge += [up[N + x] | _mask([_leq(v, y) for y in extra]) << N
+               for x, v in enumerate(extra)]
+        self.up, self.down, self.ge = up, down, ge
+        # meets and joins of window elements stay in the window
+        self.meet_i = [[self.idx[core.ap_meet(a, b)] for b in elems] for a in elems]
+        self.join_i = [[self.idx[core.ap_join(a, b)] for b in elems] for a in elems]
+        self.bot_i = self.idx[core.ap_bot(w.params)]
+        self.top_i = self.idx[core.ap_top(w.params)]
+        # filters[f]: the window elements in the named filter f
+        self.filters = {f: _mask([filter_member(f, a) for a in elems])
+                        for f in FILTER_IDS}
+
+
+@lru_cache(maxsize=64)
+def _tables(params: AlgebraParams, radius: int, ops: OpsBundle) -> _Tables:
+    return _Tables(Window(params, radius), ops)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +228,11 @@ def max_nonradical(params: AlgebraParams, radius: int = 2) -> ApElem:
     reversal makes it ((0,0),0) instead, so the element is computed
     rather than assumed.
     """
-    outside = [a for a in Window(params, radius).elements()
-               if not filter_member("Radical", a)]
-    for c in outside:
-        if all(core.ap_leq(a, c) for a in outside):
-            return c
+    t = _tables(params, radius, REFERENCE)
+    outside = ~t.filters["Radical"] & ((1 << t.N) - 1)
+    for c in range(t.N):
+        if outside >> c & 1 and not outside & ~t.down[c]:
+            return t.elems[c]
     raise RuntimeError("no maximum among non-radical elements")
 
 
@@ -155,17 +250,26 @@ def quotient_classes(w: Window, f: str) -> list[list[ApElem]]:
 
     Classes appear in order of their first member; each class lists its
     members in enumeration order, so classes[i][0] is the canonical
-    representative.
+    representative.  congruent(a_i, a_j, f) reads both residuals from
+    the REFERENCE tables, so its product and filter test are made once
+    per distinct pair of residual ids, not once per pair of elements.
     """
-    classes: list[list[ApElem]] = []
-    for a in w.elements():
+    t = _tables(w.params, w.R, REFERENCE)
+    div_id, vals = t.div_id, t.vals
+    inside: dict[tuple[int, int], bool] = {}
+    classes: list[list[int]] = []
+    for i in range(t.N):
         for cls in classes:
-            if congruent(a, cls[0], f):
-                cls.append(a)
+            key = (div_id[i][cls[0]], div_id[cls[0]][i])
+            if key not in inside:
+                both = core.ap_mul(vals[key[0]], vals[key[1]])
+                inside[key] = filter_member(f, both)
+            if inside[key]:
+                cls.append(i)
                 break
         else:
-            classes.append([a])
-    return classes
+            classes.append([i])
+    return [[t.elems[i] for i in cls] for cls in classes]
 
 
 def hat_size(params: AlgebraParams) -> int:
@@ -173,9 +277,9 @@ def hat_size(params: AlgebraParams) -> int:
     return 2 * (params.n + 1) + params.n * (params.p - 1)
 
 
-def _class_index(x: ApElem, classes: list[list[ApElem]], f: str) -> int:
-    for i, cls in enumerate(classes):
-        if congruent(x, cls[0], f):
+def _class_index(x: ApElem, reps: list[ApElem], f: str) -> int:
+    for i, rep in enumerate(reps):
+        if congruent(x, rep, f):
             return i
     raise RuntimeError(f"{core.render_element(x)} matches no class")
 
@@ -189,18 +293,22 @@ def quotient_induced_mul_report(w: Window, f: str) -> dict:
     the r=0 representatives, which is the whole isomorphism onto the
     r=0 subalgebra at window scale.
     """
+    t = _tables(w.params, w.R, REFERENCE)
     classes = quotient_classes(w, f)
-    # one block of products per pair of classes; the class of each
-    # distinct product value is found once
-    blocks = [
-        [core.ap_mul(x, y) for x in ci for y in cj]
-        for ci in classes
-        for cj in classes
-    ]
-    distinct = {v for block in blocks for v in block}
-    class_of = {v: _class_index(v, classes, f) for v in distinct}
+    blocks = [[t.idx[x] for x in cls] for cls in classes]
+    # The class of each distinct product id is found once: a window
+    # element is in the class it was put in, and a product outside the
+    # window is tested against the representatives.
+    class_of = {i: c for c, block in enumerate(blocks) for i in block}
+    reps = [cls[0] for cls in classes]
+    mul_id = t.mul_id
+    for u in sorted(set(itertools.chain(*mul_id)) - class_of.keys()):
+        class_of[u] = _class_index(t.vals[u], reps, f)
+    # one block of products per pair of classes
     well_defined = all(
-        len({class_of[v] for v in block}) == 1 for block in blocks
+        len({class_of[mul_id[x][y]] for x in bi for y in bj}) == 1
+        for bi in blocks
+        for bj in blocks
     )
     return {
         "classes": len(classes),
@@ -245,9 +353,10 @@ def classify_generated_filter(a: ApElem, w: Window) -> str:
     Raises RuntimeError if the generated set matches none of them; that
     would be a genuine counterexample to the classification.
     """
-    got = set(generated_filter(a, w))
+    t = _tables(w.params, w.R, REFERENCE)
+    got = sum(1 << t.idx[x] for x in generated_filter(a, w))
     for fid in FILTER_IDS:
-        if got == {x for x in w.elements() if filter_member(fid, x)}:
+        if got == t.filters[fid]:
             return fid
     raise RuntimeError(
         f"filter generated by {core.render_element(a)} matches no candidate"
@@ -346,16 +455,13 @@ def closure(
 
 def boolean_elements(w: Window) -> set[ApElem]:
     """Elements with a lattice complement inside the window."""
-    elems = w.elements()
-    bot = core.ap_bot(w.params)
-    top = core.ap_top(w.params)
-    out = set()
-    for a in elems:
-        for b in elems:
-            if core.ap_meet(a, b) == bot and core.ap_join(a, b) == top:
-                out.add(a)
-                break
-    return out
+    t = _tables(w.params, w.R, REFERENCE)
+    bot_i, top_i = t.bot_i, t.top_i
+    return {
+        t.elems[i]
+        for i, (meets, joins) in enumerate(zip(t.meet_i, t.join_i))
+        if any(z == bot_i and u == top_i for z, u in zip(meets, joins))
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,14 @@ def test_check_empty_suite_list_is_a_usage_error(capsys, suite):
     assert err == f"error: no suite ids in --suite {suite!r}\n"
 
 
+@pytest.mark.parametrize("suite", ["S6,S6", "S6, S6"])
+def test_check_repeated_suite_id_is_a_usage_error(capsys, suite):
+    # one suite named twice would print its line twice and run it twice
+    code, out, err = run(capsys, ["check", "--n", "1", "--p", "1", "--suite", suite])
+    assert code == 2 and out == ""
+    assert err == f"error: suite 'S6' named twice in --suite {suite!r}\n"
+
+
 def test_check_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("RESILAT_BUDGET", "1")
     code, out, err = run(capsys, ["check", "--n", "2", "--p", "3", "--suite", "S1"])

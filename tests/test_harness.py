@@ -131,6 +131,15 @@ def test_table_build_is_timed_apart_from_the_checks():
     assert cold.tables_s > cold.elapsed
 
 
+def test_a_mutant_structure_suite_times_the_reference_tables_as_a_build():
+    # S12's complements read the REFERENCE tables under every bundle; on a
+    # cold cache both builds land in tables_s, not in the checks
+    harness._tables.cache_clear()
+    report = run_suite("S12", P23, R=3, ops=MUTATIONS["inv-reflect-sign"])
+    assert harness._tables.cache_info().currsize == 2
+    assert report.tables_s > report.elapsed
+
+
 def test_reports_are_deterministic_modulo_elapsed():
     first = run_suite("S7", P23, R=1)
     second = run_suite("S7", P23, R=1)

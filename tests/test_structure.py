@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from resilat import core
+from resilat import core, structure
 from resilat.core import AlgebraParams, LexPair, ParamsMismatchError
 from resilat.harness import run_suite
 from resilat.structure import (
@@ -396,3 +396,135 @@ def test_cover_edges_match_a_brute_force_oracle():
         if not any((i, k) in strict and (k, j) in strict for k in range(len(elems)))
     }
     assert set(cover_edges(elems)) == expected
+
+
+# ---------------------------------------------------------------------------
+# The filter, quotient and complement scans read the REFERENCE window
+# tables.  These plain versions test every pair through core, as the scans
+# once did, and must agree with them exactly.
+
+def _plain_quotient_classes(w, f):
+    classes = []
+    for a in w.elements():
+        for cls in classes:
+            if congruent(a, cls[0], f):
+                cls.append(a)
+                break
+        else:
+            classes.append([a])
+    return classes
+
+
+def _plain_induced_mul_report(w, f):
+    classes = _plain_quotient_classes(w, f)
+    blocks = [[core.ap_mul(x, y) for x in ci for y in cj]
+              for ci in classes for cj in classes]
+
+    def class_index(v):
+        for i, cls in enumerate(classes):
+            if congruent(v, cls[0], f):
+                return i
+        raise RuntimeError(f"{core.render_element(v)} matches no class")
+
+    distinct = {v for block in blocks for v in block}
+    class_of = {v: class_index(v) for v in distinct}
+    return {
+        "classes": len(classes),
+        "well_defined": all(len({class_of[v] for v in b}) == 1 for b in blocks),
+        "unique_r0_transversal": all(
+            sum(1 for x in cls if x.r == 0) == 1 for cls in classes
+        ),
+    }
+
+
+def _plain_boolean_elements(w):
+    elems = w.elements()
+    bot, top = core.ap_bot(w.params), core.ap_top(w.params)
+    return {a for a in elems
+            if any(core.ap_meet(a, b) == bot and core.ap_join(a, b) == top
+                   for b in elems)}
+
+
+def _plain_max_nonradical(params, radius):
+    outside = [a for a in Window(params, radius).elements()
+               if not filter_member("Radical", a)]
+    for c in outside:
+        if all(core.ap_leq(a, c) for a in outside):
+            return c
+    raise RuntimeError("no maximum among non-radical elements")
+
+
+def _plain_classify_generated_filter(a, w):
+    got = set(generated_filter(a, w))
+    for fid in FILTER_IDS:
+        if got == {x for x in w.elements() if filter_member(fid, x)}:
+            return fid
+    raise RuntimeError("matches no candidate")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RuntimeError:
+        return RuntimeError  # the Top quotient has no class for products past R
+
+
+@pytest.mark.parametrize("params, R", [
+    *((params, R) for R in (1, 2, 4) for params in GRID),
+    (AlgebraParams(4, 4), 4),  # more than 256 ids: the id rows are lists
+])
+def test_table_scans_match_plain_core_calls(params, R):
+    w = Window(params, R)
+    for f in FILTER_IDS:
+        assert quotient_classes(w, f) == _plain_quotient_classes(w, f), f
+        assert (_outcome(quotient_induced_mul_report, w, f)
+                == _outcome(_plain_induced_mul_report, w, f)), f
+    count = len(_plain_quotient_classes(w, "Radical"))
+    assert rad_quotient_report(params, R) == {
+        "classes": count,
+        "equals_p": count == params.p,
+        "equals_p_plus_1": count == params.p + 1,
+    }
+    assert boolean_elements(w) == _plain_boolean_elements(w)
+    assert max_nonradical(params, R) == _plain_max_nonradical(params, R)
+    for a in w.elements():
+        assert (classify_generated_filter(a, w)
+                == _plain_classify_generated_filter(a, w)), a
+
+
+def test_table_scans_cover_more_than_256_ids():
+    t = structure._tables(AlgebraParams(4, 4), 4, core.REFERENCE)
+    assert len(t.vals) > 256 and isinstance(t.div_id[0], list)
+
+
+_COUNTED = ("ap_div", "ap_mul", "ap_leq", "ap_meet", "ap_join")
+
+
+def _count_core_calls(monkeypatch):
+    calls = dict.fromkeys(_COUNTED, 0)
+    for name in _COUNTED:
+        real = getattr(core, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(core, name, counting)
+    return calls
+
+
+def test_structure_scans_make_no_per_pair_core_calls(monkeypatch):
+    params = AlgebraParams(3, 3)
+    N = len(Window(params, 2))
+    for sid in ("S11", "S12"):
+        run_suite(sid, params, 2)  # warm the tables
+    calls = _count_core_calls(monkeypatch)
+    assert run_suite("S11", params, 2).verdict == "pass"
+    # 480 residual and 789 product calls for N=54: the distinct pairs of
+    # residual ids and the products that leave the window, not 3 per pair
+    assert calls["ap_div"] + calls["ap_mul"] <= 25 * N
+    calls.update(dict.fromkeys(_COUNTED, 0))
+    assert run_suite("S12", params, 2).verdict == "pass"
+    assert calls["ap_meet"] == calls["ap_join"] == 0
+    assert max_nonradical(params, 2) == core.ap_validate(LexPair(2, 0), 2, params)
+    assert calls["ap_leq"] == 0
