@@ -281,6 +281,10 @@ class OpsBundle:
     involution's marker: a raw raising UniverseError (as results built by
     _mk do) gives the invalid marker, which propagates, equals nothing and
     satisfies no order.  An unvalidated result is trusted.
+
+    Both raws must be pure: equal arguments give equal results.  The
+    window tables rely on it, reading a/b as the involution of a product
+    already in the product table, applied once per distinct product.
     """
 
     __slots__ = ("mul", "inv", "name")

@@ -15,9 +15,11 @@ built once per (params, R, bundle): every product, residual, involution,
 meet and join of window elements, and the order of those values.  Meets
 and joins stay in the window, so they are stored as window indices.
 Products can leave the window, so a check that multiplies twice has no
-table for its second step.  S2 interns the distinct first-step products
-into ids and multiplies each once by every window element on either
-side; its N^3 associativity loop then only compares ints.  S13's
+table for its second step.  Exhaustive S2 interns the distinct
+first-step products into ids and multiplies each once by every window
+element on either side; its N^3 associativity loop then only compares
+ints.  Sampled S2 multiplies the two second steps of each drawn triple
+and nothing else, 2*sample products against 2*P*N for the ids.  S13's
 subalgebra members are window elements, so its closure checks read the
 tables directly.  The structure scans that S8, S9, S11 and S12 call read
 the REFERENCE tables under every bundle, and run_suite builds those
@@ -36,6 +38,10 @@ rows of bits and read the first counterexample off the lowest differing
 bit; sampled runs and the pair suites test one bit per comparison.  The
 masks serve every draw of every order suite on the window, which in a
 sampled run at R=4 and 2000 draws is more order calls than the P**2.
+
+A sampled run draws its pairs and triples once per window (_draws), with
+the tables and timed as part of tables_s; every suite on the window reads
+the same draws.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from resilat import core, structure, terms
@@ -144,6 +151,15 @@ def closed_form_div(a: ApElem, b: ApElem) -> ApElem:
 # ---------------------------------------------------------------------------
 # The per-run context.
 
+@lru_cache(maxsize=2)  # run_grid goes window by window: one per arity
+def _draws(seed: int, arity: int, N: int, sample: int) -> tuple:
+    """The seeded-random index tuples of one sampled loop."""
+    rng = random.Random(f"{seed}:{arity}")
+    return tuple(
+        tuple(rng.randrange(N) for _ in range(arity)) for _ in range(sample)
+    )
+
+
 class _Ctx:
     __slots__ = ("params", "R", "w", "elems", "N", "ops", "t", "sample", "seed")
 
@@ -163,11 +179,7 @@ class _Ctx:
         sampled mode.  Either way the order is deterministic."""
         if self.sample is None:
             return itertools.product(range(self.N), repeat=arity)
-        rng = random.Random(f"{self.seed}:{arity}")
-        return (
-            tuple(rng.randrange(self.N) for _ in range(arity))
-            for _ in range(self.sample)
-        )
+        return _draws(self.seed, arity, self.N, self.sample)
 
 
 def _fmt(v: object) -> str:
@@ -210,27 +222,35 @@ def _s1(ctx: _Ctx):
 def _s2(ctx: _Ctx):
     t, elems, ops = ctx.t, ctx.elems, ctx.ops
     mul_t = t.mul
-    # Products of window elements land in W_2R (anywhere, under a mutant),
-    # so the second step of (a*b)*c and a*(b*c) has no window table.  Each
-    # distinct first-step product, the invalid marker included, gets an id
-    # and is multiplied once on each side; the triple loop then compares
-    # interned ids.  The two sides mark an invalid second step with
-    # different negative ids, so that it equals nothing.
-    prods = list(dict.fromkeys(v for row in mul_t for v in row))
-    first = {v: u for u, v in enumerate(prods)}
-    step = [[first[v] for v in row] for row in mul_t]
-    ids: dict = {}
-
-    def second(v: object, invalid: int) -> int:
-        return invalid if v is _INVALID else ids.setdefault(v, len(ids))
-
-    left = [[second(ops.mul(x, c), -1) for c in elems] for x in prods]
-    right = [[second(ops.mul(a, x), -2) for x in prods] for a in elems]
     checks = 0
-    for i, j, k in ctx.indices(3):
-        checks += 1
-        if left[step[i][j]][k] != right[i][step[j][k]]:
-            return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
+    if ctx.sample is not None:
+        # Each draw multiplies its two second steps: 2*sample products.
+        for i, j, k in ctx.indices(3):
+            checks += 1
+            if not _eq(ops.mul(mul_t[i][j], elems[k]), ops.mul(elems[i], mul_t[j][k])):
+                return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
+    else:
+        # Products of window elements land in W_2R (anywhere, under a
+        # mutant), so the second step of (a*b)*c and a*(b*c) has no window
+        # table.  Each distinct first-step product, the invalid marker
+        # included, gets an id and is multiplied once on each side; the
+        # triple loop then compares interned ids.  The two sides mark an
+        # invalid second step with different negative ids, so that it
+        # equals nothing.
+        prods = list(dict.fromkeys(v for row in mul_t for v in row))
+        first = {v: u for u, v in enumerate(prods)}
+        step = [[first[v] for v in row] for row in mul_t]
+        ids: dict = {}
+
+        def second(v: object, invalid: int) -> int:
+            return invalid if v is _INVALID else ids.setdefault(v, len(ids))
+
+        left = [[second(ops.mul(x, c), -1) for c in elems] for x in prods]
+        right = [[second(ops.mul(a, x), -2) for x in prods] for a in elems]
+        for i, j, k in ctx.indices(3):
+            checks += 1
+            if left[step[i][j]][k] != right[i][step[j][k]]:
+                return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
     pairs = 0
     for i, j in ctx.indices(2):
         checks += 1
@@ -810,6 +830,9 @@ def run_suite(
     tables = _tables(params, R, bundle)
     if sid in _READS_REFERENCE:
         _tables(params, R, REFERENCE)  # timed as a build, not as checks
+    if sample is not None:
+        for arity in (2, 3):  # the window's draws, made once for every suite
+            _draws(seed, arity, N, sample)
     built = time.perf_counter()
     ctx = _Ctx(w, bundle, tables, sample, seed)
     checks, ce, details = entry.runner(ctx)

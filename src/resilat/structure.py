@@ -107,10 +107,18 @@ class _Tables:
         N = len(elems)
         self.elems = elems
         self.N = N
-        self.idx = {a: i for i, a in enumerate(elems)}
-        self.mul = [[ops.mul(a, b) for b in elems] for a in elems]
-        self.div = [[ops.div(a, b) for b in elems] for a in elems]
+        self.idx = idx = {a: i for i, a in enumerate(elems)}
         self.inv = [ops.inv(a) for a in elems]
+        self.mul = [[ops.mul(a, b) for b in elems] for a in elems]
+        # The residual a/b is ~(a*~b).  Where ~b_j is the window element f,
+        # a_i*~b_j is mul[i][f] and ~ is applied once per distinct product;
+        # where ~b is invalid or leaves the window (under a mutant), the
+        # bundle's div runs.  Both rest on the bundle being pure.
+        at = [idx.get(c) for c in self.inv]
+        needed = (row[f] for row in self.mul for f in at if f is not None)
+        neg = {v: ops.inv(v) for v in dict.fromkeys(needed)}
+        self.div = [[ops.div(a, b) if f is None else neg[row[f]]
+                     for b, f in zip(elems, at)] for a, row in zip(elems, self.mul)]
         # Every distinct product, residual and involution gets an id,
         # window elements first, so ids 0..N-1 are the window indices;
         # vals[u] is the value of id u.
@@ -277,13 +285,6 @@ def hat_size(params: AlgebraParams) -> int:
     return 2 * (params.n + 1) + params.n * (params.p - 1)
 
 
-def _class_index(x: ApElem, reps: list[ApElem], f: str) -> int:
-    for i, rep in enumerate(reps):
-        if congruent(x, rep, f):
-            return i
-    raise RuntimeError(f"{core.render_element(x)} matches no class")
-
-
 def quotient_induced_mul_report(w: Window, f: str) -> dict:
     """Evidence that the quotient carries a product, beyond class counts.
 
@@ -298,12 +299,19 @@ def quotient_induced_mul_report(w: Window, f: str) -> dict:
     blocks = [[t.idx[x] for x in cls] for cls in classes]
     # The class of each distinct product id is found once: a window
     # element is in the class it was put in, and a product outside the
-    # window is tested against the representatives.
+    # window is tested against the representatives.  One that matches
+    # none (under Top, every one) starts a class of its own, which later
+    # products can join; classes past the window's are not counted.
     class_of = {i: c for c, block in enumerate(blocks) for i in block}
     reps = [cls[0] for cls in classes]
     mul_id = t.mul_id
     for u in sorted(set(itertools.chain(*mul_id)) - class_of.keys()):
-        class_of[u] = _class_index(t.vals[u], reps, f)
+        v = t.vals[u]
+        c = next((c for c, rep in enumerate(reps) if congruent(v, rep, f)), None)
+        if c is None:
+            c = len(reps)
+            reps.append(v)
+        class_of[u] = c
     # one block of products per pair of classes
     well_defined = all(
         len({class_of[mul_id[x][y]] for x in bi for y in bj}) == 1
@@ -333,18 +341,29 @@ def rad_quotient_report(params: AlgebraParams, radius: int = 2) -> dict:
 # ---------------------------------------------------------------------------
 # Generated filters.
 
-def generated_filter(a: ApElem, w: Window) -> tuple[ApElem, ...]:
-    """The window part of the filter generated by a, i.e. the upset of a
-    sufficiently deep power.
+def _generated_mask(a: ApElem, w: Window) -> int:
+    """The window part of the filter generated by a, as a bitmask over
+    the window.
 
     Powers descend, so x >= a^k for some k iff x >= a^K once K clears
     every stabilization threshold; K = max(n+1, p, R+1) + 1 does, the
     R+1 part covering generators whose powers sink forever through the
-    top-level tail.
+    top-level tail.  Those powers leave the window and are compared with
+    each element; every other one is a window element, whose up row is
+    the answer.
     """
-    K = max(a.n + 1, a.p, w.R + 1) + 1
-    deep = core.ap_pow(a, K)
-    return tuple(x for x in w.elements() if core.ap_leq(deep, x))
+    t = _tables(w.params, w.R, REFERENCE)
+    deep = core.ap_pow(a, max(a.n + 1, a.p, w.R + 1) + 1)
+    if deep in t.idx:
+        return t.up[t.idx[deep]]
+    return _mask([core.ap_leq(deep, x) for x in t.elems])
+
+
+def generated_filter(a: ApElem, w: Window) -> tuple[ApElem, ...]:
+    """The window part of the filter generated by a, i.e. the upset of a
+    sufficiently deep power (see _generated_mask)."""
+    got = _generated_mask(a, w)
+    return tuple(x for i, x in enumerate(w.elements()) if got >> i & 1)
 
 
 def classify_generated_filter(a: ApElem, w: Window) -> str:
@@ -353,10 +372,10 @@ def classify_generated_filter(a: ApElem, w: Window) -> str:
     Raises RuntimeError if the generated set matches none of them; that
     would be a genuine counterexample to the classification.
     """
-    t = _tables(w.params, w.R, REFERENCE)
-    got = sum(1 << t.idx[x] for x in generated_filter(a, w))
+    got = _generated_mask(a, w)
+    filters = _tables(w.params, w.R, REFERENCE).filters
     for fid in FILTER_IDS:
-        if got == t.filters[fid]:
+        if got == filters[fid]:
             return fid
     raise RuntimeError(
         f"filter generated by {core.render_element(a)} matches no candidate"

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 
@@ -466,6 +467,50 @@ TWO_STEP_BUNDLES = {
 }
 
 
+# The residual table reads a*~b from the product table where ~b is a
+# window element; it must hold what the bundle's own div returns.
+
+@pytest.mark.parametrize("name", list(TWO_STEP_BUNDLES))
+def test_residual_table_is_the_bundle_div(name):
+    bundle = TWO_STEP_BUNDLES[name]
+    for R in (1, 2, 4):
+        for n, p in DEFAULT_GRID:
+            t = harness._tables(AlgebraParams(n, p), R, bundle)
+            for i, a in enumerate(t.elems):
+                for j, b in enumerate(t.elems):
+                    want, got = bundle.div(a, b), t.div[i][j]
+                    if want is harness._INVALID:
+                        assert got is want, (n, p, R, a, b)
+                    else:
+                        assert got is not harness._INVALID and got == want
+
+
+def _counting_bundle():
+    calls = {"mul": 0, "inv": 0}
+
+    def mul(a, b):
+        calls["mul"] += 1
+        return core.ap_mul(a, b)
+
+    def inv(a):
+        calls["inv"] += 1
+        return core.ap_inv(a)
+
+    return OpsBundle(mul, inv, "counting"), calls
+
+
+def test_table_build_multiplies_each_pair_once():
+    params = AlgebraParams(3, 3)
+    w = Window(params, 2)
+    bundle, calls = _counting_bundle()
+    t = structure._Tables(w, bundle)
+    N = len(w)
+    # the residuals read their products from the product table, and the
+    # involution runs once per window element and once per distinct product
+    assert calls["mul"] == N * N
+    assert calls["inv"] <= N + len(set(itertools.chain(*t.mul)))
+
+
 def _assert_suites_match_plain(name, R, sample, suites,
                                points=((1, 1), (2, 3), (3, 2))):
     bundle = TWO_STEP_BUNDLES[name]
@@ -615,6 +660,65 @@ def test_sampled_order_suites_read_the_order_from_bit_rows(monkeypatch):
         report = run_suite(sid, P23, R=4, sample=50, seed=1)
         assert report.verdict == "pass"
     assert calls == []
+
+
+# Sampled draws are made once per window and shared by every suite.
+
+def _count_randrange(monkeypatch):
+    calls = []
+    real = random.Random.randrange
+
+    def counting(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(random.Random, "randrange", counting)
+    return calls
+
+
+def test_sampled_indices_are_the_seeded_draws():
+    N = len(Window(P23, 4))
+    ctx = harness._Ctx(Window(P23, 4), REFERENCE,
+                       harness._tables(P23, 4, REFERENCE), 300, 9)
+    for arity in (2, 3):
+        rng = random.Random(f"9:{arity}")
+        want = [tuple(rng.randrange(N) for _ in range(arity)) for _ in range(300)]
+        assert list(ctx.indices(arity)) == want
+
+
+def test_a_sampled_window_draws_each_arity_once(monkeypatch):
+    harness._draws.cache_clear()
+    calls = _count_randrange(monkeypatch)
+    reports = run_grid(grid=[(2, 3)], R=4, sample=50, seed=3)
+    assert all(r.verdict == "pass" for r in reports)
+    assert len(calls) == (2 + 3) * 50
+
+
+def test_sampled_draws_are_timed_as_a_build(monkeypatch):
+    harness._tables(P23, 4, REFERENCE)
+    harness._draws.cache_clear()
+    calls = _count_randrange(monkeypatch)
+    entry = SUITES["S1"]
+    seen = []
+
+    def runner(ctx):
+        seen.append(len(calls))
+        return entry.runner(ctx)
+
+    monkeypatch.setitem(SUITES, "S1", dataclasses.replace(entry, runner=runner))
+    run_suite("S1", P23, R=4, sample=40, seed=2)  # cold: drawn before the checks
+    assert seen == [len(calls)] == [(2 + 3) * 40]
+    run_suite("S1", P23, R=4, sample=40, seed=2)  # warm: nothing drawn
+    assert len(calls) == (2 + 3) * 40
+
+
+def test_sampled_s2_multiplies_only_the_drawn_triples():
+    bundle, calls = _counting_bundle()
+    harness._tables(P23, 4, bundle)
+    calls["mul"] = 0
+    report = run_suite("S2", P23, R=4, ops=bundle, sample=200, seed=4)
+    assert report.verdict == "pass" and report.checks_run == 400
+    assert calls["mul"] <= 2 * 200
 
 
 def test_transpose_and_low_bit():
