@@ -473,7 +473,6 @@ def _plain_classify_generated_filter(a, w):
     raise RuntimeError("matches no candidate")
 
 
-
 @pytest.mark.parametrize("params, R", [
     *((params, R) for R in (1, 2, 4) for params in GRID),
     (AlgebraParams(4, 4), 4),  # more than 256 ids: the id rows are lists
