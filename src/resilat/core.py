@@ -86,15 +86,20 @@ def fin_neg(a: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 # Elements of the glued algebra.
 
-@dataclass(frozen=True, slots=True)
-class ApElem:
+class ApElem(NamedTuple):
     """Element <(m, r), alpha> of the algebra with parameters (n, p).
+
+    An element is an immutable 5-tuple: it equals the plain tuple
+    (m, r, alpha, n, p) and hashes like it, so equality is structural,
+    parameters included, and both run in C.  It is not ordered by the
+    Python operators; the order of the algebra is ap_leq.
 
     Construction itself does not validate.  _mk is the single place
     universe membership is checked: every operation builds its result
     there, and so do ap_validate, parse_element and the harness's mutant
     operations, so an element outside the universe raises UniverseError
-    where it is made.  Equality is structural, including the parameters.
+    where it is made.  Inside the package only _mk, ap_bot and ap_top
+    build an element.
     """
 
     m: int
@@ -118,6 +123,11 @@ class ApElem:
     def __repr__(self) -> str:
         return f"(({self.m},{self.r}),{self.alpha})"
 
+    def __lt__(self, other):
+        raise TypeError("elements are not ordered by Python operators; use ap_leq")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
 
 @cache
 def _params(n: int, p: int) -> AlgebraParams:
@@ -126,17 +136,23 @@ def _params(n: int, p: int) -> AlgebraParams:
 
 
 def _mk(m: int, r: int, alpha: int, n: int, p: int) -> ApElem:
-    """Validating constructor; all operation results pass through here."""
+    """Validating constructor; all operation results pass through here.
+
+    The pair tests are the lex comparisons (m, r) < (0, 0) and
+    (m, r) > (bound, 0) written out, so no pair tuple is built, and the
+    element is made by one tuple.__new__ call, skipping the namedtuple's
+    generated __new__.
+    """
     if not 0 <= alpha <= p:
         raise UniverseError(f"level {alpha} outside [0,{p}]")
-    if (m, r) < (0, 0):
+    if m < 0 or m == 0 and r < 0:
         raise UniverseError(f"pair ({m},{r}) below (0,0)")
     bound = n if alpha == 0 or alpha == p else n - 1
-    if (m, r) > (bound, 0):
+    if m > bound or m == bound and r > 0:
         raise UniverseError(
             f"pair ({m},{r}) above ({bound},0), the cap for level {alpha}"
         )
-    return ApElem(m, r, alpha, n, p)
+    return tuple.__new__(ApElem, (m, r, alpha, n, p))
 
 
 def ap_validate(first: tuple[int, int], second: int, params: AlgebraParams) -> ApElem:
@@ -146,12 +162,12 @@ def ap_validate(first: tuple[int, int], second: int, params: AlgebraParams) -> A
 
 def ap_bot(params: AlgebraParams) -> ApElem:
     """The least element <(n,0), 0>."""
-    return ApElem(params.n, 0, 0, params.n, params.p)
+    return tuple.__new__(ApElem, (params.n, 0, 0, params.n, params.p))
 
 
 def ap_top(params: AlgebraParams) -> ApElem:
     """The greatest element <(n,0), p>."""
-    return ApElem(params.n, 0, params.p, params.n, params.p)
+    return tuple.__new__(ApElem, (params.n, 0, params.p, params.n, params.p))
 
 
 def _same_params(a: ApElem, b: ApElem) -> None:

@@ -21,7 +21,8 @@ element on either side; its N^3 associativity loop then only compares
 ints.  Sampled S2 multiplies the two second steps of each drawn triple
 and nothing else, 2*sample products against 2*P*N for the ids.  S13's
 subalgebra members are window elements, so its closure checks read the
-tables directly.  The structure scans that S8, S9, S11 and S12 call read
+id tables directly, against one membership flag per value id.  The
+structure scans that S8, S9, S11 and S12 call read
 the REFERENCE tables under every bundle, and run_suite builds those
 along with the suite's own.  Each report times the table build
 (tables_s) apart from the checks (elapsed) and carries the estimate its
@@ -610,14 +611,15 @@ def _s12(ctx: _Ctx):
 
 
 def _s13(ctx: _Ctx):
-    t, elems = ctx.t, ctx.elems
+    t, elems, R = ctx.t, ctx.elems, ctx.R
     p = ctx.params.p
+    vals = t.vals
     # Members are window elements, so every operation on them is a table
-    # read: mul and div hold the bundle's results, meets and joins stay in
-    # the window and are looked up by index.
-    meet_t = [[elems[z] for z in row] for row in t.meet_i]
-    join_t = [[elems[z] for z in row] for row in t.join_i]
-    tables = (t.mul, t.div, meet_t, join_t)
+    # read: mul and div give value ids, and meets and joins stay in the
+    # window, whose indices are the first ids.  Membership is decided once
+    # per value id; a valid result past the window's radius passes.
+    tables = (t.mul_id, t.div_id, t.meet_i, t.join_i)
+    wide = [v is not _INVALID and abs(v.r) > R for v in vals]
     targets: list[tuple[str, int | None]] = [
         ("L2", None), ("ChangL2w", None), ("HatLnp", None),
         ("HatLn2", None), ("A2", None),
@@ -628,26 +630,31 @@ def _s13(ctx: _Ctx):
             targets.append(("HatLq", q))
     checks = 0
     for sid, q in targets:
-        members = [i for i, a in enumerate(elems) if structure.subalg_member(sid, a, q)]
+        member = [v is not _INVALID and structure.subalg_member(sid, v, q)
+                  for v in vals]
+        closed = [x or y for x, y in zip(member, wide)]
+        members = [i for i in range(ctx.N) if member[i]]
         label = sid if q is None else f"{sid}(q={q})"
         for i in members:
-            a, c = elems[i], t.inv[i]
+            a = elems[i]
             checks += 1
-            if c is _INVALID or not structure.subalg_member(sid, c, q):
-                return checks, [f"subalgebra={label}"] + _ce(a=a, inv=c), {}
+            if not member[t.inv_id[i]]:
+                return checks, [f"subalgebra={label}"] + _ce(a=a, inv=t.inv[i]), {}
+            rows = [table[i] for table in tables]
             for j in members:
-                b = elems[j]
-                for table in tables:
+                for row in rows:
                     checks += 1
-                    c = table[i][j]
+                    u = row[j]
+                    if closed[u]:
+                        continue
+                    b, c = elems[j], vals[u]
                     if c is _INVALID:
                         return checks, [f"subalgebra={label}"] + _ce(a=a, b=b), {}
-                    if abs(c.r) <= ctx.R and not structure.subalg_member(sid, c, q):
-                        return (
-                            checks,
-                            [f"subalgebra={label}"] + _ce(a=a, b=b, result=c),
-                            {},
-                        )
+                    return (
+                        checks,
+                        [f"subalgebra={label}"] + _ce(a=a, b=b, result=c),
+                        {},
+                    )
     return checks, None, {"targets": [s if q is None else f"{s}(q={q})"
                                       for s, q in targets]}
 

@@ -131,6 +131,11 @@ class _Tables:
         self.mul_id = [row_of([ids[v] for v in row]) for row in self.mul]
         self.div_id = [row_of([ids[v] for v in row]) for row in self.div]
         self.inv_id = [ids[v] for v in self.inv]
+        # one object per distinct value: the rows hold vals[u], not the N**2
+        # equal results the bundle returned
+        pick = values.__getitem__
+        self.mul = [list(map(pick, row)) for row in self.mul_id]
+        self.div = [list(map(pick, row)) for row in self.div_id]
         # up[u] and down[u] are the window elements above and below value
         # u, and ge[u] the ids above it, as bitmasks.  The invalid marker
         # satisfies no order, so its masks are empty and it sits in none.

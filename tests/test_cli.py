@@ -1,5 +1,6 @@
 """Exit codes and byte-frozen output of the resilat command."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -216,6 +217,28 @@ def test_check_json_stable_modulo_elapsed(capsys):
         assert isinstance(payload.pop("tables_s"), float)
         assert isinstance(payload.pop("checks_per_s"), float)
     assert one == two
+
+
+# SHA-256 of the S1-S16 JSON lines over the default grid, without the
+# timing fields, one compact line per report joined by newlines.
+GRID_JSON_SHA256 = "4f31e0f0121b46050ea4396253ef4631f434fd164c1fe50eea170098feaff37b"
+
+
+def test_check_json_grid_is_pinned(capsys):
+    # an element leaking raw into a report's details would serialise as a
+    # list of five ints and change the digest
+    suites = ",".join(f"S{k}" for k in range(1, 17))
+    code, out, _ = run(capsys, ["check", "--suite", suites, "--format", "json"])
+    assert code == 0
+    lines = []
+    for line in out.splitlines():
+        payload = json.loads(line)
+        for key in ("elapsed", "tables_s", "checks_per_s"):
+            del payload[key]
+        lines.append(json.dumps(payload))
+    assert len(lines) == 16 * 9
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GRID_JSON_SHA256
 
 
 def test_check_usage_errors(capsys):

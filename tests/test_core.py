@@ -1,5 +1,8 @@
 """Core operations: frozen hand-computed values plus law-level properties."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -226,6 +229,82 @@ def test_reference_raws_raise_on_hand_built_elements():
     with pytest.raises(UniverseError):
         core.REFERENCE.inv(outside)
     assert harness.MUTATIONS["mul-case2-const"].inv(outside) is core._INVALID
+
+
+# An element is an immutable 5-tuple (m, r, alpha, n, p), unordered by
+# the Python operators.
+
+def test_element_hashes_like_its_plain_tuple():
+    for a in Window(P23, 2).elements():
+        assert hash(a) == hash((a.m, a.r, a.alpha, a.n, a.p))
+        assert a == (a.m, a.r, a.alpha, a.n, a.p)
+
+
+def test_set_iteration_order_is_pinned():
+    # window indices in the order a set of the window iterates; it follows
+    # from the hash, so every output built from sets or dicts keeps it
+    elems = Window(P23, 2).elements()
+    assert [elems.index(a) for a in set(elems)] == [
+        12, 10, 30, 3, 4, 15, 14, 26, 27, 29, 0, 1, 22, 11, 7, 31, 32,
+        17, 20, 21, 25, 23, 6, 28, 19, 8, 9, 18, 16, 2, 5, 24, 13, 33,
+    ]
+
+
+def test_elements_are_immutable():
+    a = el("((1,0),2)")
+    with pytest.raises(AttributeError):
+        a.m = 0
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+def test_elements_are_unordered_by_python_operators(op):
+    a, b = el("((1,0),2)"), el("((0,1),3)")
+    with pytest.raises(TypeError):
+        eval(f"a {op} b")
+    with pytest.raises(TypeError):
+        sorted([a, b])
+
+
+def test_element_equality_includes_the_parameters():
+    a = core.ap_validate(LexPair(1, 0), 1, AlgebraParams(2, 2))
+    b = core.ap_validate(LexPair(1, 0), 1, AlgebraParams(2, 3))
+    assert a != b
+    assert core.ApElem(1, 0, 1, 2, 3) != LexPair(1, 0)
+    assert core.ApElem(m=1, r=0, alpha=1, n=2, p=3) == b
+    assert b.first == LexPair(1, 0) and b.second == 1 and repr(b) == "((1,0),1)"
+
+
+def _constructor_sites(path):
+    """(function, line) of every place in a module that builds an ApElem:
+    a call of ApElem(...) or core.ApElem(...), any __new__ call (as in
+    tuple.__new__(ApElem, ...)), or the namedtuple builders _make and
+    _replace."""
+    tree = ast.parse(path.read_text(), str(path))
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in ("ApElem", "__new__", "_make", "_replace"):
+                sites.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return sites
+
+
+def test_elements_are_built_only_by_the_validating_constructor():
+    # construction skips validation, so _mk stays the one check: only it
+    # and the two constants build elements
+    src = Path(core.__file__).parent
+    found = {(path.stem, func)
+             for path in sorted(src.glob("*.py"))
+             for func, _ in _constructor_sites(path)}
+    assert found == {("core", "_mk"), ("core", "ap_bot"), ("core", "ap_top")}
 
 
 def test_boolean_term_frozen():

@@ -511,9 +511,8 @@ def test_table_build_multiplies_each_pair_once():
     assert calls["inv"] <= N + len(set(itertools.chain(*t.mul)))
 
 
-def _assert_suites_match_plain(name, R, sample, suites,
+def _assert_suites_match_plain(bundle, R, sample, suites,
                                points=((1, 1), (2, 3), (3, 2))):
-    bundle = TWO_STEP_BUNDLES[name]
     for n, p in points:
         params = AlgebraParams(n, p)
         ctx = harness._Ctx(Window(params, R), bundle,
@@ -530,7 +529,49 @@ def _assert_suites_match_plain(name, R, sample, suites,
 @pytest.mark.parametrize("name", list(TWO_STEP_BUNDLES))
 @pytest.mark.parametrize("R, sample", [(1, None), (2, None), (4, 300)])
 def test_two_step_suites_match_plain_guarded_calls(name, R, sample):
-    _assert_suites_match_plain(name, R, sample, (("S2", _plain_s2), ("S13", _plain_s13)))
+    _assert_suites_match_plain(TWO_STEP_BUNDLES[name], R, sample,
+                               (("S2", _plain_s2), ("S13", _plain_s13)))
+
+
+# Bundles that reach the two S13 counterexamples no mutation reaches (a
+# valid result outside the subalgebra, an involution leaving it), and one
+# whose level-0 products land past the radius, where they pass.
+
+def _mul_met_with_a_top_level_value(a, b):
+    return core.ap_meet(core.ap_mul(a, b),
+                        core.ap_validate(core.LexPair(0, 1), a.p, a.params))
+
+
+def _inv_sends_top_off_l2(a):
+    if a == core.ap_top(a.params):
+        return core.ap_validate(core.LexPair(0, 1), 0, a.params)
+    return core.ap_inv(a)
+
+
+def _mul_level0_past_the_radius(a, b):
+    if a.alpha == 0 == b.alpha:
+        return core.ap_validate(core.LexPair(1, 5 if a.n > 1 else -5), 0, a.params)
+    return core.ap_mul(a, b)
+
+
+S13_BRANCHES = {
+    "result": (OpsBundle(_mul_met_with_a_top_level_value, core.ap_inv, "result"),
+               "fail checks=12 counterexample subalgebra=L2 a=((2,0),3) "
+               "b=((2,0),0) result=((0,1),0)"),
+    "inv": (OpsBundle(core.ap_mul, _inv_sends_top_off_l2, "inv"),
+            "fail checks=10 counterexample subalgebra=L2 a=((2,0),3) inv=((0,1),0)"),
+    "past-radius": (OpsBundle(_mul_level0_past_the_radius, core.ap_inv, "past-radius"),
+                    "pass checks=9862"),
+}
+
+
+@pytest.mark.parametrize("name", list(S13_BRANCHES))
+def test_s13_branches_match_plain_guarded_calls(name):
+    bundle, tail = S13_BRANCHES[name]
+    line = run_suite("S13", P23, 2, ops=bundle).text_line()
+    assert line == "S13 subalgebra-closure n=2 p=3 R=2 " + tail
+    for R, sample in ((1, None), (2, None), (4, 300)):
+        _assert_suites_match_plain(bundle, R, sample, (("S13", _plain_s13),))
 
 
 # S1, S3, S4, S5 and S15 read the order of interned values as bit rows.
@@ -614,7 +655,7 @@ _ORDER_SUITES = (
 @pytest.mark.parametrize("name", list(TWO_STEP_BUNDLES))
 @pytest.mark.parametrize("R, sample", [(1, None), (2, None), (4, 300)])
 def test_order_suites_match_plain_guarded_calls(name, R, sample):
-    _assert_suites_match_plain(name, R, sample, _ORDER_SUITES)
+    _assert_suites_match_plain(TWO_STEP_BUNDLES[name], R, sample, _ORDER_SUITES)
 
 
 @pytest.mark.parametrize("name", ["reference", "mul-case2-sign"])
@@ -622,7 +663,8 @@ def test_order_suites_match_plain_past_256_ids(name):
     # (4,4) at R=4 has 294 ids, too many for one byte each
     tables = harness._tables(AlgebraParams(4, 4), 4, TWO_STEP_BUNDLES[name])
     assert len(tables.ge) > 256 and isinstance(tables.mul_id[0], list)
-    _assert_suites_match_plain(name, 4, 200, _ORDER_SUITES, points=((4, 4),))
+    _assert_suites_match_plain(TWO_STEP_BUNDLES[name], 4, 200, _ORDER_SUITES,
+                               points=((4, 4),))
 
 
 def _count_leq_calls(monkeypatch):
