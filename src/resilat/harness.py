@@ -22,11 +22,11 @@ ints.  Sampled S2 multiplies the two second steps of each drawn triple
 and nothing else, 2*sample products against 2*P*N for the ids.  S13's
 subalgebra members are window elements, so its closure checks read the
 id tables directly, against one membership flag per value id.  The
-structure scans that S8, S9, S11 and S12 call read
-the REFERENCE tables under every bundle, and run_suite builds those
-along with the suite's own.  Each report times the table build
-(tables_s) apart from the checks (elapsed) and carries the estimate its
-budget gate used next to the checks it ran.
+structure scans that S8, S9, S11 and S12 call read the REFERENCE tables
+under every bundle, and run_suite builds those along with the suite's
+own.  Each report times the table build (tables_s) apart from the checks
+(elapsed) and carries the estimate its budget gate used next to the
+checks it ran.
 
 The order is tabulated as bitmasks over interned ids.  The distinct
 products, residuals and involutions get ids, window elements first; up[u]
