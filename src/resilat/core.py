@@ -51,39 +51,6 @@ class LexPair(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# The pair chain [(0,0), (n,0)] under the lex order.
-
-def omega_star(a: tuple[int, int], b: tuple[int, int], n: int) -> LexPair:
-    """Chain product max{(0,0), (m+k-n, r+s)}."""
-    return LexPair(*max((0, 0), (a[0] + b[0] - n, a[1] + b[1])))
-
-
-def omega_arrow(a: tuple[int, int], b: tuple[int, int], n: int) -> LexPair:
-    """Chain residual min{(n,0), (n-m+k, s-r)}."""
-    return LexPair(*min((n, 0), (n - a[0] + b[0], b[1] - a[1])))
-
-
-def omega_neg(a: tuple[int, int], n: int) -> LexPair:
-    """Chain negation (n-m, -r), an involution."""
-    return LexPair(n - a[0], -a[1])
-
-
-# ---------------------------------------------------------------------------
-# The finite chain {0, ..., p}.
-
-def fin_star(a: int, b: int, p: int) -> int:
-    return max(0, a + b - p)
-
-
-def fin_arrow(a: int, b: int, p: int) -> int:
-    return min(p, p - a + b)
-
-
-def fin_neg(a: int, p: int) -> int:
-    return p - a
-
-
-# ---------------------------------------------------------------------------
 # Elements of the glued algebra.
 
 class ApElem(NamedTuple):
@@ -187,48 +154,64 @@ def ap_leq(a: ApElem, b: ApElem) -> bool:
     reverses the pair order; a level-0 element sits below a nonzero-level
     one exactly when the pair sum reaches (n-1, 0).
     """
-    _same_params(a, b)
-    if a.alpha != 0:
-        return a.alpha <= b.alpha and (a.m, a.r) <= (b.m, b.r)
-    if b.alpha == 0:
-        return (b.m, b.r) <= (a.m, a.r)
-    return (a.n - 1, 0) <= (a.m + b.m, a.r + b.r)
+    m, r, al, n, p = a
+    k, s, be, nb, pb = b
+    if nb != n or pb != p:
+        _same_params(a, b)
+    if al != 0:
+        return al <= be and (m < k or m == k and r <= s)
+    if be == 0:
+        return k < m or k == m and s <= r
+    m += k
+    return m > n - 1 or m == n - 1 and r + s >= 0
 
 
 def ap_join(a: ApElem, b: ApElem) -> ApElem:
     """Least upper bound, by closed-form cases on the two levels."""
-    _same_params(a, b)
-    n, p = a.n, a.p
-    if a.alpha != 0 and b.alpha != 0:
-        pr = max((a.m, a.r), (b.m, b.r))
-        return _mk(pr[0], pr[1], max(a.alpha, b.alpha), n, p)
-    if a.alpha == 0 and b.alpha == 0:
-        pr = min((a.m, a.r), (b.m, b.r))  # pair order reversed at level 0
-        return _mk(pr[0], pr[1], 0, n, p)
-    if a.alpha == 0:
-        a, b = b, a  # now a holds the nonzero level
-    if (b.m, b.r) >= (n - 1, 0):
-        return _mk(a.m, a.r, a.alpha, n, p)
-    pr = max((a.m, a.r), (n - 1 - b.m, -b.r))
-    return _mk(pr[0], pr[1], a.alpha, n, p)
+    m, r, al, n, p = a
+    k, s, be, nb, pb = b
+    if nb != n or pb != p:
+        _same_params(a, b)
+    if al != 0 and be != 0:
+        if m < k or m == k and r < s:
+            m, r = k, s
+        return _mk(m, r, al if al >= be else be, n, p)
+    if al == 0 and be == 0:
+        if k < m or k == m and s < r:  # pair order reversed at level 0
+            m, r = k, s
+        return _mk(m, r, 0, n, p)
+    if al == 0:
+        m, r, al, k, s = k, s, be, m, r  # now (m, r) holds the nonzero level
+    # the level-0 pair reflected; at or above (n-1,0) it reflects below
+    # (0,0), and the max keeps (m, r)
+    k, s = n - 1 - k, -s
+    if m < k or m == k and r < s:
+        m, r = k, s
+    return _mk(m, r, al, n, p)
 
 
 def ap_meet(a: ApElem, b: ApElem) -> ApElem:
     """Greatest lower bound, dual cases to ap_join."""
-    _same_params(a, b)
-    n, p = a.n, a.p
-    if a.alpha != 0 and b.alpha != 0:
-        pr = min((a.m, a.r), (b.m, b.r))
-        return _mk(pr[0], pr[1], min(a.alpha, b.alpha), n, p)
-    if a.alpha == 0 and b.alpha == 0:
-        pr = max((a.m, a.r), (b.m, b.r))
-        return _mk(pr[0], pr[1], 0, n, p)
-    if a.alpha == 0:
-        a, b = b, a
-    if (b.m, b.r) >= (n - 1, 0):
-        return _mk(b.m, b.r, 0, n, p)
-    pr = max((n - 1 - a.m, -a.r), (b.m, b.r))
-    return _mk(pr[0], pr[1], 0, n, p)
+    m, r, al, n, p = a
+    k, s, be, nb, pb = b
+    if nb != n or pb != p:
+        _same_params(a, b)
+    if al != 0 and be != 0:
+        if k < m or k == m and s < r:
+            m, r = k, s
+        return _mk(m, r, al if al <= be else be, n, p)
+    if al == 0 and be == 0:
+        if m < k or m == k and r < s:
+            m, r = k, s
+        return _mk(m, r, 0, n, p)
+    if al == 0:
+        m, r, k, s = k, s, m, r  # now (k, s) holds the level-0 pair
+    # the nonzero-level pair reflected is at most (n-1,0), so a level-0
+    # pair at or above (n-1,0) is the max
+    m, r = n - 1 - m, -r
+    if m < k or m == k and r < s:
+        m, r = k, s
+    return _mk(m, r, 0, n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -238,37 +221,40 @@ def ap_mul(a: ApElem, b: ApElem) -> ApElem:
     """The monoid product, four cases on the levels.
 
     Both levels nonzero with nonzero level product: componentwise chain
-    products.  Both nonzero but level product 0: collapse to level 0
-    with a reflected pair.  One level 0: the chain residual of the pairs,
-    nonzero-level pair first.  Both 0: pair sum shifted by one, capped.
+    products, the pair max{(0,0), (m+k-n, r+s)} on level al+be-p.  Both
+    nonzero but level product 0: collapse to level 0 with a reflected
+    pair.  One level 0: the chain residual of the pairs, nonzero-level
+    pair first.  Both 0: pair sum shifted by one.  The last three land
+    on level 0 with the pair capped at (n,0), the lex min written out.
     """
-    _same_params(a, b)
-    n, p = a.n, a.p
-    m, r, al = a.m, a.r, a.alpha
-    k, s, be = b.m, b.r, b.alpha
+    m, r, al, n, p = a
+    k, s, be, nb, pb = b
+    if nb != n or pb != p:
+        _same_params(a, b)
     if al != 0 and be != 0:
-        g = fin_star(al, be, p)
-        if g != 0:
-            pr = omega_star((m, r), (k, s), n)
-            return _mk(pr[0], pr[1], g, n, p)
-        pr = min((n, 0), (2 * n - (m + k + 1), -(r + s)))
-        return _mk(pr[0], pr[1], 0, n, p)
-    if al != 0:
-        pr = omega_arrow((m, r), (k, s), n)
-        return _mk(pr[0], pr[1], 0, n, p)
-    if be != 0:
-        pr = omega_arrow((k, s), (m, r), n)
-        return _mk(pr[0], pr[1], 0, n, p)
-    pr = min((n, 0), (m + k + 1, r + s))
-    return _mk(pr[0], pr[1], 0, n, p)
+        if al + be > p:
+            m, r = m + k - n, r + s
+            if m < 0 or m == 0 and r < 0:
+                m = r = 0
+            return _mk(m, r, al + be - p, n, p)
+        m, r = 2 * n - (m + k + 1), -(r + s)
+    elif al != 0:
+        m, r = n - m + k, s - r
+    elif be != 0:
+        m, r = n - k + m, r - s
+    else:
+        m, r = m + k + 1, r + s
+    if m > n or m == n and r > 0:
+        m, r = n, 0
+    return _mk(m, r, 0, n, p)
 
 
 def ap_inv(a: ApElem) -> ApElem:
     """The involution: flip the level; reflect the pair on middle levels."""
-    n, p = a.n, a.p
-    if a.alpha in (0, p):
-        return _mk(a.m, a.r, p - a.alpha, n, p)
-    return _mk(n - 1 - a.m, -a.r, p - a.alpha, n, p)
+    m, r, al, n, p = a
+    if al == 0 or al == p:
+        return _mk(m, r, p - al, n, p)
+    return _mk(n - 1 - m, -r, p - al, n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +286,9 @@ class OpsBundle:
 
     Both raws must be pure: equal arguments give equal results.  The
     window tables rely on it, reading a/b as the involution of a product
-    already in the product table, applied once per distinct product.
+    already in the product table, applied once per distinct product; so
+    do power and multiple, which stop at the first step that returns the
+    value it was given (the invalid marker is its own fixed point).
     """
 
     __slots__ = ("mul", "inv", "name")
@@ -368,7 +356,10 @@ class OpsBundle:
             return _INVALID
         out = ap_top(a.params)
         for _ in range(k):
-            out = self.mul(a, out)
+            nxt = self.mul(a, out)
+            if nxt == out:  # a fixed point: every later step repeats it
+                break
+            out = nxt
         return out
 
     def multiple(self, k: int, a):
@@ -379,7 +370,10 @@ class OpsBundle:
             return _INVALID
         out = ap_bot(a.params)
         for _ in range(k):
-            out = self.oplus(a, out)
+            nxt = self.oplus(a, out)
+            if nxt == out:
+                break
+            out = nxt
         return out
 
     def bterm(self, a):

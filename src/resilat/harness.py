@@ -71,6 +71,29 @@ def _eq(x: object, y: object) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The two chains' operations as functions, an independent route to the
+# cases that core.ap_mul writes out: the S14 oracle, _case2 and S11's
+# pair powers read them.
+
+def omega_star(a: tuple[int, int], b: tuple[int, int], n: int) -> tuple[int, int]:
+    """Chain product max{(0,0), (m+k-n, r+s)}."""
+    return max((0, 0), (a[0] + b[0] - n, a[1] + b[1]))
+
+
+def omega_arrow(a: tuple[int, int], b: tuple[int, int], n: int) -> tuple[int, int]:
+    """Chain residual min{(n,0), (n-m+k, s-r)}."""
+    return min((n, 0), (n - a[0] + b[0], b[1] - a[1]))
+
+
+def fin_star(a: int, b: int, p: int) -> int:
+    return max(0, a + b - p)
+
+
+def fin_arrow(a: int, b: int, p: int) -> int:
+    return min(p, p - a + b)
+
+
+# ---------------------------------------------------------------------------
 # Documented single-constant mutations of the product and involution.
 #
 # Each mutant is the reference outside one case of core.ap_mul or
@@ -81,7 +104,7 @@ def _eq(x: object, y: object) -> bool:
 # universe raises UniverseError, which the bundle turns into the marker.
 
 def _case2(a: ApElem, b: ApElem) -> bool:  # nonzero levels, level product 0
-    return a.alpha != 0 != b.alpha and core.fin_star(a.alpha, b.alpha, a.p) == 0
+    return a.alpha != 0 != b.alpha and fin_star(a.alpha, b.alpha, a.p) == 0
 
 
 def _case4(a: ApElem, b: ApElem) -> bool:  # both levels 0
@@ -133,20 +156,20 @@ def closed_form_div(a: ApElem, b: ApElem) -> ApElem:
     k, s, be = b.m, b.r, b.alpha
     if al == 0 and be == 0:
         # level 0 is order-reversed, so the pair residual runs backwards
-        return core.ap_validate(core.omega_arrow((k, s), (m, r), n), p, params)
+        return core.ap_validate(omega_arrow((k, s), (m, r), n), p, params)
     if al == 0:
         pr = min((n, 0), (m + k + 1, r + s))
         return core.ap_validate(pr, p, params)
     if be == 0:
         if al == p:
-            return core.ap_validate(core.omega_star((m, r), (k, s), n), 0, params)
+            return core.ap_validate(omega_star((m, r), (k, s), n), 0, params)
         pr = min((n - 1, 0), (2 * n - 1 - (m + k), -(r + s)))
         return core.ap_validate(pr, p - al, params)
     if al <= be:
-        return core.ap_validate(core.omega_arrow((m, r), (k, s), n), p, params)
+        return core.ap_validate(omega_arrow((m, r), (k, s), n), p, params)
     # al > be forces be < p; the middle-level cap clamps the pair
-    pr = min((n - 1, 0), core.omega_arrow((m, r), (k, s), n))
-    return core.ap_validate(pr, core.fin_arrow(al, be, p), params)
+    pr = min((n - 1, 0), omega_arrow((m, r), (k, s), n))
+    return core.ap_validate(pr, fin_arrow(al, be, p), params)
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +562,9 @@ def _s11(ctx: _Ctx):
     deep = max(n, p) + 1
     for a in elems:
         if a.alpha in (0, p) and a.m < n:
-            pr = core.LexPair(a.m, a.r)
-            acc = pr
+            acc = pr = (a.m, a.r)
             for _ in range(deep - 1):
-                acc = core.omega_star(acc, pr, n)
+                acc = omega_star(acc, pr, n)
             checks += 1
             if acc != (0, 0):
                 return checks, _ce(a=a), {"law": "pair power collapse"}

@@ -1,6 +1,7 @@
 """Core operations: frozen hand-computed values plus law-level properties."""
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -55,26 +56,23 @@ def wide_elements(draw, count=1):
 
 
 # ---------------------------------------------------------------------------
-# Chain layers.
+# Chain layers, kept in harness as the independent route to ap_mul's cases.
 
 def test_omega_chain_ops():
-    assert core.omega_star((1, 0), (1, 0), 2) == (0, 0)
-    assert core.omega_star((0, 3), (0, -5), 2) == (0, 0)  # clamped at (0,0)
-    assert core.omega_arrow((1, 0), (0, 3), 2) == (1, 3)
-    assert core.omega_arrow((0, 0), (2, 0), 2) == (2, 0)  # clamped at (n,0)
-    assert core.omega_neg((0, 3), 2) == (2, -3)
-    assert core.omega_neg(core.omega_neg((1, -4), 2), 2) == (1, -4)
+    assert harness.omega_star((1, 0), (1, 0), 2) == (0, 0)
+    assert harness.omega_star((0, 3), (0, -5), 2) == (0, 0)  # clamped at (0,0)
+    assert harness.omega_arrow((1, 0), (0, 3), 2) == (1, 3)
+    assert harness.omega_arrow((0, 0), (2, 0), 2) == (2, 0)  # clamped at (n,0)
     # the clamps are lex min and max, never componentwise
-    assert core.omega_arrow((1, 0), (0, 5), 2) == (1, 5)
-    assert core.omega_star((2, 5), (1, -9), 2) == (1, -4)
+    assert harness.omega_arrow((1, 0), (0, 5), 2) == (1, 5)
+    assert harness.omega_star((2, 5), (1, -9), 2) == (1, -4)
 
 
 def test_fin_chain_ops():
-    assert core.fin_star(2, 2, 3) == 1
-    assert core.fin_star(1, 1, 3) == 0
-    assert core.fin_arrow(2, 1, 3) == 2
-    assert core.fin_arrow(0, 0, 3) == 3
-    assert core.fin_neg(1, 3) == 2
+    assert harness.fin_star(2, 2, 3) == 1
+    assert harness.fin_star(1, 1, 3) == 0
+    assert harness.fin_arrow(2, 1, 3) == 2
+    assert harness.fin_arrow(0, 0, 3) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +118,15 @@ def test_validate_messages():
 
 
 def test_params_mismatch():
-    a = core.ap_top(P23)
-    b = core.ap_top(AlgebraParams(3, 3))
-    with pytest.raises(ParamsMismatchError):
-        core.ap_mul(a, b)
-    with pytest.raises(ParamsMismatchError):
-        core.ap_leq(a, b)
+    # a differing n and a differing p, with either operand first
+    a = el("((1,0),2)")
+    for other in (AlgebraParams(3, 3), AlgebraParams(2, 4)):
+        b = core.ap_validate(LexPair(1, 0), 2, other)
+        for op in (core.ap_mul, core.ap_leq, core.ap_join, core.ap_meet, core.ap_div):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ParamsMismatchError) as info:
+                    op(x, y)
+                assert str(info.value) == f"mixed parameters ({x.n},{x.p}) vs ({y.n},{y.p})"
 
 
 def test_literal_round_trip():
@@ -312,6 +313,158 @@ def test_boolean_term_frozen():
     assert core.boolean_term(el("((0,2),3)")) == core.ap_top(P23)
     assert core.boolean_term(core.ap_top(P23)) == core.ap_top(P23)
     assert core.boolean_term(core.ap_bot(P23)) == core.ap_bot(P23)
+
+
+# ---------------------------------------------------------------------------
+# The straight-line operations against their earlier tuple-and-helper
+# bodies, kept here as the oracle.
+
+def _oracle_leq(a, b):
+    core._same_params(a, b)
+    if a.alpha != 0:
+        return a.alpha <= b.alpha and (a.m, a.r) <= (b.m, b.r)
+    if b.alpha == 0:
+        return (b.m, b.r) <= (a.m, a.r)
+    return (a.n - 1, 0) <= (a.m + b.m, a.r + b.r)
+
+
+def _oracle_join(a, b):
+    core._same_params(a, b)
+    n, p = a.n, a.p
+    if a.alpha != 0 and b.alpha != 0:
+        pr = max((a.m, a.r), (b.m, b.r))
+        return core._mk(pr[0], pr[1], max(a.alpha, b.alpha), n, p)
+    if a.alpha == 0 and b.alpha == 0:
+        pr = min((a.m, a.r), (b.m, b.r))
+        return core._mk(pr[0], pr[1], 0, n, p)
+    if a.alpha == 0:
+        a, b = b, a
+    if (b.m, b.r) >= (n - 1, 0):
+        return core._mk(a.m, a.r, a.alpha, n, p)
+    pr = max((a.m, a.r), (n - 1 - b.m, -b.r))
+    return core._mk(pr[0], pr[1], a.alpha, n, p)
+
+
+def _oracle_meet(a, b):
+    core._same_params(a, b)
+    n, p = a.n, a.p
+    if a.alpha != 0 and b.alpha != 0:
+        pr = min((a.m, a.r), (b.m, b.r))
+        return core._mk(pr[0], pr[1], min(a.alpha, b.alpha), n, p)
+    if a.alpha == 0 and b.alpha == 0:
+        pr = max((a.m, a.r), (b.m, b.r))
+        return core._mk(pr[0], pr[1], 0, n, p)
+    if a.alpha == 0:
+        a, b = b, a
+    if (b.m, b.r) >= (n - 1, 0):
+        return core._mk(b.m, b.r, 0, n, p)
+    pr = max((n - 1 - a.m, -a.r), (b.m, b.r))
+    return core._mk(pr[0], pr[1], 0, n, p)
+
+
+def _oracle_mul(a, b):
+    core._same_params(a, b)
+    n, p = a.n, a.p
+    m, r, al = a.m, a.r, a.alpha
+    k, s, be = b.m, b.r, b.alpha
+    if al != 0 and be != 0:
+        g = harness.fin_star(al, be, p)
+        if g != 0:
+            pr = harness.omega_star((m, r), (k, s), n)
+            return core._mk(pr[0], pr[1], g, n, p)
+        pr = min((n, 0), (2 * n - (m + k + 1), -(r + s)))
+        return core._mk(pr[0], pr[1], 0, n, p)
+    if al != 0:
+        pr = harness.omega_arrow((m, r), (k, s), n)
+        return core._mk(pr[0], pr[1], 0, n, p)
+    if be != 0:
+        pr = harness.omega_arrow((k, s), (m, r), n)
+        return core._mk(pr[0], pr[1], 0, n, p)
+    pr = min((n, 0), (m + k + 1, r + s))
+    return core._mk(pr[0], pr[1], 0, n, p)
+
+
+def _oracle_inv(a):
+    n, p = a.n, a.p
+    if a.alpha in (0, p):
+        return core._mk(a.m, a.r, p - a.alpha, n, p)
+    return core._mk(n - 1 - a.m, -a.r, p - a.alpha, n, p)
+
+
+def _random_element(rng, params):
+    """A valid element of A(n,p); half the offsets within +-3, so that
+    sums and differences land on the clamps and caps."""
+    alpha = rng.choice((0, params.p, rng.randint(0, params.p)))
+    cap = params.n if alpha in (0, params.p) else params.n - 1
+    m = rng.choice((0, cap, rng.randint(0, cap)))
+    span = 3 if rng.random() < 0.5 else MAX_R
+    r = rng.randint(0 if m == 0 else -span, 0 if m == cap else span)
+    return core.ap_validate(LexPair(m, r), alpha, params)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+def test_straight_line_ops_match_the_tuple_bodies():
+    rng = random.Random(11)
+    pairs = {
+        core.ap_mul: _oracle_mul, core.ap_leq: _oracle_leq,
+        core.ap_join: _oracle_join, core.ap_meet: _oracle_meet,
+    }
+    for _ in range(20_000):
+        params = AlgebraParams(rng.randint(1, 20), rng.randint(1, 20))
+        a = _random_element(rng, params)
+        # one pair in ten mixes the parameters, so the errors are compared too
+        other = params if rng.random() < 0.9 else AlgebraParams(
+            rng.randint(1, 20), rng.randint(1, 20))
+        b = _random_element(rng, other)
+        assert _outcome(core.ap_inv, a) == _outcome(_oracle_inv, a)
+        for new, old in pairs.items():
+            assert _outcome(new, a, b) == _outcome(old, a, b), (new.__name__, a, b)
+
+
+def _plain_power(ops, a, k):
+    out = core.ap_top(a.params)
+    for _ in range(k):
+        out = ops.mul(a, out)
+    return out
+
+
+def _plain_multiple(ops, k, a):
+    out = core.ap_bot(a.params)
+    for _ in range(k):
+        out = ops.oplus(a, out)
+    return out
+
+
+def test_powers_and_multiples_stop_at_their_fixed_point():
+    # the early exit gives the k-step loop's value, the invalid marker too
+    invalid = 0
+    for ops in (core.REFERENCE, *harness.MUTATIONS.values()):
+        for n, p in harness.DEFAULT_GRID:
+            for a in Window(AlgebraParams(n, p), 2).elements():
+                for k in range(max(n + 1, p) + 3):
+                    for got, want in ((ops.power(a, k), _plain_power(ops, a, k)),
+                                      (ops.multiple(k, a), _plain_multiple(ops, k, a))):
+                        assert (got is core._INVALID) == (want is core._INVALID)
+                        assert got == want, (ops, a, k)
+                        invalid += got is core._INVALID
+    assert invalid > 0
+    # and it does stop: top is idempotent and bot absorbs under the dual sum
+    calls = []
+
+    def counted_mul(a, b):
+        calls.append(1)
+        return core.ap_mul(a, b)
+
+    ops = core.OpsBundle(counted_mul, core.ap_inv, "counted")
+    assert ops.power(core.ap_top(P23), 10**6) == core.ap_top(P23)
+    assert ops.multiple(10**6, core.ap_bot(P23)) == core.ap_bot(P23)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
