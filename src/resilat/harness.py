@@ -16,12 +16,17 @@ meet and join of window elements, and the order of those values.  Meets
 and joins stay in the window, so they are stored as window indices.
 Products can leave the window, so a check that multiplies twice has no
 table for its second step.  Exhaustive S2 interns the distinct
-first-step products into ids and multiplies each once by every window
-element on either side; its N^3 associativity loop then only compares
-ints.  Sampled S2 multiplies the two second steps of each drawn triple
-and nothing else, 2*sample products against 2*P*N for the ids.  S13's
-subalgebra members are window elements, so its closure checks read the
-id tables directly, against one membership flag per value id.  The
+first-step products into ids; one in the window has its second steps in
+the product table, and only the others are multiplied by every window
+element on either side.  Sampled S2 multiplies the two second steps of
+each drawn triple and nothing else, 2*sample products.  While the ids
+fit in a byte, exhaustive S2 and S7's distributivity compare rows, not
+triples: a row read through another is one bytes.translate, and only the
+first row i that differs is walked triple by triple, so the checks and
+the first counterexample are the plain loop's.  Past 256 ids (window
+elements, for S7) the plain loop runs.  S13's subalgebra members are
+window elements, so its closure checks read the id tables directly,
+against one membership flag per value id.  The
 structure scans that S8, S9, S11 and S12 call read the REFERENCE tables
 under every bundle, and run_suite builds those along with the suite's
 own.  Each report times the table build (tables_s) apart from the checks
@@ -206,6 +211,17 @@ class _Ctx:
         return _draws(self.seed, arity, self.N, self.sample)
 
 
+_BYTES = 256  # ids a bytes row holds, when exhaustive S2 and S7 compose rows
+
+
+def _first_row(holds: Callable[[int], bool], N: int):
+    """The checks an exhaustive (i, j, k) loop makes before the first i
+    whose row fails holds, and that row's triples, to walk for its first
+    counterexample; N**3 checks and no triples when every row holds."""
+    i = next((i for i in range(N) if not holds(i)), N)
+    return i * N * N, itertools.product(range(i, min(i + 1, N)), range(N), range(N))
+
+
 def _fmt(v: object) -> str:
     return core.render_element(v) if isinstance(v, ApElem) else str(v)
 
@@ -244,7 +260,7 @@ def _s1(ctx: _Ctx):
 
 
 def _s2(ctx: _Ctx):
-    t, elems, ops = ctx.t, ctx.elems, ctx.ops
+    t, elems, ops, N = ctx.t, ctx.elems, ctx.ops, ctx.N
     mul_t = t.mul
     checks = 0
     if ctx.sample is not None:
@@ -255,23 +271,36 @@ def _s2(ctx: _Ctx):
                 return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
     else:
         # Products of window elements land in W_2R (anywhere, under a
-        # mutant), so the second step of (a*b)*c and a*(b*c) has no window
-        # table.  Each distinct first-step product, the invalid marker
-        # included, gets an id and is multiplied once on each side; the
-        # triple loop then compares interned ids.  The two sides mark an
-        # invalid second step with different negative ids, so that it
-        # equals nothing.
+        # mutant).  Each distinct first-step product x, the invalid marker
+        # included, gets an id; in the window, x's second steps are in the
+        # product table (the bundle is pure), and any other x is
+        # multiplied once on each side.  An invalid second step is
+        # interned under a key of its side, so that it equals nothing.
         prods = list(dict.fromkeys(v for row in mul_t for v in row))
         first = {v: u for u, v in enumerate(prods)}
         step = [[first[v] for v in row] for row in mul_t]
+        at = [t.idx.get(x) for x in prods]
         ids: dict = {}
 
-        def second(v: object, invalid: int) -> int:
-            return invalid if v is _INVALID else ids.setdefault(v, len(ids))
+        def second(v: object, invalid: str) -> int:
+            return ids.setdefault(invalid if v is _INVALID else v, len(ids))
 
-        left = [[second(ops.mul(x, c), -1) for c in elems] for x in prods]
-        right = [[second(ops.mul(a, x), -2) for x in prods] for a in elems]
-        for i, j, k in ctx.indices(3):
+        left = [[second(v, "left") for v in (
+            [ops.mul(x, c) for c in elems] if f is None else mul_t[f])]
+            for x, f in zip(prods, at)]
+        right = [[second(row[f] if f is not None else ops.mul(a, x), "right")
+                  for x, f in zip(prods, at)] for a, row in zip(elems, mul_t)]
+        triples = ctx.indices(3)
+        if len(prods) <= _BYTES and len(ids) <= _BYTES:
+            # row i over (j, k): left[step[i][j]] for each j, against the
+            # step rows read through right[i]
+            left = [bytes(r) for r in left]
+            right = [bytes(r).ljust(256) for r in right]
+            steps = bytes(itertools.chain.from_iterable(step))
+            skipped, triples = _first_row(lambda i: b"".join(
+                [left[x] for x in step[i]]) == steps.translate(right[i]), N)
+            checks += skipped
+        for i, j, k in triples:
             checks += 1
             if left[step[i][j]][k] != right[i][step[j][k]]:
                 return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
@@ -398,7 +427,24 @@ def _s7(ctx: _Ctx):
             u, upper = join_i[i][j], up[i] & up[j]
             if not upper >> u & 1 or upper & ~up[u]:
                 return checks, _ce(a=elems[i], b=elems[j]), {"law": "lub"}
-    for i, j, k in ctx.indices(3):
+    triples = ctx.indices(3)
+    if ctx.sample is None and N <= _BYTES:
+        # For fixed i each law is an N x N block over (j, k) of table rows
+        # read through other rows: one bytes.translate per row.
+        meet_b, join_b = [bytes(r) for r in meet_i], [bytes(r) for r in join_i]
+        meet_t, join_t = [r.ljust(256) for r in meet_b], [r.ljust(256) for r in join_b]
+        meets, joins = b"".join(meet_b), b"".join(join_b)
+
+        def holds(i: int) -> bool:
+            mb, jb = meet_b[i], join_b[i]
+            return (joins.translate(meet_t[i])
+                    == b"".join([mb.translate(join_t[z]) for z in meet_i[i]])
+                    and meets.translate(join_t[i])
+                    == b"".join([jb.translate(meet_t[u]) for u in join_i[i]]))
+
+        skipped, triples = _first_row(holds, N)
+        checks += skipped
+    for i, j, k in triples:
         checks += 1
         if meet_i[i][join_i[j][k]] != join_i[meet_i[i][j]][meet_i[i][k]]:
             return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {

@@ -208,8 +208,9 @@ def filter_member(f: str, a: ApElem) -> bool:
     if f == "FOmega":
         return a.alpha == a.p and a.m == a.n and a.r <= 0
     if f == "Radical":
-        gen = core.ap_validate(LexPair(0, 0), a.p, a.params)
-        return core.ap_leq(gen, a)
+        # the upset of <(0,0),p>: ap_leq from it asks only for level p, as
+        # every valid pair lies at or above (0,0)
+        return a.alpha == a.p
     if f == "Improper":
         return True
     raise ValueError(f"unknown filter id {f!r}")
@@ -218,8 +219,8 @@ def filter_member(f: str, a: ApElem) -> bool:
 def radical_member_via_term(a: ApElem) -> bool:
     """Radical membership decided by the boolean term hitting top.
 
-    Independent of filter_member(\"Radical\", ·), which goes through the
-    order; the two must agree everywhere.
+    Independent of filter_member(\"Radical\", ·), which reads the order
+    above <(0,0),p> off the level; the two must agree everywhere.
     """
     return core.boolean_term(a) == core.ap_top(a.params)
 

@@ -573,3 +573,19 @@ def test_boolean_term_off_window(args):
     top, bot = core.ap_top(a.params), core.ap_bot(a.params)
     assert t in (bot, top)
     assert (t == top) == structure.filter_member("Radical", a)
+
+
+def test_radical_membership_is_the_upset_of_its_generator():
+    # filter_member("Radical", a) reads a's coordinates; it must be the
+    # order above <(0,0),p> everywhere, not only on the windows
+    def via_order(a):
+        return core.ap_leq(core.ap_validate(LexPair(0, 0), a.p, a.params), a)
+
+    elems = [a for params in GRID for a in Window(params, 2).elements()]
+    rng = random.Random(12)
+    for _ in range(5_000):
+        params = AlgebraParams(rng.randint(1, 20), rng.randint(1, 20))
+        elems.append(_random_element(rng, params))
+    got = [structure.filter_member("Radical", a) for a in elems]
+    assert got == [via_order(a) for a in elems]
+    assert any(got) and not all(got)

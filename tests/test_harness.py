@@ -1,5 +1,6 @@
 """Suite registry, budgets, determinism, dual-route oracles, mutations."""
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -400,9 +401,11 @@ def test_failing_report_shape():
 
 
 # ---------------------------------------------------------------------------
-# S2 and S13 read interned second-step rows and window tables.  These
-# plain versions make every guarded call instead, as the suites once did;
-# the two must agree on every report field but the timings.
+# S2 and S13 read interned second-step rows and window tables, and
+# exhaustive S2 and S7 compare whole rows composed in C.  These plain
+# versions make every guarded call or table read per triple instead, as
+# the suites once did; the two must agree on every report field but the
+# timings.
 
 def _plain_s2(ctx):
     ops, elems, mul_t = ctx.ops, ctx.elems, ctx.t.mul
@@ -420,6 +423,42 @@ def _plain_s2(ctx):
         if not harness._eq(mul_t[i][j], mul_t[j][i]):
             return checks, harness._ce(a=elems[i], b=elems[j]), {}
     return checks, None, {"commutativity_pairs": pairs}
+
+
+def _plain_s7(ctx):
+    t, elems, N = ctx.t, ctx.elems, ctx.N
+    up, down, meet_i, join_i = t.up, t.down, t.meet_i, t.join_i
+    ce = harness._ce
+    checks = 0
+    for i in range(N):
+        checks += 1
+        if not up[i] >> i & 1:
+            return checks, ce(a=elems[i]), {}
+    for i in range(N):
+        for j in range(N):
+            checks += 1
+            i_le_j = up[i] >> j & 1
+            if i_le_j and up[j] >> i & 1 and i != j:
+                return checks, ce(a=elems[i], b=elems[j]), {"law": "antisymmetry"}
+            if i_le_j and up[j] & ~up[i]:
+                return checks, ce(a=elems[i], b=elems[j]), {"law": "transitivity"}
+            z, lower = meet_i[i][j], down[i] & down[j]
+            if not lower >> z & 1 or lower & ~down[z]:
+                return checks, ce(a=elems[i], b=elems[j]), {"law": "glb"}
+            u, upper = join_i[i][j], up[i] & up[j]
+            if not upper >> u & 1 or upper & ~up[u]:
+                return checks, ce(a=elems[i], b=elems[j]), {"law": "lub"}
+    for i, j, k in ctx.indices(3):
+        checks += 1
+        if meet_i[i][join_i[j][k]] != join_i[meet_i[i][j]][meet_i[i][k]]:
+            return checks, ce(a=elems[i], b=elems[j], c=elems[k]), {
+                "law": "meet over join"
+            }
+        if join_i[i][meet_i[j][k]] != meet_i[join_i[i][j]][join_i[i][k]]:
+            return checks, ce(a=elems[i], b=elems[j], c=elems[k]), {
+                "law": "join over meet"
+            }
+    return checks, None, {"distributive": True}
 
 
 def _plain_s13(ctx):
@@ -530,7 +569,161 @@ def _assert_suites_match_plain(bundle, R, sample, suites,
 @pytest.mark.parametrize("R, sample", [(1, None), (2, None), (4, 300)])
 def test_two_step_suites_match_plain_guarded_calls(name, R, sample):
     _assert_suites_match_plain(TWO_STEP_BUNDLES[name], R, sample,
-                               (("S2", _plain_s2), ("S13", _plain_s13)))
+                               (("S2", _plain_s2), ("S7", _plain_s7),
+                                ("S13", _plain_s13)))
+
+
+def _spy_row_scans(monkeypatch):
+    """Record the first failing row that exhaustive S2 and S7 find by
+    composing whole rows, N when all hold; a fallback run records none."""
+    rows = []
+    real = harness._first_row
+
+    def spy(holds, N):
+        skipped, triples = real(holds, N)
+        rows.append(skipped // N**2)
+        return skipped, triples
+
+    monkeypatch.setattr(harness, "_first_row", spy)
+    return rows
+
+
+@pytest.mark.parametrize("name", list(TWO_STEP_BUNDLES))
+def test_row_suites_match_plain_on_the_fallback(monkeypatch, name):
+    # what a window past 256 values does, forced at a small one: an
+    # N = 257 window would cost 17 million triples
+    monkeypatch.setattr(harness, "_BYTES", 0)
+    rows = _spy_row_scans(monkeypatch)
+    for R in (1, 2):
+        _assert_suites_match_plain(TWO_STEP_BUNDLES[name], R, None,
+                                   (("S2", _plain_s2), ("S7", _plain_s7)))
+    assert rows == []
+
+
+def test_row_suites_compose_rows_on_the_grid(monkeypatch):
+    rows = _spy_row_scans(monkeypatch)
+    for n, p in DEFAULT_GRID:
+        params = AlgebraParams(n, p)
+        N = len(Window(params, 2))
+        for bundle in (REFERENCE, *MUTATIONS.values()):
+            del rows[:]
+            report = run_suite("S2", params, 2, ops=bundle)
+            assert len(rows) == 1, (n, p, bundle)
+            if report.verdict == "pass":
+                assert rows == [N]
+        del rows[:]
+        assert run_suite("S7", params, 2).verdict == "pass"
+        assert rows == [N]
+
+
+@pytest.mark.parametrize("name", ["reference", "mul-case2-sign"])
+def test_s2_matches_plain_past_256_first_step_products(monkeypatch, name):
+    # (4,4) at R=4 has 274 distinct first-step products under the
+    # reference, too many for a byte row
+    params, bundle = AlgebraParams(4, 4), TWO_STEP_BUNDLES[name]
+    t = harness._tables(params, 4, bundle)
+    assert len(set(itertools.chain(*t.mul))) > 256
+    rows = _spy_row_scans(monkeypatch)
+    if bundle is REFERENCE:
+        # the plain body takes about 10 s here; a pass has one fixed count
+        report = run_suite("S2", params, 4)
+        assert (report.verdict, report.checks_run) == ("pass", t.N**3 + t.N**2)
+    else:
+        _assert_suites_match_plain(bundle, 4, None, (("S2", _plain_s2),),
+                                   points=((4, 4),))
+    assert rows == []
+
+
+def _mul_invalid_at_the_first_square(a, b):
+    """The product, except that ((0,0),0) squared leaves the universe:
+    S2's first triple then has an invalid second step on both sides."""
+    if a.m == a.r == a.alpha == 0 and a == b:
+        return core.ap_validate(core.LexPair(0, 0), a.p + 1, a.params)
+    return core.ap_mul(a, b)
+
+
+def test_s2_invalid_second_steps_equal_nothing(monkeypatch):
+    bundle = OpsBundle(_mul_invalid_at_the_first_square, core.ap_inv, "first-square")
+    line = run_suite("S2", P23, 1, ops=bundle).text_line()
+    assert line.endswith("fail checks=1 counterexample a=((0,0),0) b=((0,0),0) "
+                         "c=((0,0),0)")
+    for limit in (harness._BYTES, 0):  # composed rows, then the fallback
+        monkeypatch.setattr(harness, "_BYTES", limit)
+        _assert_suites_match_plain(bundle, 1, None, (("S2", _plain_s2),))
+
+
+def test_exhaustive_s2_multiplies_only_products_past_the_window():
+    for n, p in ((2, 3), (3, 3)):
+        params = AlgebraParams(n, p)
+        bundle, calls = _counting_bundle()
+        t = harness._tables(params, 2, bundle)
+        P1 = len(set(itertools.chain(*t.mul)))
+        calls["mul"] = 0
+        assert run_suite("S2", params, 2, ops=bundle).verdict == "pass"
+        # a first-step product in the window has its second steps in the
+        # product table; the rest are multiplied once on each side
+        assert 0 < calls["mul"] <= 2 * (P1 - t.N) * t.N
+
+
+def _lattice_tables(t, N, covers):
+    """A copy of the tables t cut down to N elements, whose order, meets
+    and joins are those generated by the cover pairs (u, v), u below v."""
+    up = [1 << u for u in range(N)]
+    for _ in range(N):
+        for u, v in covers:
+            up[u] |= up[v]
+    down = harness._transpose(up, N)
+
+    def bound(masks, x, y):  # the common bound whose mask holds all the others
+        common = masks[x] & masks[y]
+        return next(z for z in range(N) if common >> z & 1 and not common & ~masks[z])
+
+    lattice = copy.copy(t)
+    lattice.elems, lattice.N, lattice.up, lattice.down = t.elems[:N], N, up, down
+    lattice.meet_i = [[bound(down, x, y) for y in range(N)] for x in range(N)]
+    lattice.join_i = [[bound(up, x, y) for y in range(N)] for x in range(N)]
+    return lattice
+
+
+# a chain 0 < 1 < 2 with the pentagon 2 < 3 < 4 < 6, 2 < 5 < 6 above it,
+# and the same chain with the diamond 2 < 3, 4, 5 < 6: neither lattice is
+# distributive
+NON_DISTRIBUTIVE = (
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 6), (2, 5), (5, 6)],
+    [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (3, 6), (4, 6), (5, 6)],
+)
+
+
+def test_s7_rows_match_plain_on_broken_tables(monkeypatch):
+    t = harness._tables(P23, 2, REFERENCE)
+    w = Window(P23, 2)
+    cases = []
+    # one corrupted meet or join entry already breaks its glb or lub
+    for table in ("meet_i", "join_i"):
+        broken = copy.copy(t)
+        rows = [list(row) for row in getattr(t, table)]
+        rows[5][9] = (rows[5][9] + 1) % t.N
+        setattr(broken, table, rows)
+        cases.append(broken)
+    # a consistent lattice that is not distributive reaches the two laws;
+    # relabelled at random, either law can come first
+    rng = random.Random(7)
+    for covers in NON_DISTRIBUTIVE:
+        for _ in range(20):
+            label = rng.sample(range(7), 7)
+            relabelled = [(label[u], label[v]) for u, v in covers]
+            cases.append(_lattice_tables(t, 7, relabelled))
+    laws = set()
+    for tables in cases:
+        ctx = harness._Ctx(w, REFERENCE, tables, None, 0)
+        want = _plain_s7(ctx)
+        assert want[1] is not None
+        assert harness._s7(ctx) == want
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_BYTES", 0)
+            assert harness._s7(ctx) == want
+        laws.add(want[2]["law"])
+    assert laws == {"glb", "lub", "meet over join", "join over meet"}
 
 
 # Bundles that reach the two S13 counterexamples no mutation reaches (a
