@@ -18,8 +18,9 @@ Products can leave the window, so a check that multiplies twice has no
 table for its second step.  Exhaustive S2 interns the distinct
 first-step products into ids; one in the window has its second steps in
 the product table, and only the others are multiplied by every window
-element on either side.  Sampled S2 multiplies the two second steps of
-each drawn triple and nothing else, 2*sample products.  While the ids
+element on either side.  Sampled S2 reads the same way per drawn triple:
+a second step whose first step is in the window comes from the product
+table, and the bundle multiplies only the others.  While the ids
 fit in a byte, exhaustive S2 and S7's distributivity compare rows, not
 triples: a row read through another is one bytes.translate, and only the
 first row i that differs is walked triple by triple, so the checks and
@@ -47,7 +48,7 @@ sampled run at R=4 and 2000 draws is more order calls than the P**2.
 
 A sampled run draws its pairs and triples once per window (_draws), with
 the tables and timed as part of tables_s; every suite on the window reads
-the same draws.
+the same draws.  The budget gates the 5*sample draws before any build.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -180,13 +182,35 @@ def closed_form_div(a: ApElem, b: ApElem) -> ApElem:
 # ---------------------------------------------------------------------------
 # The per-run context.
 
+_ARITIES = (2, 3)  # a sampled window draws pairs and triples
+
+
 @lru_cache(maxsize=2)  # run_grid goes window by window: one per arity
 def _draws(seed: int, arity: int, N: int, sample: int) -> tuple:
-    """The seeded-random index tuples of one sampled loop."""
+    """The seeded-random index tuples of one sampled loop: arity*sample
+    values of Random(f"{seed}:{arity}").randrange(N), in order.
+
+    randrange(N) is getrandbits(k) for k = N.bit_length(), drawn again
+    while the value is >= N.  For k <= 32 each getrandbits(k) takes the
+    top k bits of one 32-bit Mersenne Twister word, and getrandbits(32*M)
+    returns the next M words, least significant first.  So one block of
+    words, each shifted right by 32 - k, with the values >= N dropped, is
+    the same sequence; another block tops it up when rejections leave too
+    few.
+    """
+    assert 0 < N < 2**32
     rng = random.Random(f"{seed}:{arity}")
-    return tuple(
-        tuple(rng.randrange(N) for _ in range(arity)) for _ in range(sample)
-    )
+    k = N.bit_length()
+    shift, want = 32 - k, arity * sample
+    vals: list[int] = []
+    while len(vals) < want:
+        M = ((want - len(vals)) << k) // N + 1  # the words it takes, expected
+        words = memoryview(rng.getrandbits(32 * M).to_bytes(4 * M, sys.byteorder)).cast("I")
+        if sys.byteorder == "big":  # the most significant word comes first
+            words = words[::-1]
+        vals += [v for w in words if (v := w >> shift) < N]
+    del vals[want:]
+    return tuple(zip(*[iter(vals)] * arity))
 
 
 class _Ctx:
@@ -264,10 +288,16 @@ def _s2(ctx: _Ctx):
     mul_t = t.mul
     checks = 0
     if ctx.sample is not None:
-        # Each draw multiplies its two second steps: 2*sample products.
+        # A first step with id f < N is window element f, so its second
+        # step is in the product table (the bundle is pure); the bundle
+        # multiplies only first steps past the window or invalid.
+        mul_id, mul = t.mul_id, ops.mul
         for i, j, k in ctx.indices(3):
             checks += 1
-            if not _eq(ops.mul(mul_t[i][j], elems[k]), ops.mul(elems[i], mul_t[j][k])):
+            f, g = mul_id[i][j], mul_id[j][k]
+            lhs = mul_t[f][k] if f < N else mul(mul_t[i][j], elems[k])
+            rhs = mul_t[i][g] if g < N else mul(elems[i], mul_t[j][k])
+            if not _eq(lhs, rhs):
                 return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
     else:
         # Products of window elements land in W_2R (anywhere, under a
@@ -900,13 +930,15 @@ def run_suite(
     draws = (lambda k: N**k) if sample is None else (lambda k: sample)
     estimate = entry.cost(N, draws)
     enforce_budget(sid, params, R, estimate, budget, force)
+    if sample is not None:  # the draws below, whatever the suite reads of them
+        enforce_budget(f"{sid} draws", params, R, sum(_ARITIES) * sample, budget, force)
     bundle = REFERENCE if ops is None else ops
     start = time.perf_counter()
     tables = _tables(params, R, bundle)
     if sid in _READS_REFERENCE:
         _tables(params, R, REFERENCE)  # timed as a build, not as checks
     if sample is not None:
-        for arity in (2, 3):  # the window's draws, made once for every suite
+        for arity in _ARITIES:  # the window's draws, made once for every suite
             _draws(seed, arity, N, sample)
     built = time.perf_counter()
     ctx = _Ctx(w, bundle, tables, sample, seed)

@@ -899,16 +899,19 @@ def test_sampled_order_suites_read_the_order_from_bit_rows(monkeypatch):
 
 # Sampled draws are made once per window and shared by every suite.
 
-def _count_randrange(monkeypatch):
-    calls = []
-    real = random.Random.randrange
+def _randrange_draws(seed, arity, N, sample):
+    """The draws as randrange makes them, one index at a time."""
+    rng = random.Random(f"{seed}:{arity}")
+    return tuple(tuple(rng.randrange(N) for _ in range(arity)) for _ in range(sample))
 
-    def counting(self, *args):
-        calls.append(1)
-        return real(self, *args)
 
-    monkeypatch.setattr(random.Random, "randrange", counting)
-    return calls
+# N = 1 and the powers of two are where an off-by-one in the shift or the
+# rejection would show.
+@pytest.mark.parametrize("N", [1, 2, 3, 127, 128, 129, 255, 256, 257, 654, 2**16 + 1])
+def test_block_draws_are_the_randrange_draws(N):
+    for seed, arity, sample in itertools.product((0, 9, 11), (1, 2, 3), (1, 7, 2000)):
+        want = _randrange_draws(seed, arity, N, sample)
+        assert harness._draws.__wrapped__(seed, arity, N, sample) == want
 
 
 def test_sampled_indices_are_the_seeded_draws():
@@ -916,44 +919,78 @@ def test_sampled_indices_are_the_seeded_draws():
     ctx = harness._Ctx(Window(P23, 4), REFERENCE,
                        harness._tables(P23, 4, REFERENCE), 300, 9)
     for arity in (2, 3):
-        rng = random.Random(f"9:{arity}")
-        want = [tuple(rng.randrange(N) for _ in range(arity)) for _ in range(300)]
-        assert list(ctx.indices(arity)) == want
+        assert tuple(ctx.indices(arity)) == _randrange_draws(9, arity, N, 300)
 
 
-def test_a_sampled_window_draws_each_arity_once(monkeypatch):
+def test_a_sampled_window_draws_each_arity_once():
     harness._draws.cache_clear()
-    calls = _count_randrange(monkeypatch)
     reports = run_grid(grid=[(2, 3)], R=4, sample=50, seed=3)
     assert all(r.verdict == "pass" for r in reports)
-    assert len(calls) == (2 + 3) * 50
+    assert harness._draws.cache_info().misses == 2
 
 
 def test_sampled_draws_are_timed_as_a_build(monkeypatch):
     harness._tables(P23, 4, REFERENCE)
     harness._draws.cache_clear()
-    calls = _count_randrange(monkeypatch)
     entry = SUITES["S1"]
     seen = []
 
     def runner(ctx):
-        seen.append(len(calls))
+        seen.append(harness._draws.cache_info().misses)
         return entry.runner(ctx)
 
     monkeypatch.setitem(SUITES, "S1", dataclasses.replace(entry, runner=runner))
     run_suite("S1", P23, R=4, sample=40, seed=2)  # cold: drawn before the checks
-    assert seen == [len(calls)] == [(2 + 3) * 40]
+    assert seen == [2]
     run_suite("S1", P23, R=4, sample=40, seed=2)  # warm: nothing drawn
-    assert len(calls) == (2 + 3) * 40
+    assert seen == [2, 2] and harness._draws.cache_info().misses == 2
+
+
+def test_the_budget_gates_the_draws_before_they_are_made(monkeypatch):
+    # S6's checks are about 2N whatever the sample; its draws are 5*sample
+    N = len(Window(P23, 4))
+    assert SUITES["S6"].cost(N, lambda k: 1000) < 4999
+
+    def unreachable(*args):
+        pytest.fail("built or drew past the budget")
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_draws", unreachable)
+        m.setattr(harness, "_tables", unreachable)
+        with pytest.raises(BudgetError, match="S6 draws at n=2 p=3 R=4 needs about 5000"):
+            run_suite("S6", P23, R=4, sample=1000, budget=4999)
+    for budget, force in ((5000, False), (1, True)):
+        report = run_suite("S6", P23, R=4, sample=1000, budget=budget, force=force)
+        assert report.verdict == "pass" and report.estimate == 2 * N
+
+
+def _counting_mul(bundle):
+    """A copy of bundle whose mul counts its calls, guarded ones included."""
+    counted, calls = copy.copy(bundle), []
+
+    def mul(a, b):
+        calls.append(1)
+        return bundle.mul(a, b)
+
+    counted.mul = mul
+    return counted, calls
 
 
 def test_sampled_s2_multiplies_only_the_drawn_triples():
-    bundle, calls = _counting_bundle()
-    harness._tables(P23, 4, bundle)
-    calls["mul"] = 0
-    report = run_suite("S2", P23, R=4, ops=bundle, sample=200, seed=4)
-    assert report.verdict == "pass" and report.checks_run == 400
-    assert calls["mul"] <= 2 * 200
+    for name, R in (("reference", 4), ("invalid-past-r2", 4), ("invalid-past-r2", 8)):
+        bundle, calls = _counting_mul(TWO_STEP_BUNDLES[name])
+        t = harness._tables(P23, R, bundle)
+        calls.clear()
+        report = run_suite("S2", P23, R=R, ops=bundle, sample=200, seed=4)
+        assert (report.verdict, report.checks_run) == (
+            ("pass", 400) if name == "reference" else ("fail", 1))
+        # a first step with id N or more is past the window or invalid;
+        # only those are multiplied, the others read the product table
+        triples = harness._draws(4, 3, t.N, 200)[:min(report.checks_run, 200)]
+        want = sum((t.mul_id[i][j] >= t.N) + (t.mul_id[j][k] >= t.N)
+                   for i, j, k in triples)
+        assert len(calls) == want
+        assert 0 < want < 2 * 200
 
 
 def test_transpose_and_low_bit():
