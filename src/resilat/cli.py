@@ -162,25 +162,28 @@ def cmd_check(args: argparse.Namespace, cfg: CliConfig) -> int:
     return 1 if failed else 0
 
 
+def _sub_members(args: argparse.Namespace, cfg: CliConfig, sid: str):
+    """The members of subalgebra sid in the --window window, or in the
+    r=0 slice, which holds all of a finite one."""
+    if sid not in _FINITE_SUBS and args.window is None:
+        raise ValueError(
+            f"subalgebra {sid} is infinite; bound it with --window RADIUS"
+        )
+    radius = args.window if args.window is not None else 0
+    return tuple(
+        a
+        for a in Window(cfg.params(), radius).elements()
+        if structure.subalg_member(sid, a, args.q)
+    )
+
+
 def _hasse_members(args: argparse.Namespace, cfg: CliConfig):
     params = cfg.params()
     if args.sub is None:
         if args.window is None:
             raise ValueError("export hasse needs --sub or --window")
         return Window(params, args.window).elements()
-    sid = _sub_id(args.sub)
-    if args.window is not None:
-        radius = args.window
-    elif sid in _FINITE_SUBS:
-        radius = 0  # these subalgebras live entirely in the r=0 slice
-    else:
-        raise ValueError(
-            f"subalgebra {sid} is infinite; bound it with --window RADIUS"
-        )
-    w = Window(params, radius)
-    return tuple(
-        a for a in w.elements() if structure.subalg_member(sid, a, args.q)
-    )
+    return _sub_members(args, cfg, _sub_id(args.sub))
 
 
 def _emit_dot(elems) -> str:
@@ -206,22 +209,11 @@ def cmd_export(args: argparse.Namespace, cfg: CliConfig) -> int:
         raise ValueError("export table emits csv; use --format csv")
     if args.sub is None:
         raise ValueError("export table needs --sub")
-    sid = _sub_id(args.sub)
-    if sid not in _FINITE_SUBS and args.window is None:
-        raise ValueError(
-            f"subalgebra {sid} is infinite; bound it with --window RADIUS"
-        )
+    members = _sub_members(args, cfg, _sub_id(args.sub))
     if args.op not in _TABLE_OPS:
         raise ValueError(
             f"unknown op {args.op!r}; one of {', '.join(_TABLE_OPS)}"
         )
-    params = cfg.params()
-    radius = args.window if args.window is not None else 0
-    members = tuple(
-        a
-        for a in Window(params, radius).elements()
-        if structure.subalg_member(sid, a, args.q)
-    )
     fn = getattr(core.REFERENCE, args.op)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

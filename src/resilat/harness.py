@@ -20,31 +20,33 @@ first-step products into ids; one in the window has its second steps in
 the product table, and only the others are multiplied by every window
 element on either side.  Sampled S2 reads the same way per drawn triple:
 a second step whose first step is in the window comes from the product
-table, and the bundle multiplies only the others.  While the ids
-fit in a byte, exhaustive S2 and S7's distributivity compare rows, not
-triples: a row read through another is one bytes.translate, and only the
-first row i that differs is walked triple by triple, so the checks and
-the first counterexample are the plain loop's.  Past 256 ids (window
-elements, for S7) the plain loop runs.  S13's subalgebra members are
-window elements, so its closure checks read the id tables directly,
-against one membership flag per value id.  The
-structure scans that S8, S9, S11 and S12 call read the REFERENCE tables
-under every bundle, and run_suite builds those along with the suite's
-own.  Each report times the table build (tables_s) apart from the checks
-(elapsed) and carries the estimate its budget gate used next to the
-checks it ran.
+table, and the bundle multiplies only the others.  S13's subalgebra
+members are window elements, so its closure checks read the id tables
+directly, against one membership flag per value id.  The structure scans
+that S8, S9, S11 and S12 call read the REFERENCE tables under every
+bundle, and run_suite builds those along with the suite's own.  Each
+report times the table build (tables_s) apart from the checks (elapsed)
+and carries the estimate its budget gate used next to the checks it ran.
 
 The order is tabulated as bitmasks over interned ids.  The distinct
-products, residuals and involutions get ids, window elements first; up[u]
-holds the window elements above value u, down[u] those below it, and
-ge[u] the ids above it.  The invalid marker gets empty masks.  That costs
-about P**2 order calls for P ids (P is about 1.7N on the default grid),
-against about 2N**3 for comparing each triple, and every suite reads the
-order from it.  Exhaustive S1 and S3 (and S15, through S1) compare whole
-rows of bits and read the first counterexample off the lowest differing
-bit; sampled runs and the pair suites test one bit per comparison.  The
-masks serve every draw of every order suite on the window, which in a
-sampled run at R=4 and 2000 draws is more order calls than the P**2.
+products, residuals and involutions get ids, window elements first, so
+ids 0..N-1 are the window indices.  ge[u] holds the ids above value u
+and le[u] those below it; up[u] and down[u], the window elements above
+and below it, are their low N bits.  The invalid marker gets empty
+masks.  That costs P**2 order calls for P ids (P is about 1.7N on the
+default grid), against about 2N**3 for comparing each triple, and every
+suite reads the order from it, a sampled run's draws included.
+
+The N**3 suites S1, S2, S3 and S7 (and S15, through S1) each test one
+predicate per triple, which a sampled run applies to its draws.  An
+exhaustive run first tests whole rows: holds(i) decides row i over every
+(j, k) at once, _first_row skips the rows that hold, and the predicate
+walks the first that fails, so the checks and the first counterexample
+are the plain loop's.  S1's row compares the up rows of row i's products
+with the transposed down rows of its residuals; S3's transposes le and
+ge rows at row i's products and residuals.  S2 and S7 compose their rows
+with bytes.translate, a row read through another, while their ids fit in
+a byte (window elements, for S7); past 256 they walk every triple.
 
 A sampled run draws its pairs and triples once per window (_draws), with
 the tables and timed as part of tables_s; every suite on the window reads
@@ -58,14 +60,13 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable
 
 from resilat import core, structure, terms
 from resilat.core import _INVALID, REFERENCE, AlgebraParams, ApElem, OpsBundle
 from resilat.structure import Window, _low, _tables, _Tables, _transpose, enforce_budget
-from resilat.structure import _leq, _mask  # noqa: F401  (still harness names)
 
 DEFAULT_GRID = tuple((n, p) for n in (1, 2, 3) for p in (1, 2, 3))
 
@@ -260,27 +261,21 @@ def _ce(**kw) -> list[str]:
 def _s1(ctx: _Ctx):
     t, elems, N = ctx.t, ctx.elems, ctx.N
     # a*b_j <= c_k is bit k of up[a*b_j], and b_j <= a->c_k is bit j of
-    # down[a->c_k]
+    # down[a->c_k]; row i holds when its up rows are the transposed down
+    # rows of its residuals
     up, down, mul_id, div_id = t.up, t.down, t.mul_id, t.div_id
-    if ctx.sample is not None:
-        checks = 0
-        for i, j, k in ctx.indices(3):
-            checks += 1
-            if up[mul_id[i][j]] >> k & 1 != down[div_id[i][k]] >> j & 1:
-                return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
-        return checks, None, {}
-    # Row i as bit rows over k: the transpose of the down rows lines up
-    # with the up rows.  The lowest differing bit is the first
-    # counterexample in (i, j, k) order.
-    for i in range(N):
-        cols = _transpose([down[u] for u in div_id[i]], N)
-        for j, u in enumerate(mul_id[i]):
-            x = up[u] ^ cols[j]
-            if x:
-                k = _low(x)
-                ce = _ce(a=elems[i], b=elems[j], c=elems[k])
-                return (i * N + j) * N + k + 1, ce, {}
-    return N**3, None, {}
+
+    def holds(i: int) -> bool:
+        return [up[u] for u in mul_id[i]] == _transpose([down[u] for u in div_id[i]], N)
+
+    checks, triples = 0, ctx.indices(3)
+    if ctx.sample is None:
+        checks, triples = _first_row(holds, N)
+    for i, j, k in triples:
+        checks += 1
+        if up[mul_id[i][j]] >> k & 1 != down[div_id[i][k]] >> j & 1:
+            return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
+    return checks, None, {}
 
 
 def _s2(ctx: _Ctx):
@@ -345,42 +340,37 @@ def _s2(ctx: _Ctx):
 
 def _s3(ctx: _Ctx):
     t, elems, N = ctx.t, ctx.elems, ctx.N
-    details = {"implications": "mul and div monotone, div antitone left"}
-    # value u <= value v is bit v of ge[u]
-    up, ge, mul_id, div_id = t.up, t.ge, t.mul_id, t.div_id
-    if ctx.sample is not None:
-        checks = 0
-        for i, j, k in ctx.indices(3):
-            checks += 1
-            if not up[j] >> k & 1:
-                continue
-            if not (
-                ge[mul_id[i][j]] >> mul_id[i][k] & 1
-                and ge[div_id[i][j]] >> div_id[i][k] & 1
-                and ge[div_id[k][i]] >> div_id[j][i] & 1
-            ):
-                return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
-        return checks, None, details
-    # For each i, three masks per id v over k: v <= a*c_k, v <= a->c_k
-    # and c_k->a <= v.  A triple breaks a law when c_k lies above b_j but
-    # outside the mask at a*b_j, at a->b_j or at b_j->a.
+    # value u <= value v is bit v of ge[u], and bit u of le[v]
+    up, ge, le, mul_id, div_id = t.up, t.ge, t.le, t.mul_id, t.div_id
     P = len(ge)
-    le = _transpose(ge, P)  # le[v]: the ids below value v
-    for i in range(N):
+
+    def holds(i: int) -> bool:
+        # Three masks per id v over k: v <= a*c_k, v <= a->c_k and
+        # c_k->a <= v.  A triple breaks a law when c_k lies above b_j but
+        # outside the mask at a*b_j, at a->b_j or at b_j->a.
         mul_row, div_row = mul_id[i], div_id[i]
         div_col = [row[i] for row in div_id]
         mul_up = _transpose([le[u] for u in mul_row], P)
         div_up = _transpose([le[u] for u in div_row], P)
         col_down = _transpose([ge[u] for u in div_col], P)
         for j in range(N):
-            bad = up[j] & ~(
-                mul_up[mul_row[j]] & div_up[div_row[j]] & col_down[div_col[j]]
-            )
-            if bad:
-                k = _low(bad)
-                ce = _ce(a=elems[i], b=elems[j], c=elems[k])
-                return (i * N + j) * N + k + 1, ce, {}
-    return N**3, None, details
+            if up[j] & ~(mul_up[mul_row[j]] & div_up[div_row[j]]
+                         & col_down[div_col[j]]):
+                return False
+        return True
+
+    checks, triples = 0, ctx.indices(3)
+    if ctx.sample is None:
+        checks, triples = _first_row(holds, N)
+    for i, j, k in triples:
+        checks += 1
+        if up[j] >> k & 1 and not (
+            ge[mul_id[i][j]] >> mul_id[i][k] & 1
+            and ge[div_id[i][j]] >> div_id[i][k] & 1
+            and ge[div_id[k][i]] >> div_id[j][i] & 1
+        ):
+            return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
+    return checks, None, {"implications": "mul and div monotone, div antitone left"}
 
 
 def _s4(ctx: _Ctx):
@@ -402,34 +392,34 @@ def _s4(ctx: _Ctx):
 
 
 def _s5(ctx: _Ctx):
+    # a window element's id is its index, and the invalid marker's is N
+    # or more, so ids compare as the values do
     t, elems = ctx.t, ctx.elems
-    bot = core.ap_bot(ctx.params)
-    down, inv_id = t.down, t.inv_id
+    mul_id, down, inv_id, bot_i = t.mul_id, t.down, t.inv_id, t.bot_i
     checks = 0
     for i, j in ctx.indices(2):
         checks += 1
-        if _eq(t.mul[i][j], bot) != down[inv_id[j]] >> i & 1:
+        if (mul_id[i][j] == bot_i) != down[inv_id[j]] >> i & 1:
             return checks, _ce(a=elems[i], b=elems[j]), {}
     return checks, None, {}
 
 
 def _s6(ctx: _Ctx):
     t, elems = ctx.t, ctx.elems
-    bot = core.ap_bot(ctx.params)
+    mul_id, bot_i, top_i = t.mul_id, t.bot_i, t.top_i
     checks = 0
     for i in range(ctx.N):
-        a = elems[i]
         checks += 1
         if not (
-            _eq(t.mul[i][t.top_i], a)
-            and _eq(t.mul[t.top_i][i], a)
-            and _eq(t.mul[i][t.bot_i], bot)
-            and _eq(t.mul[t.bot_i][i], bot)
+            mul_id[i][top_i] == i
+            and mul_id[top_i][i] == i
+            and mul_id[i][bot_i] == bot_i
+            and mul_id[bot_i][i] == bot_i
         ):
-            return checks, _ce(a=a), {}
+            return checks, _ce(a=elems[i]), {}
         checks += 1
-        if not (t.up[t.bot_i] >> i & 1 and t.up[i] >> t.top_i & 1):
-            return checks, _ce(a=a), {}
+        if not (t.up[bot_i] >> i & 1 and t.up[i] >> top_i & 1):
+            return checks, _ce(a=elems[i]), {}
     return checks, None, {}
 
 
@@ -875,29 +865,13 @@ class SuiteReport:
         return line
 
     def json_line(self) -> str:
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "title": self.title,
-                "n": self.n,
-                "p": self.p,
-                "R": self.R,
-                "checks_run": self.checks_run,
-                "estimate": self.estimate,
-                "verdict": self.verdict,
-                "first_counterexample": (
-                    list(self.first_counterexample)
-                    if self.first_counterexample
-                    else None
-                ),
-                "details": self.details,
-                "elapsed": round(self.elapsed, 6),
-                "tables_s": round(self.tables_s, 6),
-                "checks_per_s": (
-                    round(self.checks_run / self.elapsed, 1) if self.elapsed > 0 else None
-                ),
-            }
+        """The fields in order, timings rounded, and the check rate."""
+        out = asdict(self)
+        out["elapsed"], out["tables_s"] = round(self.elapsed, 6), round(self.tables_s, 6)
+        out["checks_per_s"] = (
+            round(self.checks_run / self.elapsed, 1) if self.elapsed > 0 else None
         )
+        return json.dumps(out)
 
 
 def run_suite(

@@ -99,7 +99,7 @@ def _low(x: int) -> int:
 
 class _Tables:
     __slots__ = ("elems", "N", "idx", "mul", "div", "inv", "vals", "mul_id",
-                 "div_id", "inv_id", "up", "down", "ge", "meet_i", "join_i",
+                 "div_id", "inv_id", "up", "down", "ge", "le", "meet_i", "join_i",
                  "bot_i", "top_i", "filters")
 
     def __init__(self, w: Window, ops: OpsBundle):
@@ -136,20 +136,15 @@ class _Tables:
         pick = values.__getitem__
         self.mul = [list(map(pick, row)) for row in self.mul_id]
         self.div = [list(map(pick, row)) for row in self.div_id]
-        # up[u] and down[u] are the window elements above and below value
-        # u, and ge[u] the ids above it, as bitmasks.  The invalid marker
-        # satisfies no order, so its masks are empty and it sits in none.
-        # The order is called for each value against each window element
-        # on either side, and for each pair of values outside the window.
-        extra = values[N:]
-        up = [_mask([_leq(v, e) for e in elems]) for v in values]
-        down = _transpose(up[:N], N)
-        down += [_mask([_leq(e, v) for e in elems]) for v in extra]
-        high = _transpose(down[N:], N)  # bit x: window i below extra x
-        ge = [up[i] | high[i] << N for i in range(N)]
-        ge += [up[N + x] | _mask([_leq(v, y) for y in extra]) << N
-               for x, v in enumerate(extra)]
-        self.up, self.down, self.ge = up, down, ge
+        # ge[u] and le[u] are the ids above and below value u, as bitmasks,
+        # one order call per pair of ids; up[u] and down[u], the window
+        # elements above and below it, are their low N bits.  The invalid
+        # marker satisfies no order, so its masks are empty.
+        self.ge = ge = [_mask([_leq(v, y) for y in values]) for v in values]
+        self.le = le = _transpose(ge, len(values))
+        low = (1 << N) - 1
+        self.up = [g & low for g in ge]
+        self.down = [g & low for g in le]
         # meets and joins of window elements stay in the window
         self.meet_i = [[self.idx[core.ap_meet(a, b)] for b in elems] for a in elems]
         self.join_i = [[self.idx[core.ap_join(a, b)] for b in elems] for a in elems]

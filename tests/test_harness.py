@@ -503,7 +503,20 @@ TWO_STEP_BUNDLES = {
     "reference": REFERENCE,
     **MUTATIONS,
     "invalid-past-r2": OpsBundle(_mul_invalid_past_r2, core.ap_inv, "invalid-past-r2"),
+    # a case-2 product whose left operand has the larger m is one lower
+    # in r, so a*b and b*a differ there; S1 first fails past row 0, and a
+    # table read with its operands swapped changes a report
+    "case2-larger-m-left": OpsBundle(
+        harness._mul_override(
+            lambda a, b: harness._case2(a, b) and a.m > b.m,
+            lambda a, b: (2 * a.n - (a.m + b.m + 1), -(a.r + b.r) - 1)),
+        core.ap_inv, "case2-larger-m-left"),
 }
+
+
+def test_a_two_step_bundle_does_not_commute():
+    t = harness._tables(P23, 1, TWO_STEP_BUNDLES["case2-larger-m-left"])
+    assert any(t.mul[i][j] != t.mul[j][i] for i in range(t.N) for j in range(i))
 
 
 # The residual table reads a*~b from the product table where ~b is a
@@ -773,11 +786,11 @@ def test_s13_branches_match_plain_guarded_calls(name):
 # field but the timings.
 
 def _plain_s1(ctx):
-    t, elems = ctx.t, ctx.elems
+    t, elems, leq = ctx.t, ctx.elems, structure._leq
     checks = 0
     for i, j, k in ctx.indices(3):
         checks += 1
-        if harness._leq(t.mul[i][j], elems[k]) != harness._leq(elems[j], t.div[i][k]):
+        if leq(t.mul[i][j], elems[k]) != leq(elems[j], t.div[i][k]):
             return checks, harness._ce(a=elems[i], b=elems[j], c=elems[k]), {}
     return checks, None, {}
 
@@ -788,13 +801,13 @@ def _plain_s3(ctx):
     checks = 0
     for i, j, k in ctx.indices(3):
         checks += 1
-        if not harness._leq(elems[j], elems[k]):
+        if not structure._leq(elems[j], elems[k]):
             continue
-        if not harness._leq(mul_t[i][j], mul_t[i][k]):
+        if not structure._leq(mul_t[i][j], mul_t[i][k]):
             return checks, harness._ce(a=elems[i], b=elems[j], c=elems[k]), {}
-        if not harness._leq(div_t[i][j], div_t[i][k]):
+        if not structure._leq(div_t[i][j], div_t[i][k]):
             return checks, harness._ce(a=elems[i], b=elems[j], c=elems[k]), {}
-        if not harness._leq(div_t[k][i], div_t[j][i]):
+        if not structure._leq(div_t[k][i], div_t[j][i]):
             return checks, harness._ce(a=elems[i], b=elems[j], c=elems[k]), {}
     return checks, None, {"implications": "mul and div monotone, div antitone left"}
 
@@ -811,7 +824,7 @@ def _plain_s4(ctx):
             return checks, harness._ce(a=elems[i]), {}
     for i, j in ctx.indices(2):
         checks += 1
-        if harness._leq(elems[i], elems[j]) != harness._leq(t.inv[j], t.inv[i]):
+        if structure._leq(elems[i], elems[j]) != structure._leq(t.inv[j], t.inv[i]):
             return checks, harness._ce(a=elems[i], b=elems[j]), {}
     return checks, None, {}
 
@@ -822,7 +835,7 @@ def _plain_s5(ctx):
     checks = 0
     for i, j in ctx.indices(2):
         checks += 1
-        if harness._eq(t.mul[i][j], bot) != harness._leq(elems[i], t.inv[j]):
+        if harness._eq(t.mul[i][j], bot) != structure._leq(elems[i], t.inv[j]):
             return checks, harness._ce(a=elems[i], b=elems[j]), {}
     return checks, None, {}
 
@@ -858,6 +871,39 @@ def test_order_suites_match_plain_past_256_ids(name):
     assert len(tables.ge) > 256 and isinstance(tables.mul_id[0], list)
     _assert_suites_match_plain(TWO_STEP_BUNDLES[name], 4, 200, _ORDER_SUITES,
                                points=((4, 4),))
+
+
+@pytest.mark.parametrize("name", ["mul-case2-sign", "inv-reflect-sign"])
+def test_exhaustive_order_suites_match_plain_past_256_ids(name):
+    # the row tests read list rows here; the plain loops stop at the
+    # first counterexample, so a failing bundle keeps them short
+    tables = harness._tables(AlgebraParams(4, 4), 4, TWO_STEP_BUNDLES[name])
+    assert len(tables.ge) > 256 and isinstance(tables.mul_id[0], list)
+    _assert_suites_match_plain(
+        TWO_STEP_BUNDLES[name], 4, None,
+        (("S1", _plain_s1), ("S3", _plain_s3), ("S15", _plain_s15)), points=((4, 4),))
+
+
+def test_order_tables_are_the_guarded_order():
+    # ge[u] holds the ids above value u and le[u] those below it; up and
+    # down are their window bits, and the invalid marker sits in no order
+    invalid_seen = False
+    for bundle in TWO_STEP_BUNDLES.values():
+        for R in (1, 2):
+            for n, p in DEFAULT_GRID:
+                t = harness._tables(AlgebraParams(n, p), R, bundle)
+                vals, low = t.vals, (1 << t.N) - 1
+                assert len(t.ge) == len(t.le) == len(t.up) == len(t.down) == len(vals)
+                assert max(t.ge + t.le) < 1 << len(vals)
+                for u, x in enumerate(vals):
+                    for v, y in enumerate(vals):
+                        assert t.ge[u] >> v & 1 == structure._leq(x, y), (n, p, R, u, v)
+                        assert t.le[v] >> u & 1 == t.ge[u] >> v & 1
+                    assert t.up[u] == t.ge[u] & low and t.down[u] == t.le[u] & low
+                    if x is harness._INVALID:
+                        invalid_seen = True
+                        assert t.ge[u] == t.le[u] == 0
+    assert invalid_seen
 
 
 def _count_leq_calls(monkeypatch):
