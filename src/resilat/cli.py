@@ -3,7 +3,8 @@
 Exit codes: 0 success / all properties hold, 1 a property or equation
 failed, 2 usage, parse, universe, or budget errors.  Output goes to
 stdout and is byte-stable across runs except for the elapsed, tables_s
-and checks_per_s timing fields of JSON suite reports.
+and checks_per_s timing fields of JSON suite reports, and the elapsed and
+checks_per_s fields of JSON equation lines.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import io
 import json
 import sys
+import time
 from dataclasses import dataclass
 
 from resilat import core, harness, structure, terms
@@ -96,7 +98,7 @@ def _grid_points(cfg: CliConfig):
 
 
 def _eq_line(eq_text: str, n: int, p: int, R: int, estimate: int, verdict,
-             fmt: str) -> str:
+             elapsed: float, fmt: str) -> str:
     ce = verdict.counterexample
     if fmt == "json":
         return json.dumps(
@@ -113,6 +115,8 @@ def _eq_line(eq_text: str, n: int, p: int, R: int, estimate: int, verdict,
                     if ce
                     else None
                 ),
+                "elapsed": round(elapsed, 6),
+                "checks_per_s": harness.checks_per_s(verdict.checked, elapsed),
             }
         )
     line = (
@@ -156,8 +160,10 @@ def cmd_check(args: argparse.Namespace, cfg: CliConfig) -> int:
             estimates.append(terms.equation_estimate(eq, params, cfg.R))
             enforce_budget("eq", params, cfg.R, estimates[-1], force=cfg.force_budget)
         for (n, p), estimate in zip(points, estimates):
+            start = time.perf_counter()
             verdict = terms.check_equation(eq, AlgebraParams(n, p), cfg.R, force=True)
-            print(_eq_line(args.eq, n, p, cfg.R, estimate, verdict, fmt))
+            elapsed = time.perf_counter() - start
+            print(_eq_line(args.eq, n, p, cfg.R, estimate, verdict, elapsed, fmt))
             failed = failed or not verdict.holds
     return 1 if failed else 0
 

@@ -868,10 +868,13 @@ class SuiteReport:
         """The fields in order, timings rounded, and the check rate."""
         out = asdict(self)
         out["elapsed"], out["tables_s"] = round(self.elapsed, 6), round(self.tables_s, 6)
-        out["checks_per_s"] = (
-            round(self.checks_run / self.elapsed, 1) if self.elapsed > 0 else None
-        )
+        out["checks_per_s"] = checks_per_s(self.checks_run, self.elapsed)
         return json.dumps(out)
+
+
+def checks_per_s(checks: int, elapsed: float) -> float | None:
+    """The check rate JSON lines report, rounded; None for no time."""
+    return round(checks / elapsed, 1) if elapsed > 0 else None
 
 
 def run_suite(

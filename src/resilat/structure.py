@@ -223,10 +223,14 @@ def radical_member_via_term(a: ApElem) -> bool:
 def radical_member_via_powers(a: ApElem) -> bool:
     """Third route: (n+1).a^k = top for every k up to max(n+1,p)+2."""
     n, p = a.n, a.p
-    top = core.ap_top(a.params)
+    top = x = core.ap_top(a.params)
     for k in range(1, max(n + 1, p) + 3):
-        if core.ap_mult(n + 1, core.ap_pow(a, k)) != top:
+        power = core.ap_mul(a, x)
+        if k >= 2 and power == x:  # every later power repeats it too
+            break
+        if core.ap_mult(n + 1, power) != top:
             return False
+        x = power
     return True
 
 

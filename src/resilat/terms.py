@@ -18,13 +18,16 @@ concrete syntax; Oplus nodes render desugared as ~(~l * ~r).
 check_equation compiles its equation once per call.  Each distinct
 subterm becomes one node.  A node is recomputed only when the loop
 assigns its last variable, and it calls its operation once per distinct
-tuple of operand values, so the innermost loop mostly compares two
-interned ids.  eval_term walks the same case analysis recursively.  Both
-take their operations from core.REFERENCE unless given another bundle.
+tuple of operand values.  The innermost variable runs as whole rows: a
+node at that level maps its memo over the row of operand ids, and the
+two sides compare as lists of interned ids.  eval_term walks the same
+case analysis recursively.  Both take their operations from
+core.REFERENCE unless given another bundle.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -393,35 +396,100 @@ def _eval(t, env, params, o):
 # Compiled evaluation over a sequence of assignments.
 
 def _step(fn, out, args, slots, values, intern, memo):
-    """One compiled subterm: set slots[out] to the id of fn applied to the
-    values whose ids sit in the args slots.  With a memo dict, fn runs once
-    per distinct tuple of operand ids.  One closure per arity: a single one
-    over *args made the equations benchmark about 1.6x slower."""
+    """One compiled subterm below the last level: set slots[out] to the id
+    of fn applied to the values whose ids sit in the args slots.  With a
+    memo dict, fn runs once per distinct tuple of operand ids."""
+    def step():
+        key = tuple([slots[a] for a in args])
+        got = None if memo is None else memo.get(key)
+        if got is None:
+            got = intern(fn(*[values[k] for k in key]))
+            if memo is not None:
+                memo[key] = got
+        slots[out] = got
+    return step
+
+
+def _row(fn, out, args, levels, last, slots, rows, values, intern, memo):
+    """One compiled subterm at the last level: set rows[out] to the ids of
+    fn over the row, one per candidate of the last variable.
+
+    An operand that varies with the last variable reads its row from rows;
+    one of a lower level is constant along the row, and its id sits in
+    slots.  The memo keys the varying operands' ids, as a pair when both
+    vary, and under the constant operand's id when one is constant, so a
+    row is one map of a table's get over the varying ids.  fn runs only on
+    the misses, once per distinct key, in row order.  Without a memo no key
+    can repeat, so fn runs once per position.
+    """
+    const = [a for a in args if levels[a] < last]
     if len(args) == 1:
         (a,) = args
-        if memo is None:
-            def step():
-                slots[out] = intern(fn(values[slots[a]]))
-        else:
-            def step():
-                key = slots[a]
-                got = memo.get(key)
-                if got is None:
-                    got = memo[key] = intern(fn(values[key]))
-                slots[out] = got
-    else:
+
+        def keys():
+            return rows[a]
+
+        def call(key):
+            return fn(values[key])
+    elif not const:
         a, b = args
-        if memo is None:
-            def step():
-                slots[out] = intern(fn(values[slots[a]], values[slots[b]]))
-        else:
-            def step():
-                key = (slots[a], slots[b])
-                got = memo.get(key)
-                if got is None:
-                    got = memo[key] = intern(fn(values[key[0]], values[key[1]]))
-                slots[out] = got
-    return step
+
+        def keys():
+            return zip(rows[a], rows[b])
+
+        def call(key):
+            return fn(values[key[0]], values[key[1]])
+    elif const[0] == args[0]:
+        c, v = args
+
+        def keys():
+            return rows[v]
+
+        def call(key):
+            return fn(values[slots[c]], values[key])
+    else:
+        v, c = args
+
+        def keys():
+            return rows[v]
+
+        def call(key):
+            return fn(values[key], values[slots[c]])
+
+    if memo is None:
+        def row():
+            rows[out] = [intern(call(key)) for key in keys()]
+        return row
+
+    if const:
+        (c,) = const
+
+        def table():
+            sub = memo.get(slots[c])
+            if sub is None:
+                sub = memo[slots[c]] = {}
+            return sub
+    else:
+        def table():
+            return memo
+
+    def row():
+        t = table()
+        got = list(map(t.get, keys()))
+        if None in got:
+            for key in dict.fromkeys(keys()):
+                if key not in t:
+                    t[key] = intern(call(key))
+            got = list(map(t.get, keys()))
+        rows[out] = got
+    return row
+
+
+def _first_difference(left: list[int], right: list[int]) -> int | None:
+    """The first position at which two rows of ids differ; None if none."""
+    if left == right:
+        return None
+    return list(map(operator.ne, left, right)).index(True)
 
 
 def _first_failure(eq: Equation, names, elems, params, o) -> list[int] | None:
@@ -430,19 +498,23 @@ def _first_failure(eq: Equation, names, elems, params, o) -> list[int] | None:
 
     eq is compiled first.  Every distinct subterm owns one slot, which holds
     the id of its current value; ids are handed out per call, so equal
-    values share one and the two sides compare as ints.  A subterm's level
+    values share one and the two sides compare by id.  A subterm's level
     is the position in names of its last variable: it is recomputed right
     after that variable is assigned, so work on outer variables is hoisted
-    out of the inner loops and closed subterms run once, here.  Each
-    operation still first runs at the assignment where a plain walk of the
-    tree would first reach it.  A subterm calls its operation once per
+    out of the inner loops and closed subterms run once, here.  The last
+    level runs as rows: for each assignment of the outer variables, every
+    last-level subterm gets its row of ids over all candidates, and the two
+    sides compare as lists.  A subterm calls its operation once per
     distinct tuple of operand ids, except when its operands are variables
     covering every level up to its own: no key can repeat there, so a memo
     would only cost memory.
 
-    The compiled order within one assignment differs from the walk's, so
-    when an operation raises, that assignment is walked again and the
-    exception the walk meets first is the one that surfaces.
+    The compiled order differs from the walk's, so when an operation
+    raises, the row is run again one assignment at a time, and the
+    assignment where an operation raises first is walked again: the
+    exception the walk meets first is the one that surfaces.  The memos
+    hold only values already computed, and the operations are pure, so a
+    counterexample before that assignment still wins.
     """
     values: list = []
     ids: dict = {}
@@ -458,7 +530,9 @@ def _first_failure(eq: Equation, names, elems, params, o) -> list[int] | None:
     levels: list[int] = []
     index: dict[Term, int] = {}
     var_slots = [-1] * len(names)
+    last = len(names) - 1
     steps: list[list] = [[] for _ in names]
+    rows: dict[int, list[int]] = {}
 
     def add(t: Term) -> int:
         slot = index.get(t)
@@ -482,27 +556,42 @@ def _first_failure(eq: Equation, names, elems, params, o) -> list[int] | None:
         unique = all(a in var_slots for a in args) and (
             {levels[a] for a in args} == set(range(level + 1))
         )
-        steps[level].append(
-            _step(fn, slot, args, slots, values, intern, None if unique else {})
-        )
+        memo = None if unique else {}
+        if level == last:
+            steps[level].append(
+                _row(fn, slot, args, levels, last, slots, rows, values, intern, memo)
+            )
+        else:
+            steps[level].append(_step(fn, slot, args, slots, values, intern, memo))
         return slot
 
-    last = len(names) - 1
+    def scan(row: list[int]) -> int | None:
+        """The first position in row, ids of the last variable, at which
+        the two sides differ under the current outer assignment."""
+        rows[var_slots[last]] = row
+        for step in steps[last]:
+            step()
+        return _first_difference(
+            *[rows[s] if levels[s] == last else [slots[s]] * len(row) for s in (lhs, rhs)]
+        )
+
     # the assignment an exception was raised at; only written while it unwinds
     raised_at = [0] * len(names)
 
     def search(level: int) -> list[int] | None:
-        slot, todo = var_slots[level], steps[level]
         j = 0
         try:
             if level == last:
+                try:
+                    found = scan(elem_ids)
+                    return None if found is None else [found]
+                except Exception:
+                    pass  # rerun the row one assignment at a time
                 for j, vid in enumerate(elem_ids):
-                    slots[slot] = vid
-                    for step in todo:
-                        step()
-                    if slots[lhs] != slots[rhs]:
+                    if scan([vid]) is not None:
                         return [j]
                 return None
+            slot, todo = var_slots[level], steps[level]
             for j, vid in enumerate(elem_ids):
                 slots[slot] = vid
                 for step in todo:

@@ -1,6 +1,7 @@
 """Windows, filters, quotients, closure, and the order diagram."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -130,6 +131,43 @@ def test_radical_routes_agree():
             direct = filter_member("Radical", a)
             assert radical_member_via_term(a) == direct
             assert radical_member_via_powers(a) == direct
+
+
+def _powers_from_scratch(a):
+    """radical_member_via_powers as each power computed anew: O(K^2)
+    products for K = max(n+1,p)+2."""
+    top = core.ap_top(a.params)
+    for k in range(1, max(a.n + 1, a.p) + 3):
+        if core.ap_mult(a.n + 1, core.ap_pow(a, k)) != top:
+            return False
+    return True
+
+
+def _random_wide_element(rng):
+    """A valid element of A(n,p) with 1 <= n, p <= 20 and |r| <= 10^15;
+    the levels, pairs and offsets favour their ends."""
+    params = AlgebraParams(rng.randint(1, 20), rng.randint(1, 20))
+    alpha = rng.choice((0, params.p, rng.randint(0, params.p)))
+    cap = params.n if alpha in (0, params.p) else params.n - 1
+    m = rng.choice((0, cap, rng.randint(0, cap)))
+    span = 3 if rng.random() < 0.5 else 10**15
+    r = rng.randint(0 if m == 0 else -span, 0 if m == cap else span)
+    return core.ap_validate(LexPair(m, r), alpha, params)
+
+
+def test_radical_powers_chain_matches_powers_from_scratch(monkeypatch):
+    products = []
+    real_mul = core.ap_mul
+    # ap_mult multiplies through the bundle, so this counts the chain alone
+    monkeypatch.setattr(core, "ap_mul", lambda a, b: products.append(a) or real_mul(a, b))
+    rng = random.Random(15)
+    elems = [a for params in GRID for R in (2, 4) for a in Window(params, R).elements()]
+    elems += [_random_wide_element(rng) for _ in range(2000)]
+    for a in elems:
+        del products[:]
+        assert radical_member_via_powers(a) == _powers_from_scratch(a), a
+        assert 1 <= len(products) <= max(a.n + 1, a.p) + 2
+    assert {radical_member_via_powers(a) for a in elems} == {False, True}
 
 
 def test_max_nonradical_bends_at_p1():

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from resilat import core, structure
+from resilat import core, structure, terms
 from resilat.core import AlgebraParams
 from resilat.harness import DEFAULT_GRID, MUTATIONS, REFERENCE
 from resilat.structure import BUDGET_ENV, BudgetError
@@ -427,6 +427,23 @@ def test_compiled_check_matches_the_walk_on_the_bench_lines():
         assert_same(parse_equation(text), AlgebraParams(n, p), R)
 
 
+def test_compiled_check_compares_whole_rows_on_the_bench_lines(monkeypatch):
+    # every last-level row runs whole; one run again an assignment at a
+    # time, after an operation raised, would record rows of length 1
+    lengths = []
+    real = terms._first_difference
+    monkeypatch.setattr(terms, "_first_difference",
+                        lambda left, right: lengths.append(len(left)) or real(left, right))
+    for n, p, R, text in BENCH_LINES:
+        params, eq = AlgebraParams(n, p), parse_equation(text)
+        N = len(structure.Window(params, R))
+        del lengths[:]
+        verdict = check_equation(eq, params, R)
+        k = len(free_vars(eq.lhs) | free_vars(eq.rhs))
+        rows = N ** (k - 1) if verdict.holds else -(-verdict.checked // N)
+        assert lengths == [N] * rows, text
+
+
 @pytest.mark.parametrize("ops", list(OPS), ids=list(OPS))
 def test_compiled_check_matches_the_walk_on_random_equations(ops):
     for eq, params, R in random_cases(seed=2024, count=60):
@@ -452,6 +469,23 @@ def test_compiled_check_matches_the_walk_on_edge_cases():
             assert_same(parse_equation(text), P23, 0, max_vars=4, ops=ops)
 
 
+def test_compiled_check_matches_the_walk_on_row_shapes():
+    one = lambda a: a == core.ap_top(a.params)  # noqa: E731
+    for ops in (None, MUTATIONS["mul-case2-sign"]):
+        for text in (
+            # last-level nodes whose two operands both vary with z
+            "(x*z)*(y*z) = (y*z)*(x*z)", "z /\\ z = z", "x * (z /\\ z) = x * z",
+            # a side constant along the last variable's row
+            "x*y = top", "x -> x = y -> y",
+            # no memo: x*y and y*x take a new operand pair at every step
+            "x*y = y*x", "x*y -> x = y",
+        ):
+            assert_same(parse_equation(text), P23, 1, ops=ops)
+        # a domain that leaves one candidate: every row holds one id
+        for text in ("x*(y*z) = (x*y)*z", "x = ~x", "x*y = top"):
+            assert_same(parse_equation(text), P23, 1, domain=one, ops=ops)
+
+
 def test_compiled_check_runs_each_operation_once_per_distinct_operand():
     calls = []
     counting = reference_ops()
@@ -462,6 +496,17 @@ def test_compiled_check_runs_each_operation_once_per_distinct_operand():
     assert (verdict.holds, verdict.checked) == (True, N * N)
     # x^4 once per x, y^4 once per distinct y; a plain walk makes 4 * N^2 calls
     assert len(calls) == 2 * N
+    # once per distinct operand pair of each node: x*y and y*z meet N^2
+    # pairs, x*(y*z) and (x*y)*z N times the distinct products; a plain
+    # walk makes 4 * N^3 calls
+    products = []
+    counting.mul = lambda a, b: products.append((a, b)) or core.ap_mul(a, b)
+    eq = parse_equation("x*(y*z) = (x*y)*z")
+    verdict = check_equation(eq, P23, 1, ops=counting)
+    assert (verdict.holds, verdict.checked) == (True, N**3)
+    elems = structure.Window(P23, 1).elements()
+    distinct = len({core.ap_mul(a, b) for a in elems for b in elems})
+    assert len(products) == 2 * N * N + 2 * N * distinct
 
 
 def raising_ops(seed):
@@ -500,6 +545,41 @@ def test_compiled_check_raises_where_and_what_the_walk_raises():
         assert got == outcome(walk_check, eq, params, R, ops=ops)
         raised += isinstance(got, tuple)
     assert raised > 20
+
+
+def test_compiled_check_raises_where_the_walk_raises_within_a_row():
+    # the row of y^2 is built before the row of ~y, and raises first at
+    # y = elems[5]; the walk meets ~y raising at y = elems[3]
+    elems = structure.Window(P23, 1).elements()
+    position = elems.index
+
+    def ops_agreeing_below(agree):
+        """Power raises from position 5 and the involution from 3; below
+        agree the involution gives the square, so y^2 = ~y holds there."""
+        ops = reference_ops()
+
+        def power(a, k):
+            if position(a) >= 5:
+                raise ArithmeticError("power", position(a))
+            return core.ap_pow(a, k)
+
+        def inv(a):
+            if position(a) >= 3:
+                raise ArithmeticError("inv", position(a))
+            return core.ap_pow(a, 2) if position(a) < agree else core.ap_inv(a)
+
+        ops.power, ops.inv = power, inv
+        return ops
+
+    eq = parse_equation("y^2 = ~y")
+    ops = ops_agreeing_below(3)
+    assert outcome(walk_check, eq, P23, 1, ops=ops) == ("inv", 3)
+    assert outcome(check_equation, eq, P23, 1, ops=ops) == ("inv", 3)
+    # a counterexample before the first raising position wins
+    ops = ops_agreeing_below(2)
+    want = walk_check(eq, P23, 1, ops=ops)
+    assert (want.holds, want.checked) == (False, 3)
+    assert check_equation(eq, P23, 1, ops=ops) == want
 
 
 def test_check_equation_obeys_the_budget(monkeypatch):
