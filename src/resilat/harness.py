@@ -33,9 +33,11 @@ products, residuals and involutions get ids, window elements first, so
 ids 0..N-1 are the window indices.  ge[u] holds the ids above value u
 and le[u] those below it; up[u] and down[u], the window elements above
 and below it, are their low N bits.  The invalid marker gets empty
-masks.  That costs P**2 order calls for P ids (P is about 1.7N on the
-default grid), against about 2N**3 for comparing each triple, and every
-suite reads the order from it, a sampled run's draws included.
+masks.  The masks come from the closed form of the order, a bisect or
+two per id, where comparing each triple would cost about 2N**3 order
+calls.  The build's operation calls are the N**2 products and an
+involution per distinct product.  Every suite reads the order from the
+masks, a sampled run's draws included.
 
 The N**3 suites S1, S2, S3 and S7 (and S15, through S1) each test one
 predicate per triple, which a sampled run applies to its draws.  An

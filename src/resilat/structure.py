@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import or_
 
 from resilat import core
 from resilat.core import _INVALID, REFERENCE, AlgebraParams, ApElem, LexPair
@@ -67,12 +69,6 @@ class Window:
 # ---------------------------------------------------------------------------
 # Per-window tables of one bundle.
 
-def _leq(x: object, y: object) -> bool:
-    if x is _INVALID or y is _INVALID:
-        return False
-    return core.ap_leq(x, y)
-
-
 def _mask(flags) -> int:
     """The int whose bit k is set when flags[k] is true."""
     return sum(1 << k for k, f in enumerate(flags) if f)
@@ -95,6 +91,93 @@ def _transpose(rows: list[int], width: int) -> list[int]:
 def _low(x: int) -> int:
     """Index of the lowest set bit of x > 0."""
     return (x & -x).bit_length() - 1
+
+
+def _order_rows(values: list, n: int, p: int) -> list[int]:
+    """ge[u] for each value id u: the mask of the ids at or above vals[u].
+
+    The closed form of core.ap_leq: nonzero levels compare level, then
+    pair; level 0 reverses the pair order; a level-0 value lies below a
+    nonzero-level one whose pair is at or above its reflection
+    (n-1-m, -r).  So each row is one or two bisects into per-level lists
+    sorted by pair.  Every value sits on a level 0..p, as core's results
+    and the mutants' results built by core._mk do, or is the invalid
+    marker, which gets an empty row.
+    """
+    levels = [[] for _ in range(p + 1)]
+    for u, v in enumerate(values):
+        if v is not _INVALID:
+            levels[v[2]].append(((v[0], v[1]), u))
+    # keys[l] and suf[l], l >= 1: the ids on levels >= l merged by pair,
+    # and suf[l][k] the mask of those from sorted position k on
+    keys, suf = [None] * (p + 1), [None] * (p + 1)
+    merged = []
+    for level in range(p, 0, -1):
+        merged = sorted(merged + levels[level])
+        keys[level] = [q for q, _ in merged]
+        suf[level] = list(itertools.accumulate(
+            (1 << u for _, u in reversed(merged)), or_, initial=0))[::-1]
+    # level 0, reversed: pre[k] is the mask of its first k ids by pair
+    zero = sorted(levels[0])
+    zkeys = [q for q, _ in zero]
+    pre = list(itertools.accumulate((1 << u for _, u in zero), or_, initial=0))
+    ge = []
+    for v in values:
+        if v is _INVALID:
+            ge.append(0)
+        elif v[2]:
+            ge.append(suf[v[2]][bisect_left(keys[v[2]], (v[0], v[1]))])
+        else:
+            ge.append(pre[bisect_right(zkeys, (v[0], v[1]))]
+                      | suf[1][bisect_left(keys[1], (n - 1 - v[0], -v[1]))])
+    return ge
+
+
+def _lattice_rows(w: Window) -> tuple[list[list[int]], list[list[int]]]:
+    """meet_i and join_i: the window index of each meet and join.
+
+    The window lists each level as a block ascending by pair.  The
+    boundary levels hold the whole chain of pairs and the middle levels
+    its first M, those up to (n-1,0), so a pair has one position in every
+    block that holds it, and reflection (m,r) -> (n-1-m,-r) maps position
+    k < M to M-1-k.  Against one block, a row's meet or join is a
+    constant run and a run of that block's, or a reflected, descending,
+    run of another's, split at one position: the closed forms of
+    core.ap_meet and core.ap_join, case by case on the two levels.
+    """
+    elems, n, p = w.elements(), w.params.n, w.params.p
+    levels = [a[2] for a in elems]
+    starts = [bisect_left(levels, level) for level in range(p + 2)]
+    M = bisect_right([(a[0], a[1]) for a in elems[:starts[1]]], (n - 1, 0))
+    ids = list(range(len(elems)))
+    meet_i, join_i = [], []
+    for i, a in enumerate(elems):
+        al = a[2]
+        sa = starts[al]
+        j = i - sa  # a's pair's position in the chain
+        t = max(0, M - 1 - j)  # the positions below its reflection
+        meet, join = [], []
+        for be in range(p + 1):
+            s0, size = starts[be], starts[be + 1] - starts[be]
+            if al and be >= al:
+                meet += ids[sa:sa + j] + [i] * (size - j)
+                join += [s0 + j] * j + ids[s0 + j:s0 + size]
+            elif al and be:  # be < al, a middle level of size M
+                u = min(j + 1, M)
+                meet += ids[s0:s0 + u] + [s0 + j] * (M - u)
+                join += [i] * u + ids[sa + u:sa + M]
+            elif al:  # be == 0: a's reflection against level 0
+                meet += [t] * t + ids[t:size]
+                join += ids[sa + M - 1:sa + M - 1 - t:-1] + [i] * (size - t)
+            elif be:  # al == 0: level be against a's reflection
+                meet += ids[M - 1:M - 1 - t:-1] + [i] * (size - t)
+                join += [s0 + t] * t + ids[s0 + t:s0 + size]
+            else:  # both on level 0, pair order reversed
+                meet += [i] * (j + 1) + ids[j + 1:size]
+                join += ids[:j] + [i] * (size - j)
+        meet_i.append(meet)
+        join_i.append(join)
+    return meet_i, join_i
 
 
 class _Tables:
@@ -137,17 +220,18 @@ class _Tables:
         self.mul = [list(map(pick, row)) for row in self.mul_id]
         self.div = [list(map(pick, row)) for row in self.div_id]
         # ge[u] and le[u] are the ids above and below value u, as bitmasks,
-        # one order call per pair of ids; up[u] and down[u], the window
-        # elements above and below it, are their low N bits.  The invalid
-        # marker satisfies no order, so its masks are empty.
-        self.ge = ge = [_mask([_leq(v, y) for y in values]) for v in values]
+        # from the closed form of the order, a bisect or two per id;
+        # up[u] and down[u], the window elements above and below it, are
+        # their low N bits.  The invalid marker satisfies no order, so its
+        # masks are empty.
+        self.ge = ge = _order_rows(values, w.params.n, w.params.p)
         self.le = le = _transpose(ge, len(values))
         low = (1 << N) - 1
         self.up = [g & low for g in ge]
         self.down = [g & low for g in le]
-        # meets and joins of window elements stay in the window
-        self.meet_i = [[self.idx[core.ap_meet(a, b)] for b in elems] for a in elems]
-        self.join_i = [[self.idx[core.ap_join(a, b)] for b in elems] for a in elems]
+        # meets and joins of window elements stay in the window, and each
+        # row is a few runs of window indices
+        self.meet_i, self.join_i = _lattice_rows(w)
         self.bot_i = self.idx[core.ap_bot(w.params)]
         self.top_i = self.idx[core.ap_top(w.params)]
         # filters[f]: the window elements in the named filter f

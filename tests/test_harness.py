@@ -7,6 +7,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resilat import core, harness, structure
 from resilat.core import AlgebraParams, ApElem
@@ -785,8 +786,15 @@ def test_s13_branches_match_plain_guarded_calls(name):
 # order, as the suites once did, and must agree with them on every report
 # field but the timings.
 
+def _leq(x, y):
+    """The guarded order: the invalid marker satisfies none."""
+    if x is harness._INVALID or y is harness._INVALID:
+        return False
+    return core.ap_leq(x, y)
+
+
 def _plain_s1(ctx):
-    t, elems, leq = ctx.t, ctx.elems, structure._leq
+    t, elems, leq = ctx.t, ctx.elems, _leq
     checks = 0
     for i, j, k in ctx.indices(3):
         checks += 1
@@ -801,13 +809,13 @@ def _plain_s3(ctx):
     checks = 0
     for i, j, k in ctx.indices(3):
         checks += 1
-        if not structure._leq(elems[j], elems[k]):
+        if not _leq(elems[j], elems[k]):
             continue
-        if not structure._leq(mul_t[i][j], mul_t[i][k]):
+        if not _leq(mul_t[i][j], mul_t[i][k]):
             return checks, harness._ce(a=elems[i], b=elems[j], c=elems[k]), {}
-        if not structure._leq(div_t[i][j], div_t[i][k]):
+        if not _leq(div_t[i][j], div_t[i][k]):
             return checks, harness._ce(a=elems[i], b=elems[j], c=elems[k]), {}
-        if not structure._leq(div_t[k][i], div_t[j][i]):
+        if not _leq(div_t[k][i], div_t[j][i]):
             return checks, harness._ce(a=elems[i], b=elems[j], c=elems[k]), {}
     return checks, None, {"implications": "mul and div monotone, div antitone left"}
 
@@ -824,7 +832,7 @@ def _plain_s4(ctx):
             return checks, harness._ce(a=elems[i]), {}
     for i, j in ctx.indices(2):
         checks += 1
-        if structure._leq(elems[i], elems[j]) != structure._leq(t.inv[j], t.inv[i]):
+        if _leq(elems[i], elems[j]) != _leq(t.inv[j], t.inv[i]):
             return checks, harness._ce(a=elems[i], b=elems[j]), {}
     return checks, None, {}
 
@@ -835,7 +843,7 @@ def _plain_s5(ctx):
     checks = 0
     for i, j in ctx.indices(2):
         checks += 1
-        if harness._eq(t.mul[i][j], bot) != structure._leq(elems[i], t.inv[j]):
+        if harness._eq(t.mul[i][j], bot) != _leq(elems[i], t.inv[j]):
             return checks, harness._ce(a=elems[i], b=elems[j]), {}
     return checks, None, {}
 
@@ -884,26 +892,85 @@ def test_exhaustive_order_suites_match_plain_past_256_ids(name):
         (("S1", _plain_s1), ("S3", _plain_s3), ("S15", _plain_s15)), points=((4, 4),))
 
 
-def test_order_tables_are_the_guarded_order():
+# The order and lattice tables come from closed forms; they must equal
+# the pairwise build: the guarded order on every pair of value ids, and
+# the window index of core's meet and join of every pair of window
+# elements.  The mutants put values past the window and the invalid
+# marker among the ids.  At n=1 a middle level holds only (0,0); at p=1
+# there is no middle level.
+
+_TABLE_POINTS = (
+    [(n, p, R) for n, p in DEFAULT_GRID for R in (0, 1, 2, 4)]
+    + [(4, 4, 4)]
+    + [(n, p, R) for n, p in ((1, 5), (5, 1)) for R in range(5)]
+)
+
+
+def _assert_rows(got, want, where):
+    # the rows that differ, not a diff of two N x N tables
+    bad = [k for k, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert len(got) == len(want) and not bad, (where, bad[:5])
+
+
+def _assert_pairwise_order(t, where):
     # ge[u] holds the ids above value u and le[u] those below it; up and
     # down are their window bits, and the invalid marker sits in no order
+    vals, low = t.vals, (1 << t.N) - 1
+    rows = [[_leq(x, y) for y in vals] for x in vals]
+    ge = [structure._mask(row) for row in rows]
+    le = [structure._mask(col) for col in zip(*rows)]
+    _assert_rows(t.ge, ge, ("ge", *where))
+    _assert_rows(t.le, le, ("le", *where))
+    _assert_rows(t.up, [g & low for g in ge], ("up", *where))
+    _assert_rows(t.down, [d & low for d in le], ("down", *where))
+
+
+def _assert_pairwise_lattice(t, lattice, where):
+    _assert_rows(t.meet_i, lattice[0], ("meet_i", *where))
+    _assert_rows(t.join_i, lattice[1], ("join_i", *where))
+
+
+def _pairwise_lattice(elems):
+    idx = {a: i for i, a in enumerate(elems)}
+    return ([[idx[core.ap_meet(a, b)] for b in elems] for a in elems],
+            [[idx[core.ap_join(a, b)] for b in elems] for a in elems])
+
+
+def test_tables_are_the_pairwise_build():
     invalid_seen = False
-    for bundle in TWO_STEP_BUNDLES.values():
-        for R in (1, 2):
-            for n, p in DEFAULT_GRID:
-                t = harness._tables(AlgebraParams(n, p), R, bundle)
-                vals, low = t.vals, (1 << t.N) - 1
-                assert len(t.ge) == len(t.le) == len(t.up) == len(t.down) == len(vals)
-                assert max(t.ge + t.le) < 1 << len(vals)
-                for u, x in enumerate(vals):
-                    for v, y in enumerate(vals):
-                        assert t.ge[u] >> v & 1 == structure._leq(x, y), (n, p, R, u, v)
-                        assert t.le[v] >> u & 1 == t.ge[u] >> v & 1
-                    assert t.up[u] == t.ge[u] & low and t.down[u] == t.le[u] & low
-                    if x is harness._INVALID:
-                        invalid_seen = True
-                        assert t.ge[u] == t.le[u] == 0
+    for n, p, R in _TABLE_POINTS:
+        w = Window(AlgebraParams(n, p), R)
+        lattice = _pairwise_lattice(w.elements())
+        for bundle in TWO_STEP_BUNDLES.values():
+            t = structure._Tables(w, bundle)
+            _assert_pairwise_order(t, (bundle.name, n, p, R))
+            _assert_pairwise_lattice(t, lattice, (bundle.name, n, p, R))
+            invalid_seen |= any(v is harness._INVALID for v in t.vals)
     assert invalid_seen
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6),
+       st.sampled_from(sorted(TWO_STEP_BUNDLES)))
+def test_tables_are_the_pairwise_build_off_the_grid(n, p, R, name):
+    w = Window(AlgebraParams(n, p), R)
+    t = structure._Tables(w, TWO_STEP_BUNDLES[name])
+    _assert_pairwise_order(t, (name, n, p, R))
+    _assert_pairwise_lattice(t, _pairwise_lattice(w.elements()), (name, n, p, R))
+
+
+def test_table_build_makes_no_order_or_lattice_call(monkeypatch):
+    calls = {"ap_leq": 0, "ap_meet": 0, "ap_join": 0}
+    for op in calls:
+        real = getattr(core, op)
+
+        def counting(a, b, op=op, real=real):
+            calls[op] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(core, op, counting)
+    structure._Tables(Window(AlgebraParams(3, 3), 4), REFERENCE)
+    assert calls == {"ap_leq": 0, "ap_meet": 0, "ap_join": 0}
 
 
 def _count_leq_calls(monkeypatch):
