@@ -29,10 +29,10 @@ report times the table build (tables_s) apart from the checks (elapsed)
 and carries the estimate its budget gate used next to the checks it ran.
 
 The order is tabulated as bitmasks over interned ids.  The distinct
-products, residuals and involutions get ids, window elements first, so
-ids 0..N-1 are the window indices.  ge[u] holds the ids above value u
-and le[u] those below it; up[u] and down[u], the window elements above
-and below it, are their low N bits.  The invalid marker gets empty
+products, residuals and involutions get ids as they are computed, one
+dict lookup each, window elements first, so ids 0..N-1 are the window
+indices.  ge[u] holds the ids above value u; up[u] and down[u] hold the
+window elements above and below it.  The invalid marker gets empty
 masks.  The masks come from the closed form of the order, a bisect or
 two per id, where comparing each triple would cost about 2N**3 order
 calls.  The build's operation calls are the N**2 products and an
@@ -45,8 +45,10 @@ exhaustive run first tests whole rows: holds(i) decides row i over every
 (j, k) at once, _first_row skips the rows that hold, and the predicate
 walks the first that fails, so the checks and the first counterexample
 are the plain loop's.  S1's row compares the up rows of row i's products
-with the transposed down rows of its residuals; S3's transposes le and
-ge rows at row i's products and residuals.  S2 and S7 compose their rows
+with the transposed down rows of its residuals.  S3's row tests its
+three laws only on the window's cover pairs, c_k equal to b_j or
+covering it, reading ge bits; the order is transitive, so they imply
+the laws on every pair b_j <= c_k.  S2 and S7 compose their rows
 with bytes.translate, a row read through another, while their ids fit in
 a byte (window elements, for S7); past 256 they walk every triple.
 
@@ -342,27 +344,24 @@ def _s2(ctx: _Ctx):
 
 def _s3(ctx: _Ctx):
     t, elems, N = ctx.t, ctx.elems, ctx.N
-    # value u <= value v is bit v of ge[u], and bit u of le[v]
-    up, ge, le, mul_id, div_id = t.up, t.ge, t.le, t.mul_id, t.div_id
-    P = len(ge)
+    # value u <= value v is bit v of ge[u]
+    up, ge, mul_id, div_id = t.up, t.ge, t.mul_id, t.div_id
 
     def holds(i: int) -> bool:
-        # Three masks per id v over k: v <= a*c_k, v <= a->c_k and
-        # c_k->a <= v.  A triple breaks a law when c_k lies above b_j but
-        # outside the mask at a*b_j, at a->b_j or at b_j->a.
+        # The three laws on the pairs (j, k) where c_k is b_j or covers
+        # it, bit by bit: a*b_j <= a*c_k, a->b_j <= a->c_k and
+        # c_k->a <= b_j->a.  The order is transitive, so these imply the
+        # laws on every b_j <= c_k; the reflexive pair fails where a value
+        # is invalid, since its ge row is empty.
         mul_row, div_row = mul_id[i], div_id[i]
         div_col = [row[i] for row in div_id]
-        mul_up = _transpose([le[u] for u in mul_row], P)
-        div_up = _transpose([le[u] for u in div_row], P)
-        col_down = _transpose([ge[u] for u in div_col], P)
-        for j in range(N):
-            if up[j] & ~(mul_up[mul_row[j]] & div_up[div_row[j]]
-                         & col_down[div_col[j]]):
-                return False
-        return True
+        return all(ge[mul_row[j]] >> mul_row[k] & ge[div_row[j]] >> div_row[k]
+                   & ge[div_col[k]] >> div_col[j] & 1 for j, k in pairs)
 
     checks, triples = 0, ctx.indices(3)
     if ctx.sample is None:
+        pairs = [(j, k) for j, cover in enumerate(structure._covers(up[:N], t.down[:N]))
+                 for k in (j, *cover)]
         checks, triples = _first_row(holds, N)
     for i, j, k in triples:
         checks += 1

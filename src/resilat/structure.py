@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import defaultdict
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import or_
 
 from resilat import core
@@ -182,7 +183,7 @@ def _lattice_rows(w: Window) -> tuple[list[list[int]], list[list[int]]]:
 
 class _Tables:
     __slots__ = ("elems", "N", "idx", "mul", "div", "inv", "vals", "mul_id",
-                 "div_id", "inv_id", "up", "down", "ge", "le", "meet_i", "join_i",
+                 "div_id", "inv_id", "up", "down", "ge", "meet_i", "join_i",
                  "bot_i", "top_i", "filters")
 
     def __init__(self, w: Window, ops: OpsBundle):
@@ -191,44 +192,44 @@ class _Tables:
         self.elems = elems
         self.N = N
         self.idx = idx = {a: i for i, a in enumerate(elems)}
-        self.inv = [ops.inv(a) for a in elems]
-        self.mul = [[ops.mul(a, b) for b in elems] for a in elems]
+        # Every distinct involution, product and residual gets an id as it
+        # is computed, one lookup per result, window elements first, so ids
+        # 0..N-1 are the window indices; vals[u] is the value of id u.
+        ids = defaultdict(lambda: len(ids), idx)
+        intern = ids.__getitem__
+        self.inv_id = list(map(intern, map(ops.inv, elems)))
+        mul_id = [list(map(intern, map(ops.mul, itertools.repeat(a, N), elems)))
+                  for a in elems]
         # The residual a/b is ~(a*~b).  Where ~b_j is the window element f,
-        # a_i*~b_j is mul[i][f] and ~ is applied once per distinct product;
-        # where ~b is invalid or leaves the window (under a mutant), the
-        # bundle's div runs.  Both rest on the bundle being pure.
-        at = [idx.get(c) for c in self.inv]
-        needed = (row[f] for row in self.mul for f in at if f is not None)
-        neg = {v: ops.inv(v) for v in dict.fromkeys(needed)}
-        self.div = [[ops.div(a, b) if f is None else neg[row[f]]
-                     for b, f in zip(elems, at)] for a, row in zip(elems, self.mul)]
-        # Every distinct product, residual and involution gets an id,
-        # window elements first, so ids 0..N-1 are the window indices;
-        # vals[u] is the value of id u.
-        self.vals = values = list(dict.fromkeys(
-            itertools.chain(elems, self.inv, *self.mul, *self.div)
-        ))
-        ids = {v: u for u, v in enumerate(values)}
+        # a_i*~b_j has id mul_id[i][f], and ~ is applied once per distinct
+        # product id; where ~b is invalid or leaves the window (under a
+        # mutant), the bundle's div runs.  Both rest on the bundle being pure.
+        prods = list(ids)
+        neg = cache(lambda u: ids[ops.inv(prods[u])])
+        at = [f if f < N else None for f in self.inv_id]
+        div_id = [[intern(ops.div(a, b)) if f is None else neg(row[f])
+                   for b, f in zip(elems, at)] for a, row in zip(elems, mul_id)]
+        self.vals = values = list(ids)
         # a bytes row holds an id in a byte, where a list holds a pointer
-        row_of = bytes if len(values) <= 256 else list
-        self.mul_id = [row_of([ids[v] for v in row]) for row in self.mul]
-        self.div_id = [row_of([ids[v] for v in row]) for row in self.div]
-        self.inv_id = [ids[v] for v in self.inv]
+        if len(values) <= 256:
+            mul_id = list(map(bytes, mul_id))
+            div_id = list(map(bytes, div_id))
+        self.mul_id, self.div_id = mul_id, div_id
         # one object per distinct value: the rows hold vals[u], not the N**2
         # equal results the bundle returned
         pick = values.__getitem__
-        self.mul = [list(map(pick, row)) for row in self.mul_id]
-        self.div = [list(map(pick, row)) for row in self.div_id]
-        # ge[u] and le[u] are the ids above and below value u, as bitmasks,
-        # from the closed form of the order, a bisect or two per id;
-        # up[u] and down[u], the window elements above and below it, are
-        # their low N bits.  The invalid marker satisfies no order, so its
-        # masks are empty.
+        self.inv = list(map(pick, self.inv_id))
+        self.mul = [list(map(pick, row)) for row in mul_id]
+        self.div = [list(map(pick, row)) for row in div_id]
+        # ge[u] holds the ids at or above value u, as a bitmask, from the
+        # closed form of the order, a bisect or two per id; up[u] and
+        # down[u], the window elements above and below it, are its low N
+        # bits and the transpose of the window's rows.  The invalid marker
+        # satisfies no order, so its masks are empty.
         self.ge = ge = _order_rows(values, w.params.n, w.params.p)
-        self.le = le = _transpose(ge, len(values))
         low = (1 << N) - 1
         self.up = [g & low for g in ge]
-        self.down = [g & low for g in le]
+        self.down = _transpose(ge[:N], len(values))
         # meets and joins of window elements stay in the window, and each
         # row is a few runs of window indices
         self.meet_i, self.join_i = _lattice_rows(w)
@@ -575,23 +576,21 @@ def boolean_elements(w: Window) -> set[ApElem]:
 # ---------------------------------------------------------------------------
 # Order diagrams.
 
+def _covers(up: list[int], down: list[int]) -> list[list[int]]:
+    """For each i, the j that cover it, ascending: bit j of up[i] and bit
+    i of down[j] say i <= j, and j covers i when i < j with nothing
+    strictly between, so up[i] and down[j] share bits i and j alone."""
+    return [[j for j, bit in enumerate(bin(a)[:1:-1])
+             if bit == "1" and j != i and a & down[j] == 1 << i | 1 << j]
+            for i, a in enumerate(up)]
+
+
 def cover_edges(elems) -> tuple[tuple[int, int], ...]:
     """Hasse cover pairs (i, j) over a sequence of elements: elems[i] is
     strictly below elems[j] with nothing in between."""
     if isinstance(elems, Window):
         elems = elems.elements()
     elems = tuple(elems)
-    count = len(elems)
-    above = [0] * count  # bit j of above[i]: elems[i] < elems[j]
-    below = [0] * count
-    for i in range(count):
-        for j in range(count):
-            if i != j and core.ap_leq(elems[i], elems[j]):
-                above[i] |= 1 << j
-                below[j] |= 1 << i
-    edges = []
-    for i in range(count):
-        for j in range(count):
-            if above[i] >> j & 1 and not (above[i] & below[j]):
-                edges.append((i, j))
-    return tuple(edges)
+    up = [_mask([core.ap_leq(a, b) for b in elems]) for a in elems]
+    covers = _covers(up, _transpose(up, len(elems)))
+    return tuple((i, j) for i, cover in enumerate(covers) for j in cover)

@@ -5,9 +5,9 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
-from resilat import core, harness, structure
+from resilat import core, harness, structure, terms
 from resilat.core import (
     AlgebraParams,
     LexPair,
@@ -573,6 +573,56 @@ def test_boolean_term_off_window(args):
     top, bot = core.ap_top(a.params), core.ap_bot(a.params)
     assert t in (bot, top)
     assert (t == top) == structure.filter_member("Radical", a)
+
+
+# Homogeneity: every r-comparison in core is against 0 or between sums,
+# and every r-result is a signed sum of inputs or 0.  So scaling every r
+# by lam > 0, with m and the level fixed, commutes with the operations
+# and leaves the order as it is.
+
+def _scale(a, lam):
+    return core._mk(a.m, lam * a.r, a.alpha, a.n, a.p)
+
+
+def _preset_terms(params):
+    eqs = [terms.preset(name, m) for name in ("E", "EM", "WL") for m in (1, 2, 3)]
+    eqs += [terms.preset(name, params=params) for name in ("Bterm", "WLwitness")]
+    return [t for eq in eqs for t in (eq.lhs, eq.rhs)]
+
+
+def _homogeneity(ops, **options):
+    """The scaling property of the bundle ops, as a test to call."""
+
+    @settings(deadline=None, report_multiple_bugs=False, **options)
+    @given(wide_elements(count=2), st.integers(2, 10**9))
+    def check(args, lam):
+        a, b = args
+        sa, sb = _scale(a, lam), _scale(b, lam)
+        assert ops.mul(sa, sb) == _scale(ops.mul(a, b), lam)
+        assert ops.inv(sa) == _scale(ops.inv(a), lam)
+        assert core.ap_join(sa, sb) == _scale(core.ap_join(a, b), lam)
+        assert core.ap_meet(sa, sb) == _scale(core.ap_meet(a, b), lam)
+        assert core.ap_leq(sa, sb) == core.ap_leq(a, b)
+        for t in _preset_terms(a.params):
+            got = terms.eval_term(t, {"x": sa}, a.params, ops)
+            assert got == _scale(terms.eval_term(t, {"x": a}, a.params, ops), lam)
+
+    return check
+
+
+def test_scaling_r_commutes_with_the_operations():
+    _homogeneity(core.REFERENCE)()
+
+
+def test_an_r_offset_mutant_breaks_homogeneity():
+    # both levels 0: the pair (m+k+1, r+s+1) where the product has
+    # (m+k+1, r+s); no window is involved, and the search is fresh, not
+    # a stored failure, with no time spent shrinking what it finds
+    offset = core.OpsBundle(harness._mul_override(
+        harness._case4, lambda a, b: (a.m + b.m + 1, a.r + b.r + 1)),
+        core.ap_inv, "case4-r-offset")
+    with pytest.raises(AssertionError):
+        _homogeneity(offset, database=None, phases=[Phase.generate])()
 
 
 def test_radical_membership_is_the_upset_of_its_generator():

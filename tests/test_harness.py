@@ -913,16 +913,29 @@ def _assert_rows(got, want, where):
 
 
 def _assert_pairwise_order(t, where):
-    # ge[u] holds the ids above value u and le[u] those below it; up and
-    # down are their window bits, and the invalid marker sits in no order
+    # ge[u] holds the ids above value u; up[u] and down[u] are the window
+    # elements above and below it, and the invalid marker sits in no order
     vals, low = t.vals, (1 << t.N) - 1
     rows = [[_leq(x, y) for y in vals] for x in vals]
     ge = [structure._mask(row) for row in rows]
     le = [structure._mask(col) for col in zip(*rows)]
     _assert_rows(t.ge, ge, ("ge", *where))
-    _assert_rows(t.le, le, ("le", *where))
     _assert_rows(t.up, [g & low for g in ge], ("up", *where))
     _assert_rows(t.down, [d & low for d in le], ("down", *where))
+
+
+def _assert_bundle_values(t, bundle, where):
+    # the ids name the bundle's own results, interned in the order of
+    # their first appearance: window, involutions, products, residuals
+    elems = t.elems
+    mul = [[bundle.mul(a, b) for b in elems] for a in elems]
+    div = [[bundle.div(a, b) for b in elems] for a in elems]
+    inv = [bundle.inv(a) for a in elems]
+    assert t.vals == list(dict.fromkeys(itertools.chain(elems, inv, *mul, *div))), where
+    vals = t.vals
+    _assert_rows([[vals[u] for u in row] for row in t.mul_id], mul, ("mul_id", *where))
+    _assert_rows([[vals[u] for u in row] for row in t.div_id], div, ("div_id", *where))
+    assert [vals[u] for u in t.inv_id] == inv, where
 
 
 def _assert_pairwise_lattice(t, lattice, where):
@@ -945,6 +958,7 @@ def test_tables_are_the_pairwise_build():
             t = structure._Tables(w, bundle)
             _assert_pairwise_order(t, (bundle.name, n, p, R))
             _assert_pairwise_lattice(t, lattice, (bundle.name, n, p, R))
+            _assert_bundle_values(t, bundle, (bundle.name, n, p, R))
             invalid_seen |= any(v is harness._INVALID for v in t.vals)
     assert invalid_seen
 
@@ -971,6 +985,76 @@ def test_table_build_makes_no_order_or_lattice_call(monkeypatch):
         monkeypatch.setattr(core, op, counting)
     structure._Tables(Window(AlgebraParams(3, 3), 4), REFERENCE)
     assert calls == {"ap_leq": 0, "ap_meet": 0, "ap_join": 0}
+
+
+# Exhaustive S3 tests each row on the window's cover pairs.  Its row
+# predicate must equal the one over every pair b_j <= c_k on every row,
+# not only up to the first failing one.
+
+def _all_pairs_s3_row(t, le, i):
+    """S3's row i over every pair b_j <= c_k, each law a mask over k."""
+    P = len(t.ge)
+    mul_row, div_row = t.mul_id[i], t.div_id[i]
+    div_col = [row[i] for row in t.div_id]
+    # bit k of mul_up[v]: v <= a*c_k; of div_up[v]: v <= a->c_k; and of
+    # col_down[v]: c_k->a <= v
+    mul_up = structure._transpose([le[u] for u in mul_row], P)
+    div_up = structure._transpose([le[u] for u in div_row], P)
+    col_down = structure._transpose([t.ge[u] for u in div_col], P)
+    return not any(t.up[j] & ~(mul_up[mul_row[j]] & div_up[div_row[j]]
+                               & col_down[div_col[j]]) for j in range(t.N))
+
+
+def _s3_holds(monkeypatch, ctx):
+    """The row predicate exhaustive S3 hands to _first_row."""
+    seen = []
+    real = harness._first_row
+
+    def spy(holds, N):
+        seen.append(holds)
+        return real(holds, N)
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_first_row", spy)
+        harness._s3(ctx)
+    (holds,) = seen
+    return holds
+
+
+def test_s3_cover_rows_are_the_all_pairs_rows(monkeypatch):
+    points = [(n, p, R) for n, p in DEFAULT_GRID for R in (0, 1, 2)] + [(4, 4, 4)]
+    failing = 0
+    for n, p, R in points:
+        params = AlgebraParams(n, p)
+        for bundle in TWO_STEP_BUNDLES.values():
+            t = harness._tables(params, R, bundle)
+            le = structure._transpose(t.ge, len(t.ge))
+            holds = _s3_holds(monkeypatch, harness._Ctx(Window(params, R), bundle, t, None, 0))
+            got = [holds(i) for i in range(t.N)]
+            assert got == [_all_pairs_s3_row(t, le, i) for i in range(t.N)], (
+                bundle.name, n, p, R)
+            failing += got.count(False)
+    # (4,4) at R=4 has list rows, past 256 ids
+    assert len(t.ge) > 256 and isinstance(t.mul_id[0], list)
+    assert failing > 0
+
+
+def test_exhaustive_s3_makes_no_transpose_call(monkeypatch):
+    calls = []
+    real = structure._transpose
+
+    def counting(rows, width):
+        calls.append(width)
+        return real(rows, width)
+
+    for n, p in DEFAULT_GRID:
+        for bundle in TWO_STEP_BUNDLES.values():
+            harness._tables(AlgebraParams(n, p), 2, bundle)  # warm: no build
+            with monkeypatch.context() as m:
+                for module in (harness, structure):
+                    m.setattr(module, "_transpose", counting)
+                run_suite("S3", AlgebraParams(n, p), R=2, ops=bundle)
+    assert calls == []
 
 
 def _count_leq_calls(monkeypatch):
