@@ -354,13 +354,7 @@ class OpsBundle:
             raise ValueError(f"negative exponent {k}")
         if a is _INVALID:
             return _INVALID
-        out = ap_top(a.params)
-        for _ in range(k):
-            nxt = self.mul(a, out)
-            if nxt == out:  # a fixed point: every later step repeats it
-                break
-            out = nxt
-        return out
+        return _steps(self.mul, a, ap_top(a.params), k)
 
     def multiple(self, k: int, a):
         """k-fold dual sum; 0.a is bot."""
@@ -368,19 +362,24 @@ class OpsBundle:
             raise ValueError(f"negative multiple {k}")
         if a is _INVALID:
             return _INVALID
-        out = ap_bot(a.params)
-        for _ in range(k):
-            nxt = self.oplus(a, out)
-            if nxt == out:
-                break
-            out = nxt
-        return out
+        return _steps(self.oplus, a, ap_bot(a.params), k)
 
     def bterm(self, a):
         """(n+1).a^max(n+1, p); lands in {bot, top}, top exactly on the radical."""
         if a is _INVALID:
             return _INVALID
         return self.multiple(a.n + 1, self.power(a, max(a.n + 1, a.p)))
+
+
+def _steps(op, a, out, k: int):
+    """k steps out -> op(a, out), up to the first that returns the value
+    it was given: a fixed point, which every later step repeats."""
+    for _ in range(k):
+        nxt = op(a, out)
+        if nxt == out:
+            break
+        out = nxt
+    return out
 
 
 REFERENCE = OpsBundle(ap_mul, ap_inv)

@@ -22,11 +22,13 @@ element on either side.  Sampled S2 reads the same way per drawn triple:
 a second step whose first step is in the window comes from the product
 table, and the bundle multiplies only the others.  S13's subalgebra
 members are window elements, so its closure checks read the id tables
-directly, against one membership flag per value id.  The structure scans
-that S8, S9, S11 and S12 call read the REFERENCE tables under every
-bundle, and run_suite builds those along with the suite's own.  Each
-report times the table build (tables_s) apart from the checks (elapsed)
-and carries the estimate its budget gate used next to the checks it ran.
+directly, against one membership flag per value id.  S8-S11 walk each
+power and multiple of a window element on the id tables, one read per
+step while the chain stays in the window.  The structure scans that S8,
+S9, S11 and S12 call read the REFERENCE tables under every bundle, and
+run_suite builds those along with the suite's own.  Each report times
+the table build (tables_s) apart from the checks (elapsed) and carries
+the estimate its budget gate used next to the checks it ran.
 
 The order is tabulated as bitmasks over interned ids.  The distinct
 products, residuals and involutions get ids as they are computed, one
@@ -46,9 +48,9 @@ exhaustive run first tests whole rows: holds(i) decides row i over every
 walks the first that fails, so the checks and the first counterexample
 are the plain loop's.  S1's row compares the up rows of row i's products
 with the transposed down rows of its residuals.  S3's row tests its
-three laws only on the window's cover pairs, c_k equal to b_j or
-covering it, reading ge bits; the order is transitive, so they imply
-the laws on every pair b_j <= c_k.  S2 and S7 compose their rows
+three laws only on the window's cover pairs, c_k covering b_j,
+reading ge bits; the order is transitive, so they imply the laws on
+every pair b_j <= c_k.  S2 and S7 compose their rows
 with bytes.translate, a row read through another, while their ids fit in
 a byte (window elements, for S7); past 256 they walk every triple.
 
@@ -64,6 +66,7 @@ import json
 import random
 import sys
 import time
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable
@@ -84,8 +87,8 @@ def _eq(x: object, y: object) -> bool:
 
 # ---------------------------------------------------------------------------
 # The two chains' operations as functions, an independent route to the
-# cases that core.ap_mul writes out: the S14 oracle, _case2 and S11's
-# pair powers read them.
+# cases that core.ap_mul writes out: _case2, S11's pair powers and the
+# tests' oracles read them.
 
 def omega_star(a: tuple[int, int], b: tuple[int, int], n: int) -> tuple[int, int]:
     """Chain product max{(0,0), (m+k-n, r+s)}."""
@@ -161,27 +164,29 @@ MUTATIONS = {name: OpsBundle(mul, inv, name) for name, mul, inv in [
 # against the composite route inv(mul(a, inv(b))).
 
 def closed_form_div(a: ApElem, b: ApElem) -> ApElem:
-    core._same_params(a, b)
-    n, p = a.n, a.p
-    params = a.params
-    m, r, al = a.m, a.r, a.alpha
-    k, s, be = b.m, b.r, b.alpha
+    m, r, al, n, p = a
+    k, s, be, nb, pb = b
+    if nb != n or pb != p:
+        core._same_params(a, b)
+    if al == p and be == 0:  # the chain product max{(0,0), (m+k-n, r+s)}
+        m, r = m + k - n, r + s
+        if m < 0 or m == 0 and r < 0:
+            m = r = 0
+        return core._mk(m, r, 0, n, p)
     if al == 0 and be == 0:
         # level 0 is order-reversed, so the pair residual runs backwards
-        return core.ap_validate(omega_arrow((k, s), (m, r), n), p, params)
-    if al == 0:
-        pr = min((n, 0), (m + k + 1, r + s))
-        return core.ap_validate(pr, p, params)
-    if be == 0:
-        if al == p:
-            return core.ap_validate(omega_star((m, r), (k, s), n), 0, params)
-        pr = min((n - 1, 0), (2 * n - 1 - (m + k), -(r + s)))
-        return core.ap_validate(pr, p - al, params)
-    if al <= be:
-        return core.ap_validate(omega_arrow((m, r), (k, s), n), p, params)
-    # al > be forces be < p; the middle-level cap clamps the pair
-    pr = min((n - 1, 0), omega_arrow((m, r), (k, s), n))
-    return core.ap_validate(pr, fin_arrow(al, be, p), params)
+        m, r, cap, level = n - k + m, r - s, n, p
+    elif al == 0:
+        m, r, cap, level = m + k + 1, r + s, n, p
+    elif be == 0:
+        m, r, cap, level = 2 * n - 1 - (m + k), -(r + s), n - 1, p - al
+    else:  # the chain residual, on a middle level when al > be
+        m, r, cap, level = n - m + k, s - r, n, p
+        if al > be:
+            cap, level = n - 1, p - al + be
+    if m > cap or m == cap and r > 0:
+        m, r = cap, 0
+    return core._mk(m, r, level, n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +314,15 @@ def _s2(ctx: _Ctx):
         first = {v: u for u, v in enumerate(prods)}
         step = [[first[v] for v in row] for row in mul_t]
         at = [t.idx.get(x) for x in prods]
-        ids: dict = {}
-
-        def second(v: object, invalid: str) -> int:
-            return ids.setdefault(invalid if v is _INVALID else v, len(ids))
-
-        left = [[second(v, "left") for v in (
-            [ops.mul(x, c) for c in elems] if f is None else mul_t[f])]
-            for x, f in zip(prods, at)]
-        right = [[second(row[f] if f is not None else ops.mul(a, x), "right")
-                  for x, f in zip(prods, at)] for a, row in zip(elems, mul_t)]
+        ids = defaultdict(lambda: len(ids))
+        intern = ids.__getitem__
+        left = [list(map(intern, [ops.mul(x, c) for c in elems] if f is None else mul_t[f]))
+                for x, f in zip(prods, at)]
+        if _INVALID in ids:
+            ids["left"] = ids.pop(_INVALID)
+        right = [list(map(intern, [row[f] if f is not None else ops.mul(a, x)
+                                   for x, f in zip(prods, at)]))
+                 for a, row in zip(elems, mul_t)]
         triples = ctx.indices(3)
         if len(prods) <= _BYTES and len(ids) <= _BYTES:
             # row i over (j, k): left[step[i][j]] for each j, against the
@@ -348,11 +352,11 @@ def _s3(ctx: _Ctx):
     up, ge, mul_id, div_id = t.up, t.ge, t.mul_id, t.div_id
 
     def holds(i: int) -> bool:
-        # The three laws on the pairs (j, k) where c_k is b_j or covers
-        # it, bit by bit: a*b_j <= a*c_k, a->b_j <= a->c_k and
-        # c_k->a <= b_j->a.  The order is transitive, so these imply the
-        # laws on every b_j <= c_k; the reflexive pair fails where a value
-        # is invalid, since its ge row is empty.
+        # The three laws on the pairs (j, k) where c_k covers b_j, bit by
+        # bit: a*b_j <= a*c_k, a->b_j <= a->c_k and c_k->a <= b_j->a.  The
+        # order is transitive, so these imply the laws on every b_j <= c_k.
+        # Every element lies in a cover pair (bottom is below top), and an
+        # invalid value, in no ge mask, fails there.
         mul_row, div_row = mul_id[i], div_id[i]
         div_col = [row[i] for row in div_id]
         return all(ge[mul_row[j]] >> mul_row[k] & ge[div_row[j]] >> div_row[k]
@@ -361,7 +365,7 @@ def _s3(ctx: _Ctx):
     checks, triples = 0, ctx.indices(3)
     if ctx.sample is None:
         pairs = [(j, k) for j, cover in enumerate(structure._covers(up[:N], t.down[:N]))
-                 for k in (j, *cover)]
+                 for k in cover]
         checks, triples = _first_row(holds, N)
     for i, j, k in triples:
         checks += 1
@@ -479,46 +483,42 @@ def _s7(ctx: _Ctx):
 
 
 def _s8(ctx: _Ctx):
-    params, ops = ctx.params, ctx.ops
+    params, ops, t = ctx.params, ctx.ops, ctx.t
     n, p = params.n, params.p
     bot = core.ap_bot(params)
     details = {"branch": "p<=n" if p <= n else "n<p"}
     checks = 0
     for a in ctx.elems:
         checks += 1
-        v = ops.join(a, ops.inv(ops.power(a, p)))
+        v = ops.join(a, ops.inv(t.power(a, p)))
         if v is _INVALID or not structure.filter_member("Radical", v):
             return checks, _ce(a=a, value=v), details
         rad = structure.filter_member("Radical", a)
         checks += 1
-        if p <= n:
-            if (not rad) != _eq(ops.power(a, n + 1), bot):
-                return checks, _ce(a=a), details
-        else:
-            if (not rad) != _eq(ops.power(a, p), bot):
-                return checks, _ce(a=a), details
+        if (not rad) != _eq(t.power(a, n + 1 if p <= n else p), bot):
+            return checks, _ce(a=a), details
     if n < p:
         c = structure.max_nonradical(params, ctx.R)
         checks += 1
-        if not _eq(ops.power(c, p - 1), ops.inv(c)):
+        if not _eq(t.power(c, p - 1), ops.inv(c)):
             return checks, _ce(c=c), details
         details["cyclic_witness"] = core.render_element(c)
     return checks, None, details
 
 
 def _s9(ctx: _Ctx):
-    params, ops = ctx.params, ctx.ops
+    params, t = ctx.params, ctx.t
     n, p = params.n, params.p
     k0 = max(n + 1, p)
     bot = core.ap_bot(params)
     checks = 0
     for a in ctx.elems:
         checks += 1
-        if _eq(ops.power(a, k0), bot) == structure.filter_member("Radical", a):
+        if _eq(t.power(a, k0), bot) == structure.filter_member("Radical", a):
             return checks, _ce(a=a), {"k_threshold": k0}
     c = structure.max_nonradical(params, ctx.R)
     literal = core.ap_validate(core.LexPair(n - 1, 0), p - 1, params)
-    powers = [ops.power(c, k) for k in range(1, k0 + 1)]
+    powers = [t.power(c, k) for k in range(1, k0 + 1)]
     details = {
         "k_threshold": k0,
         "max_nonradical": core.render_element(c),
@@ -530,13 +530,10 @@ def _s9(ctx: _Ctx):
             "at p=1 the (n-1,0) closed form is not the maximal non-radical "
             "element; thresholds are asserted for the computed maximum"
         )
-    for k in range(1, k0):
+    for k in range(1, k0 + 1):  # bottom first at k0
         checks += 1
-        if _eq(powers[k - 1], bot):
+        if _eq(powers[k - 1], bot) != (k == k0):
             return checks, _ce(c=c, k=k), details
-    checks += 1
-    if not _eq(powers[k0 - 1], bot):
-        return checks, _ce(c=c, k=k0), details
     if p >= 2:
         checks += 1
         if c != literal:
@@ -545,14 +542,19 @@ def _s9(ctx: _Ctx):
 
 
 def _s10(ctx: _Ctx):
-    params, ops = ctx.params, ctx.ops
+    params, ops, t = ctx.params, ctx.ops, ctx.t
     n, p = params.n, params.p
     k0 = max(n + 1, p)
     bot = core.ap_bot(params)
     top = core.ap_top(params)
+
+    def neg(x):  # x / bot, a table read in the window
+        return t.div[t.idx[x]][t.bot_i] if x in t.idx else ops.neg(x)
+
     checks = 0
     for a in ctx.elems:
-        tb = ops.bterm(a)
+        deep = t.power(a, k0)
+        tb = t.multiple(n + 1, deep)
         checks += 1
         if not (_eq(tb, bot) or _eq(tb, top)):
             return checks, _ce(a=a, t=tb), {}
@@ -567,14 +569,14 @@ def _s10(ctx: _Ctx):
         if structure.radical_member_via_powers(a) != rad:
             return checks, _ce(a=a), {"route": "powers"}
         checks += 1
-        if not _eq(ops.join(tb, ops.neg(tb)), top):
+        if not _eq(ops.join(tb, neg(tb)), top):
             return checks, _ce(a=a, t=tb), {"law": "t \\/ !t = top"}
-        v = ops.join(a, ops.neg(ops.power(a, p)))
+        v = ops.join(a, neg(t.power(a, p)))
         for k in (1, 2, 3):
             checks += 1
-            if not _eq(ops.multiple(n + 1, ops.power(v, k)), top):
+            if not _eq(t.multiple(n + 1, t.power(v, k)), top):
                 return checks, _ce(a=a, k=k), {"law": "(n+1).(x \\/ !(x^p))^k = top"}
-        mv = ops.multiple(k0, ops.power(a, k0))
+        mv = t.multiple(k0, deep)
         checks += 1
         if not (_eq(mv, bot) or _eq(mv, top)) or _eq(mv, top) != rad:
             return checks, _ce(a=a, value=mv), {"law": "max.x^max boolean-radical"}
@@ -582,7 +584,7 @@ def _s10(ctx: _Ctx):
 
 
 def _s11(ctx: _Ctx):
-    params, t, elems, ops = ctx.params, ctx.t, ctx.elems, ctx.ops
+    params, t, elems = ctx.params, ctx.t, ctx.elems
     n, p = params.n, params.p
     proper = ("Top", "FOmega", "Radical")
     member = t.filters  # bit i: elems[i] is in the filter
@@ -637,11 +639,11 @@ def _s11(ctx: _Ctx):
                 return checks, _ce(a=a), {"law": "pair power collapse"}
     zero_p = core.ap_validate(core.LexPair(0, 0), p, params)
     checks += 1
-    if not _eq(ops.power(zero_p, deep), zero_p):
+    if not _eq(t.power(zero_p, deep), zero_p):
         return checks, _ce(a=zero_p), {"law": "idempotent radical generator"}
     literal = core.ap_validate(core.LexPair(n - 1, 0), p - 1, params)
     checks += 1
-    if not _eq(ops.power(literal, deep), bot):
+    if not _eq(t.power(literal, deep), bot):
         return checks, _ce(a=literal), {"law": "deep power bottoms out"}
     # every principal filter matches one of the four candidates
     counts = {f: 0 for f in structure.FILTER_IDS}

@@ -182,13 +182,14 @@ def _lattice_rows(w: Window) -> tuple[list[list[int]], list[list[int]]]:
 
 
 class _Tables:
-    __slots__ = ("elems", "N", "idx", "mul", "div", "inv", "vals", "mul_id",
-                 "div_id", "inv_id", "up", "down", "ge", "meet_i", "join_i",
-                 "bot_i", "top_i", "filters")
+    __slots__ = ("ops", "elems", "N", "idx", "mul", "div", "inv", "vals",
+                 "mul_id", "div_id", "inv_id", "up", "down", "ge", "meet_i",
+                 "join_i", "bot_i", "top_i", "filters")
 
     def __init__(self, w: Window, ops: OpsBundle):
         elems = w.elements()
         N = len(elems)
+        self.ops = ops
         self.elems = elems
         self.N = N
         self.idx = idx = {a: i for i, a in enumerate(elems)}
@@ -238,6 +239,34 @@ class _Tables:
         # filters[f]: the window elements in the named filter f
         self.filters = {f: _mask([filter_member(f, a) for a in elems])
                         for f in FILTER_IDS}
+
+    # The bundle's power and multiple of a window element, walked on ids
+    # for S8-S11 and _generated_mask: a step a_i*out is mul_id[i][out], and
+    # ~(~a_i * ~out) is div_id[f][out] for ~a_i = elems[f].  Equal values
+    # share an id, so a step that returns its id is the fixed point; past
+    # the window the bundle runs the rest.
+
+    def power(self, a, k: int):
+        i = self.idx.get(a)
+        if i is None or k < 0:
+            return self.ops.power(a, k)
+        return self._chain(self.mul_id[i], self.top_i, k, self.ops.mul, a)
+
+    def multiple(self, k: int, a):
+        f = self.inv_id[self.idx[a]] if a in self.idx else self.N
+        if f >= self.N or k < 0:
+            return self.ops.multiple(k, a)
+        return self._chain(self.div_id[f], self.bot_i, k, self.ops.oplus, a)
+
+    def _chain(self, row, out: int, k: int, op, a):
+        for left in range(k, 0, -1):
+            nxt = row[out]
+            if nxt == out:
+                break
+            out = nxt
+            if out >= self.N:
+                return core._steps(op, a, self.vals[out], left - 1)
+        return self.vals[out]
 
 
 @lru_cache(maxsize=64)
@@ -443,7 +472,7 @@ def _generated_mask(a: ApElem, w: Window) -> int:
     the answer.
     """
     t = _tables(w.params, w.R, REFERENCE)
-    deep = core.ap_pow(a, max(a.n + 1, a.p, w.R + 1) + 1)
+    deep = t.power(a, max(a.n + 1, a.p, w.R + 1) + 1)
     if deep in t.idx:
         return t.up[t.idx[deep]]
     return _mask([core.ap_leq(deep, x) for x in t.elems])

@@ -263,10 +263,25 @@ def test_sampled_budget_counts_the_unsampled_loops():
 # Dual-route residual oracle.
 
 def test_closed_form_div_matches_the_composite_route():
-    for params in (P23, AlgebraParams(3, 2)):
-        elems = Window(params, 2).elements()
+    points = [(n, p, 3) for n, p in DEFAULT_GRID] + [(4, 4, 2)]
+    for n, p, R in points:
+        elems = Window(AlgebraParams(n, p), R).elements()
         for a, b in itertools.product(elems, elems):
-            assert closed_form_div(a, b) == core.ap_div(a, b)
+            assert closed_form_div(a, b) == core.ap_div(a, b), (a, b)
+
+
+def test_closed_form_div_makes_no_product_or_residual_call(monkeypatch):
+    pairs = [(a, b) for n, p in DEFAULT_GRID
+             for a, b in itertools.product(Window(AlgebraParams(n, p), 2).elements(),
+                                           repeat=2)]
+    want = [closed_form_div(a, b) for a, b in pairs]
+
+    def refuse(*args):
+        raise AssertionError("the oracle called the composite route")
+
+    for op in ("ap_mul", "ap_inv", "ap_div"):
+        monkeypatch.setattr(core, op, refuse)
+    assert [closed_form_div(a, b) for a, b in pairs] == want
 
 
 def test_closed_form_div_params_mismatch():
@@ -971,6 +986,63 @@ def test_tables_are_the_pairwise_build_off_the_grid(n, p, R, name):
     t = structure._Tables(w, TWO_STEP_BUNDLES[name])
     _assert_pairwise_order(t, (name, n, p, R))
     _assert_pairwise_lattice(t, _pairwise_lattice(w.elements()), (name, n, p, R))
+
+
+# Powers and multiples of window elements walk the id tables; each walk
+# must return what the bundle's own chain does.
+
+def _chain_exits(t, bundle, a, k, step):
+    """Whether the bundle's chain of k steps from a meets a value outside
+    the window before its fixed point, where the walk hands over."""
+    out = bundle.power(a, 0) if step == "power" else bundle.multiple(0, a)
+    for _ in range(k):
+        if out not in t.idx:
+            return True
+        nxt = bundle.mul(a, out) if step == "power" else bundle.oplus(a, out)
+        if nxt == out:
+            return False
+        out = nxt
+    return False
+
+
+def test_table_chains_are_the_bundle_chains():
+    points = [(n, p, R) for n, p in DEFAULT_GRID for R in (0, 1, 2)] + [(4, 4, 4)]
+    exits = no_dual = 0
+    for n, p, R in points:
+        for bundle in TWO_STEP_BUNDLES.values():
+            t = harness._tables(AlgebraParams(n, p), R, bundle)
+            for a in t.elems:
+                no_dual += bundle.inv(a) not in t.idx
+                for k in range(max(n + 1, p, R + 1) + 3):
+                    where = (bundle.name, n, p, R, a, k)
+                    assert t.power(a, k) == bundle.power(a, k), where
+                    assert t.multiple(k, a) == bundle.multiple(k, a), where
+                    exits += _chain_exits(t, bundle, a, k, "power")
+    # (4,4) at R=4 has list rows, past 256 ids
+    assert len(t.vals) > 256 and isinstance(t.mul_id[0], list)
+    assert exits > 0 and no_dual > 0
+    with pytest.raises(ValueError):
+        t.power(t.elems[0], -1)
+    with pytest.raises(ValueError):
+        t.multiple(-1, t.elems[0])
+
+
+def test_chain_steps_in_the_window_make_no_bundle_call():
+    bundle, calls = _counting_bundle()
+    handed_over = 0
+    for n, p in DEFAULT_GRID:
+        t = structure._Tables(Window(AlgebraParams(n, p), 2), bundle)
+        for a in t.elems:
+            for k in range(max(n + 1, p, 3) + 3):
+                for step, walk in (("power", lambda: t.power(a, k)),
+                                   ("multiple", lambda: t.multiple(k, a))):
+                    calls.update(mul=0, inv=0)
+                    walk()
+                    if not _chain_exits(t, REFERENCE, a, k, step):
+                        assert calls == {"mul": 0, "inv": 0}, (step, n, p, a, k)
+                    else:
+                        handed_over += 1
+    assert handed_over > 0
 
 
 def test_table_build_makes_no_order_or_lattice_call(monkeypatch):
