@@ -289,19 +289,23 @@ def _s1(ctx: _Ctx):
 
 def _s2(ctx: _Ctx):
     t, elems, ops, N = ctx.t, ctx.elems, ctx.ops, ctx.N
-    mul_t = t.mul
+    mul_t, mul_id = t.mul, t.mul_id
+    # equal values share an id, and the invalid marker's id equals nothing
+    bad = next((u for u, v in enumerate(t.vals) if v is _INVALID), -1)
     checks = 0
     if ctx.sample is not None:
         # A first step with id f < N is window element f, so its second
         # step is in the product table (the bundle is pure); the bundle
         # multiplies only first steps past the window or invalid.
-        mul_id, mul = t.mul_id, ops.mul
         for i, j, k in ctx.indices(3):
             checks += 1
             f, g = mul_id[i][j], mul_id[j][k]
-            lhs = mul_t[f][k] if f < N else mul(mul_t[i][j], elems[k])
-            rhs = mul_t[i][g] if g < N else mul(elems[i], mul_t[j][k])
-            if not _eq(lhs, rhs):
+            if f < N and g < N:
+                same = mul_id[f][k] == mul_id[i][g] != bad
+            else:
+                same = _eq(mul_t[f][k] if f < N else ops.mul(mul_t[i][j], elems[k]),
+                           mul_t[i][g] if g < N else ops.mul(elems[i], mul_t[j][k]))
+            if not same:
                 return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
     else:
         # Products of window elements land in W_2R (anywhere, under a
@@ -341,7 +345,7 @@ def _s2(ctx: _Ctx):
     for i, j in ctx.indices(2):
         checks += 1
         pairs += 1
-        if not _eq(mul_t[i][j], mul_t[j][i]):
+        if not mul_id[i][j] == mul_id[j][i] != bad:
             return checks, _ce(a=elems[i], b=elems[j]), {}
     return checks, None, {"commutativity_pairs": pairs}
 
@@ -755,7 +759,7 @@ def _s14(ctx: _Ctx):
     checks = 0
     for i, j in ctx.indices(2):
         checks += 1
-        if not _eq(closed_form_div(elems[i], elems[j]), t.div[i][j]):
+        if closed_form_div(elems[i], elems[j]) != t.div[i][j]:  # the left is never invalid
             return checks, _ce(a=elems[i], b=elems[j]), {}
     return checks, None, {}
 

@@ -134,8 +134,9 @@ def _order_rows(values: list, n: int, p: int) -> list[int]:
     return ge
 
 
-def _lattice_rows(w: Window) -> tuple[list[list[int]], list[list[int]]]:
-    """meet_i and join_i: the window index of each meet and join.
+def _lattice_row(w: Window):
+    """The function i -> (meet row, join row) of window element i: the
+    window index of its meet and join with each window element.
 
     The window lists each level as a block ascending by pair.  The
     boundary levels hold the whole chain of pairs and the middle levels
@@ -151,11 +152,11 @@ def _lattice_rows(w: Window) -> tuple[list[list[int]], list[list[int]]]:
     starts = [bisect_left(levels, level) for level in range(p + 2)]
     M = bisect_right([(a[0], a[1]) for a in elems[:starts[1]]], (n - 1, 0))
     ids = list(range(len(elems)))
-    meet_i, join_i = [], []
-    for i, a in enumerate(elems):
-        al = a[2]
+
+    def row(i: int) -> tuple[list[int], list[int]]:
+        al = elems[i][2]
         sa = starts[al]
-        j = i - sa  # a's pair's position in the chain
+        j = i - sa  # the position of element i's pair in the chain
         t = max(0, M - 1 - j)  # the positions below its reflection
         meet, join = [], []
         for be in range(p + 1):
@@ -176,9 +177,8 @@ def _lattice_rows(w: Window) -> tuple[list[list[int]], list[list[int]]]:
             else:  # both on level 0, pair order reversed
                 meet += [i] * (j + 1) + ids[j + 1:size]
                 join += ids[:j] + [i] * (size - j)
-        meet_i.append(meet)
-        join_i.append(join)
-    return meet_i, join_i
+        return meet, join
+    return row
 
 
 class _Tables:
@@ -233,7 +233,7 @@ class _Tables:
         self.down = _transpose(ge[:N], len(values))
         # meets and joins of window elements stay in the window, and each
         # row is a few runs of window indices
-        self.meet_i, self.join_i = _lattice_rows(w)
+        self.meet_i, self.join_i = map(list, zip(*map(_lattice_row(w), range(N))))
         self.bot_i = self.idx[core.ap_bot(w.params)]
         self.top_i = self.idx[core.ap_top(w.params)]
         # filters[f]: the window elements in the named filter f

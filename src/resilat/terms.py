@@ -18,15 +18,19 @@ concrete syntax; Oplus nodes render desugared as ~(~l * ~r).
 check_equation compiles its equation once per call.  Each distinct
 subterm becomes one node.  A node is recomputed only when the loop
 assigns its last variable, and it calls its operation once per distinct
-tuple of operand values.  The innermost variable runs as whole rows: a
-node at that level maps its memo over the row of operand ids, and the
-two sides compare as lists of interned ids.  eval_term walks the same
-case analysis recursively.  Both take their operations from
-core.REFERENCE unless given another bundle.
+tuple of operand values.  The innermost variable runs as whole rows of
+interned ids, and the two sides compare as lists.  A node at that level
+whose one varying operand is that variable maps its operation over the
+candidates once per constant operand, or, as a meet or join under an
+OpsBundle, reads its closed-form row and calls nothing; any other maps
+its memo over its operands' rows.  eval_term walks the same case
+analysis recursively.  Both take their operations from core.REFERENCE
+unless given another bundle.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -412,7 +416,8 @@ def _step(fn, out, args, slots, values, intern, memo):
 
 def _row(fn, out, args, levels, last, slots, rows, values, intern, memo):
     """One compiled subterm at the last level: set rows[out] to the ids of
-    fn over the row, one per candidate of the last variable.
+    fn over the row, one per candidate of the last variable, where
+    _first_failure does not make the row whole.
 
     An operand that varies with the last variable reads its row from rows;
     one of a lower level is constant along the row, and its id sits in
@@ -423,15 +428,7 @@ def _row(fn, out, args, levels, last, slots, rows, values, intern, memo):
     can repeat, so fn runs once per position.
     """
     const = [a for a in args if levels[a] < last]
-    if len(args) == 1:
-        (a,) = args
-
-        def keys():
-            return rows[a]
-
-        def call(key):
-            return fn(values[key])
-    elif not const:
+    if len(args) - len(const) == 2:
         a, b = args
 
         def keys():
@@ -439,39 +436,24 @@ def _row(fn, out, args, levels, last, slots, rows, values, intern, memo):
 
         def call(key):
             return fn(values[key[0]], values[key[1]])
-    elif const[0] == args[0]:
-        c, v = args
-
-        def keys():
-            return rows[v]
-
-        def call(key):
-            return fn(values[slots[c]], values[key])
     else:
-        v, c = args
+        (v,) = [a for a in args if a not in const]
 
         def keys():
             return rows[v]
 
         def call(key):
-            return fn(values[key], values[slots[c]])
+            return fn(*[values[key] if a == v else values[slots[a]] for a in args])
 
     if memo is None:
         def row():
             rows[out] = [intern(call(key)) for key in keys()]
         return row
 
-    if const:
-        (c,) = const
+    c = const[0] if const else None
 
-        def table():
-            sub = memo.get(slots[c])
-            if sub is None:
-                sub = memo[slots[c]] = {}
-            return sub
-    else:
-        def table():
-            return memo
+    def table():  # with a constant operand, the memo's part for its id
+        return memo if c is None else memo.get(slots[c]) or memo.setdefault(slots[c], {})
 
     def row():
         t = table()
@@ -492,7 +474,7 @@ def _first_difference(left: list[int], right: list[int]) -> int | None:
     return list(map(operator.ne, left, right)).index(True)
 
 
-def _first_failure(eq: Equation, names, elems, params, o) -> list[int] | None:
+def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[int] | None:
     """Positions in elems, one per name, of the first assignment in
     canonical order on which the two sides of eq differ; None if none does.
 
@@ -509,6 +491,12 @@ def _first_failure(eq: Equation, names, elems, params, o) -> list[int] | None:
     covering every level up to its own: no key can repeat there, so a memo
     would only cost memory.
 
+    Candidates are interned first: ids 0..N-1 are their positions, the
+    window indices when window is given.  A full row whose one varying
+    operand is the last variable is made whole: one map over the
+    candidates, or an OpsBundle's closed-form meet or join row with a
+    window element, kept per constant id where the subterm has a memo.
+
     The compiled order differs from the walk's, so when an operation
     raises, the row is run again one assignment at a time, and the
     assignment where an operation raises first is walked again: the
@@ -518,6 +506,8 @@ def _first_failure(eq: Equation, names, elems, params, o) -> list[int] | None:
     """
     values: list = []
     ids: dict = {}
+    full = window is not None and isinstance(o, core.OpsBundle)
+    lattice = structure._lattice_row(window) if full else None
 
     def intern(v) -> int:
         i = ids.get(v)
@@ -557,13 +547,37 @@ def _first_failure(eq: Equation, names, elems, params, o) -> list[int] | None:
             {levels[a] for a in args} == set(range(level + 1))
         )
         memo = None if unique else {}
-        if level == last:
-            steps[level].append(
-                _row(fn, slot, args, levels, last, slots, rows, values, intern, memo)
-            )
-        else:
+        if level < last:
             steps[level].append(_step(fn, slot, args, slots, values, intern, memo))
+            return slot
+        step = _row(fn, slot, args, levels, last, slots, rows, values, intern, memo)
+        if [a for a in args if levels[a] == last] == [var_slots[last]]:
+            step = whole(t, fn, slot, args, memo, step)
+        steps[level].append(step)
         return slot
+
+    def whole(t: Term, fn, out: int, args, memo, per_key):
+        # a full row made whole, N ids per constant id; rows of one per_key
+        v = var_slots[last]
+        c = next((a for a in args if a != v), v)  # unary: slots[v] stays -1
+        closed, side = lattice and isinstance(t, (Meet, Join)), isinstance(t, Join)
+        done = {}
+
+        def row():
+            if rows[v] is not elem_ids:
+                return per_key()
+            k = slots[c]
+            got = done.get(k)
+            if got is None:
+                if closed and k < len(elems):
+                    got = lattice(k)[side]
+                else:
+                    got = list(map(intern, map(fn, *[
+                        elems if a == v else itertools.repeat(values[k]) for a in args])))
+                if memo is not None:
+                    done[k] = got
+            rows[out] = got
+        return row
 
     def scan(row: list[int]) -> int | None:
         """The first position in row, ids of the last variable, at which
@@ -604,11 +618,11 @@ def _first_failure(eq: Equation, names, elems, params, o) -> list[int] | None:
             raised_at[level] = j
             raise
 
+    elem_ids = list(map(intern, elems))  # ids 0..N-1 before any closed subterm
     try:
         lhs, rhs = add(eq.lhs), add(eq.rhs)
         if not names:
             return [] if slots[lhs] != slots[rhs] else None
-        elem_ids = [intern(e) for e in elems]
         return search(0)
     except Exception as exc:
         failure = exc
@@ -677,7 +691,9 @@ def check_equation(
     structure.enforce_budget("eq", params, radius, len(elems) ** len(names), force=force)
     if names and not elems:
         return EquationVerdict(True, radius, 0, None)
-    picks = _first_failure(eq, names, elems, params, core.REFERENCE if ops is None else ops)
+    window = structure.Window(params, radius) if domain is None else None
+    o = core.REFERENCE if ops is None else ops
+    picks = _first_failure(eq, names, elems, params, o, window)
     if picks is None:
         return EquationVerdict(True, radius, len(elems) ** len(names), None)
     position = 0

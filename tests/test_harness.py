@@ -681,6 +681,32 @@ def test_s2_invalid_second_steps_equal_nothing(monkeypatch):
         _assert_suites_match_plain(bundle, 1, None, (("S2", _plain_s2),))
 
 
+def test_sampled_s2_invalid_ids_equal_nothing():
+    # Sampled S2 compares table ids.  Make one window element x whose
+    # square alone leaves the universe, chosen so that no drawn triple
+    # meets x*x at either step but a drawn pair is (x, x): commutativity
+    # must fail there, though both sides have the invalid marker's id.
+    R, sample, seed = 4, 200, 4
+    t = harness._tables(P23, R, REFERENCE)
+    pairs = harness._draws(seed, 2, t.N, sample)
+    touched = {q for i, j, k in harness._draws(seed, 3, t.N, sample)
+               for q in ((i, j), (j, k), (t.mul_id[i][j], k), (i, t.mul_id[j][k]))}
+    x = next(i for i, j in pairs if i == j and (i, i) not in touched)
+    square = t.elems[x]
+
+    def mul(a, b):
+        if a == b == square:
+            return core.ap_validate(core.LexPair(0, 0), a.p + 1, a.params)
+        return core.ap_mul(a, b)
+
+    report = run_suite("S2", P23, R, ops=OpsBundle(mul, core.ap_inv, "x-square"),
+                       sample=sample, seed=seed)
+    assert report.verdict == "fail"
+    assert report.checks_run == sample + pairs.index((x, x)) + 1
+    assert report.text_line().endswith(f"a={core.render_element(square)} "
+                                       f"b={core.render_element(square)}")
+
+
 def test_exhaustive_s2_multiplies_only_products_past_the_window():
     for n, p in ((2, 3), (3, 3)):
         params = AlgebraParams(n, p)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -484,6 +485,58 @@ def test_compiled_check_matches_the_walk_on_row_shapes():
         # a domain that leaves one candidate: every row holds one id
         for text in ("x*(y*z) = (x*y)*z", "x = ~x", "x*y = top"):
             assert_same(parse_equation(text), P23, 1, domain=one, ops=ops)
+
+
+def test_bench_lines_are_the_benchmark_equations(monkeypatch):
+    # the walk comparisons above cover the equations workload's own lines,
+    # at smaller radii
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    assert [line[:2] + line[3:] for line in BENCH_LINES] == [
+        line[:2] + line[3:] for line in workloads.EQUATIONS]
+
+
+def other_meet_ops():
+    """Reference operations but for a meet that is core's join: a duck-typed
+    bundle, whose meet rows no closed form may replace."""
+    ops = reference_ops()
+    ops.meet = core.REFERENCE.join
+    return ops
+
+
+# last-level meets, joins, products and residuals whose varying operand is
+# the last variable itself, against window, past-window and closed constants
+DIRECT_ROWS = (
+    "x /\\ y = ~(~x \\/ ~y)", "x /\\ y = y /\\ x", "(x*y) \\/ z = z \\/ (x*y)",
+    "(x /\\ bot) \\/ y = y \\/ (x /\\ bot)", "4.(x /\\ y) = 4.x /\\ 4.y",
+    "x -> y = ~(x * ~y)", "(x*x) /\\ y = y /\\ (x*x)", "y /\\ ~bot = y",
+    "top \\/ y = (y -> bot) -> top", "x /\\ y = x \\/ y", "~y * x = x * ~y",
+)
+
+
+@pytest.mark.parametrize("ops", [*OPS, "other-meet"])
+def test_direct_rows_match_the_walk(ops):
+    o = other_meet_ops() if ops == "other-meet" else OPS[ops]
+    for text in DIRECT_ROWS:
+        for params in (P23, AlgebraParams(3, 2)):
+            assert_same(parse_equation(text), params, 1, ops=o)
+    # a domain-restricted candidate list, whose ids are not window
+    # indices, keeps the map
+    for text in DIRECT_ROWS[:4]:
+        assert_same(parse_equation(text), P23, 1, ops=o, domain=lambda a: a.alpha != 0)
+
+
+def test_meet_rows_under_a_bundle_call_no_lattice_operation(monkeypatch):
+    def never(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(core, "ap_meet", never)
+    monkeypatch.setattr(core, "ap_join", never)
+    monkeypatch.setattr(structure._Tables, "__init__", never)
+    P33 = AlgebraParams(3, 3)
+    verdict = check_equation(parse_equation("x /\\ y = y /\\ x"), P33, 2, ops=REFERENCE)
+    assert (verdict.holds, verdict.checked) == (True, len(structure.Window(P33, 2)) ** 2)
 
 
 def test_compiled_check_runs_each_operation_once_per_distinct_operand():
