@@ -13,7 +13,10 @@ Grammar, loosest to tightest binding (arrow is right associative):
 
 "~" is the involution and "!" is negation (x -> bot); the two coincide
 on these algebras but both spellings parse.  The dual sum has no
-concrete syntax; Oplus nodes render desugared as ~(~l * ~r).
+concrete syntax; Oplus nodes render desugared as ~(~l * ~r).  Each node
+type is one row of class attributes (fields, symbol, binding strength,
+OpsBundle method), which the parser's precedence loop, _render and _node
+all read.
 
 check_equation compiles its equation once per call.  Each distinct
 subterm becomes one node.  A node is recomputed only when the loop
@@ -33,7 +36,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 
 from resilat import core, structure
 from resilat.core import AlgebraParams, ApElem
@@ -52,99 +54,144 @@ class EvalError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Abstract syntax.
+# Abstract syntax: one row of class attributes per node type.
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
-
-@dataclass(frozen=True)
-class Term:
-    pass
+# binding strengths, loosest first
+_ARROW, _JOIN, _MEET, _MUL, _UNARY, _POSTFIX, _ATOM = range(7)
 
 
-@dataclass(frozen=True)
+class _Record:
+    """An immutable record whose fields are its slots, given positionally.
+    It equals only a record of its own type with equal fields, and hashes
+    likewise, so x*y and x /\\ y are different dict keys."""
+
+    __slots__ = fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self.fields)} fields")
+        for name, value in zip(self.fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Term(_Record):
+    """A term node.  Its type's row: fields, in constructor order; symbol,
+    its concrete syntax; strength, how tightly it binds; right, whether an
+    infix operator associates to the right; and op, the OpsBundle method
+    that computes it.  The parser, _render and _node read the rows."""
+
+    __slots__ = ()
+    symbol = op = ""
+    strength = _ATOM
+
+
 class Var(Term):
-    name: str
+    __slots__ = fields = ("name",)
 
-    def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.name):
-            raise ValueError(f"bad variable name {self.name!r}")
+    def __init__(self, name: str):
+        if not _IDENT_RE.match(name):
+            raise ValueError(f"bad variable name {name!r}")
+        super().__init__(name)
 
 
-@dataclass(frozen=True)
 class Bot(Term):
-    pass
+    __slots__ = ()
+    symbol = "bot"
 
 
-@dataclass(frozen=True)
 class Top(Term):
-    pass
+    __slots__ = ()
+    symbol = "top"
 
 
-@dataclass(frozen=True)
-class Star(Term):
-    l: Term
-    r: Term
+class _Binary(Term):
+    __slots__ = fields = ("l", "r")
+    right = False
 
 
-@dataclass(frozen=True)
-class Arrow(Term):
-    l: Term
-    r: Term
+class Arrow(_Binary):
+    __slots__ = ()
+    symbol, strength, op, right = "->", _ARROW, "div", True
 
 
-@dataclass(frozen=True)
-class Meet(Term):
-    l: Term
-    r: Term
+class Join(_Binary):
+    __slots__ = ()
+    symbol, strength, op = "\\/", _JOIN, "join"
 
 
-@dataclass(frozen=True)
-class Join(Term):
-    l: Term
-    r: Term
+class Meet(_Binary):
+    __slots__ = ()
+    symbol, strength, op = "/\\", _MEET, "meet"
 
 
-@dataclass(frozen=True)
-class Neg(Term):
-    t: Term
+class Star(_Binary):
+    __slots__ = ()
+    symbol, strength, op = "*", _MUL, "mul"
 
 
-@dataclass(frozen=True)
-class Inv(Term):
-    t: Term
+class Oplus(_Binary):
+    __slots__ = ()
+    op = "oplus"
 
 
-@dataclass(frozen=True)
-class Oplus(Term):
-    l: Term
-    r: Term
+class _Prefix(Term):
+    __slots__ = fields = ("t",)
+    strength = _UNARY
 
 
-@dataclass(frozen=True)
+class Neg(_Prefix):
+    __slots__ = ()
+    symbol, op = "!", "neg"
+
+
+class Inv(_Prefix):
+    __slots__ = ()
+    symbol, op = "~", "inv"
+
+
 class Pow(Term):
-    t: Term
-    k: int
+    __slots__ = fields = ("t", "k")
+    symbol, strength, op = "^", _POSTFIX, "power"
 
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"negative exponent {self.k}")
+    def __init__(self, t: Term, k: int):
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
+        super().__init__(t, k)
 
 
-@dataclass(frozen=True)
 class Mult(Term):
-    k: int
-    t: Term
+    __slots__ = fields = ("k", "t")
+    symbol, strength, op = ".", _UNARY, "multiple"
 
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"negative multiple {self.k}")
+    def __init__(self, k: int, t: Term):
+        if k < 0:
+            raise ValueError(f"negative multiple {k}")
+        super().__init__(k, t)
 
 
-@dataclass(frozen=True)
-class Equation:
-    lhs: Term
-    rhs: Term
+class Equation(_Record):
+    __slots__ = fields = ("lhs", "rhs")
 
 
 def free_vars(t: Term) -> frozenset[str]:
@@ -158,24 +205,12 @@ def free_vars(t: Term) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # Tokenizer and parser.
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<arrow>->)
-      | (?P<join>\\/)
-      | (?P<meet>/\\)
-      | (?P<star>\*)
-      | (?P<inv>~)
-      | (?P<neg>!)
-      | (?P<dot>\.)
-      | (?P<caret>\^)
-      | (?P<lpar>\()
-      | (?P<rpar>\))
-      | (?P<eq>≈|=)
-      | (?P<int>\d+)
-      | (?P<ident>[a-z][a-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
+# a token's kind is its group's name, or else the symbol itself
+_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<ident>[a-z][a-z0-9_]*)|(?P<eq>≈|=)"
+                       r"|->|\\/|/\\|[*~!.^()]|\s+")
+_INFIX = {node.symbol: node for node in (Arrow, Join, Meet, Star)}
+_PREFIX = {node.symbol: node for node in (Neg, Inv)}
+_CONSTANTS = {node.symbol: node for node in (Bot, Top)}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -185,9 +220,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         match = _TOKEN_RE.match(text, pos)
         if match is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = match.lastgroup
-        if kind != "ws":
-            tokens.append((kind, match.group(), pos))
+        word = match.group()
+        if not word.isspace():
+            tokens.append((match.lastgroup or word, word, pos))
         pos = match.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -198,92 +233,54 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def take(self) -> tuple[str, str, int]:
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.take()
         if tok[0] != kind:
             raise ParseError(f"expected {what}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
-    def term(self) -> Term:
-        left = self.join()
-        if self.peek()[0] == "arrow":
-            self.take()
-            return Arrow(left, self.term())  # right associative
-        return left
+    def finish(self, what: str) -> None:
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r} after {what}", pos)
 
-    def join(self) -> Term:
-        out = self.meet()
-        while self.peek()[0] == "join":
-            self.take()
-            out = Join(out, self.meet())
-        return out
-
-    def meet(self) -> Term:
-        out = self.mul()
-        while self.peek()[0] == "meet":
-            self.take()
-            out = Meet(out, self.mul())
-        return out
-
-    def mul(self) -> Term:
+    def term(self, minimum: int = _ARROW) -> Term:
+        """A term whose infix operators bind at least at minimum.  A right
+        associative operator reads its right operand at its own strength,
+        any other one strength tighter."""
         out = self.unary()
-        while self.peek()[0] == "star":
-            self.take()
-            out = Star(out, self.unary())
+        while (node := _INFIX.get(self.tokens[self.i][0])) and node.strength >= minimum:
+            self.i += 1
+            out = node(out, self.term(node.strength if node.right else node.strength + 1))
         return out
 
     def unary(self) -> Term:
-        kind, text, pos = self.peek()
-        if kind == "inv":
-            self.take()
-            return Inv(self.unary())
-        if kind == "neg":
-            self.take()
-            return Neg(self.unary())
+        kind, text, pos = self.tokens[self.i]
+        self.i += 1
+        if kind in _PREFIX:
+            return _PREFIX[kind](self.unary())
         if kind == "int":
-            self.take()
-            self.expect("dot", "'.' after a multiplier")
+            self.expect(Mult.symbol, "'.' after a multiplier")
             return Mult(int(text), self.unary())
-        return self.postfix()
-
-    def postfix(self) -> Term:
-        out = self.atom()
-        while self.peek()[0] == "caret":
-            self.take()
-            tok = self.expect("int", "an exponent")
-            out = Pow(out, int(tok[1]))
-        return out
-
-    def atom(self) -> Term:
-        kind, text, pos = self.take()
         if kind == "ident":
-            if text == "bot":
-                return Bot()
-            if text == "top":
-                return Top()
-            return Var(text)
-        if kind == "lpar":
-            inner = self.term()
-            self.expect("rpar", "')'")
-            return inner
-        raise ParseError(f"expected a term, found {text or 'end of input'!r}", pos)
+            out = _CONSTANTS[text]() if text in _CONSTANTS else Var(text)
+        elif kind == "(":
+            out = self.term()
+            self.expect(")", "')'")
+        else:
+            raise ParseError(f"expected a term, found {text or 'end of input'!r}", pos)
+        while self.tokens[self.i][0] == Pow.symbol:
+            self.i += 1
+            out = Pow(out, int(self.expect("int", "an exponent")[1]))
+        return out
 
 
 def parse_term(text: str) -> Term:
     """Parse one term; raises ParseError with a position on bad input."""
     parser = _Parser(text)
     out = parser.term()
-    kind, text_, pos = parser.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected {text_!r} after term", pos)
+    parser.finish("term")
     return out
 
 
@@ -293,49 +290,34 @@ def parse_equation(text: str) -> Equation:
     lhs = parser.term()
     parser.expect("eq", "'≈' or '='")
     rhs = parser.term()
-    kind, text_, pos = parser.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected {text_!r} after equation", pos)
+    parser.finish("equation")
     return Equation(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
 # Rendering (round-trips through the parser for parser-built trees).
 
-_ARROW, _JOIN, _MEET, _MUL, _UNARY, _POSTFIX, _ATOM = range(7)
-
-
 def _wrap(t: Term, minimum: int) -> str:
-    s, prec = _render(t)
-    return f"({s})" if prec < minimum else s
+    s, strength = _render(t)
+    return f"({s})" if strength < minimum else s
 
 
 def _render(t: Term) -> tuple[str, int]:
     if isinstance(t, Var):
         return t.name, _ATOM
-    if isinstance(t, Bot):
-        return "bot", _ATOM
-    if isinstance(t, Top):
-        return "top", _ATOM
-    if isinstance(t, Arrow):
-        return f"{_wrap(t.l, _JOIN)} -> {_wrap(t.r, _ARROW)}", _ARROW
-    if isinstance(t, Join):
-        return f"{_wrap(t.l, _JOIN)} \\/ {_wrap(t.r, _MEET)}", _JOIN
-    if isinstance(t, Meet):
-        return f"{_wrap(t.l, _MEET)} /\\ {_wrap(t.r, _MUL)}", _MEET
-    if isinstance(t, Star):
-        return f"{_wrap(t.l, _MUL)} * {_wrap(t.r, _UNARY)}", _MUL
-    if isinstance(t, Inv):
-        return f"~{_wrap(t.t, _UNARY)}", _UNARY
-    if isinstance(t, Neg):
-        return f"!{_wrap(t.t, _UNARY)}", _UNARY
-    if isinstance(t, Mult):
-        return f"{t.k}.{_wrap(t.t, _UNARY)}", _UNARY
-    if isinstance(t, Pow):
-        return f"{_wrap(t.t, _POSTFIX)}^{t.k}", _POSTFIX
+    s = t.strength
     if isinstance(t, Oplus):
         return _render(Inv(Star(Inv(t.l), Inv(t.r))))
-    raise TypeError(f"not a term: {t!r}")
+    if isinstance(t, _Binary):
+        left, right = (s + 1, s) if t.right else (s, s + 1)
+        return f"{_wrap(t.l, left)} {t.symbol} {_wrap(t.r, right)}", s
+    if isinstance(t, _Prefix):
+        return f"{t.symbol}{_wrap(t.t, s)}", s
+    if isinstance(t, Mult):
+        return f"{t.k}{t.symbol}{_wrap(t.t, s)}", s
+    if isinstance(t, Pow):
+        return f"{_wrap(t.t, s)}{t.symbol}{t.k}", s
+    return t.symbol, s  # bot or top
 
 
 def render_term(t: Term) -> str:
@@ -351,7 +333,7 @@ def render_equation(eq: Equation) -> str:
 
 def _node(t: Term, params: AlgebraParams | None, o):
     """The children of a non-variable term and the function that maps
-    their values to its value.
+    their values to its value, the row's op read from o.
 
     This is the one case analysis over node types: free_vars and eval_term
     walk it, and check_equation compiles it once per call.
@@ -360,25 +342,12 @@ def _node(t: Term, params: AlgebraParams | None, o):
         return (), lambda: core.ap_bot(params)
     if isinstance(t, Top):
         return (), lambda: core.ap_top(params)
-    if isinstance(t, Star):
-        return (t.l, t.r), o.mul
-    if isinstance(t, Arrow):
-        return (t.l, t.r), o.div
-    if isinstance(t, Meet):
-        return (t.l, t.r), o.meet
-    if isinstance(t, Join):
-        return (t.l, t.r), o.join
-    if isinstance(t, Neg):
-        return (t.t,), o.neg
-    if isinstance(t, Inv):
-        return (t.t,), o.inv
-    if isinstance(t, Oplus):
-        return (t.l, t.r), o.oplus
+    fn = getattr(o, t.op)
     if isinstance(t, Pow):
-        return (t.t,), lambda a: o.power(a, t.k)
+        return (t.t,), lambda a: fn(a, t.k)
     if isinstance(t, Mult):
-        return (t.t,), lambda a: o.multiple(t.k, a)
-    raise TypeError(f"not a term: {t!r}")
+        return (t.t,), lambda a: fn(t.k, a)
+    return t._values(), fn  # every field of an infix or prefix node is a child
 
 
 def eval_term(t: Term, env: dict[str, ApElem], params: AlgebraParams, ops=None):
@@ -560,7 +529,7 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
         # a full row made whole, N ids per constant id; rows of one per_key
         v = var_slots[last]
         c = next((a for a in args if a != v), v)  # unary: slots[v] stays -1
-        closed, side = lattice and isinstance(t, (Meet, Join)), isinstance(t, Join)
+        closed, side = lattice and t.op in ("meet", "join"), t.op == "join"
         done = {}
 
         def row():
@@ -635,14 +604,10 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
 # ---------------------------------------------------------------------------
 # Window-based equation checking.
 
-@dataclass(frozen=True)
-class EquationVerdict:
+class EquationVerdict(_Record):
     """Outcome of an exhaustive window check, qualified by the radius."""
 
-    holds: bool
-    radius: int
-    checked: int
-    counterexample: dict[str, ApElem] | None
+    __slots__ = fields = ("holds", "radius", "checked", "counterexample")
 
 
 def _candidates(params: AlgebraParams, radius: int, domain) -> tuple[ApElem, ...]:

@@ -1,5 +1,6 @@
 """Parser, renderer, evaluator, and equation checker."""
 
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -27,6 +28,7 @@ from resilat.terms import (
     ParseError,
     Pow,
     Star,
+    Term,
     Top,
     Var,
     check_equation,
@@ -92,31 +94,34 @@ def test_parse_equation_both_spellings():
     assert eq.rhs == Top()
 
 
-@pytest.mark.parametrize(
-    "text,pos",
-    [
-        ("x ->", 4),       # dangling arrow
-        ("3x", 1),         # multiplier without the dot
-        ("x * * y", 4),
-        ("(x -> y", 7),
-        ("x y", 2),
-        ("x @ y", 2),      # tokenizer rejection
-        ("x^", 2),
-    ],
-)
-def test_parse_errors_carry_positions(text, pos):
+PARSE_ERRORS = [
+    ("x ->", 4, "expected a term, found 'end of input'"),  # dangling arrow
+    ("3x", 1, "expected '.' after a multiplier, found 'x'"),
+    ("x * * y", 4, "expected a term, found '*'"),
+    ("(x -> y", 7, "expected ')', found 'end of input'"),
+    ("x y", 2, "unexpected 'y' after term"),
+    ("x @ y", 2, "unexpected character '@'"),  # tokenizer rejection
+    ("x^", 2, "expected an exponent, found 'end of input'"),
+]
+
+
+@pytest.mark.parametrize("text,pos,message", PARSE_ERRORS,
+                         ids=[f"{text}-{pos}" for text, pos, _ in PARSE_ERRORS])
+def test_parse_errors_carry_positions(text, pos, message):
     with pytest.raises(ParseError) as exc:
         parse_term(text)
     assert exc.value.pos == pos
-    assert f"(at position {pos})" in str(exc.value)
+    assert str(exc.value) == f"{message} (at position {pos})"
 
 
 def test_equation_parse_errors():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_equation("x * y")          # no equality sign
+    assert str(exc.value) == "expected '≈' or '=', found 'end of input' (at position 5)"
     with pytest.raises(ParseError) as exc:
         parse_equation("x = y = z")
     assert exc.value.pos == 6
+    assert str(exc.value) == "unexpected '=' after equation (at position 6)"
 
 
 def test_ast_validation():
@@ -128,6 +133,39 @@ def test_ast_validation():
         Var("X")
     with pytest.raises(ValueError):
         Var("")
+
+
+def one_node_of_each_type():
+    x, y = Var("x"), Var("y")
+    return [x, Bot(), Top(), *(node(x, y) for node in (Star, Arrow, Meet, Join, Oplus)),
+            Neg(x), Inv(x), Pow(x, 2), Mult(2, x)]
+
+
+def test_nodes_equal_only_nodes_of_their_own_type():
+    x, y = Var("x"), Var("y")
+    assert Star(x, y) != Meet(x, y)
+    assert Bot() != Top()
+    assert Var("x") != ("x",)
+    assert len(set(one_node_of_each_type())) == 12
+    for a, b in zip(one_node_of_each_type(), one_node_of_each_type()):
+        assert a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        Star(x, y).l = y
+    # the checker keys its subterms by node, so these sides stay apart
+    for text in ("x*y = x /\\ y", "x -> y = x \\/ y"):
+        assert_same(parse_equation(text), P23, 1)
+
+
+def test_terms_defines_no_dataclass_and_nodes_carry_no_dict():
+    # the start-up cost of the module: each dataclass execs its methods
+    classes = [c for c in vars(terms).values()
+               if isinstance(c, type) and c.__module__ == terms.__name__]
+    assert [c.__name__ for c in classes if dataclasses.is_dataclass(c)] == []
+    nodes = one_node_of_each_type()
+    assert {type(t) for t in nodes} == {
+        c for c in classes if issubclass(c, terms.Term) and not c.__name__.startswith("_")
+    } - {terms.Term}
+    assert [t for t in nodes if hasattr(t, "__dict__")] == []
 
 
 def test_free_vars():
@@ -174,6 +212,33 @@ def term_sources(draw, depth=3):
 def test_render_parse_round_trip(source):
     t = parse_term(source)
     assert parse_term(render_term(t)) == t
+
+
+def trees(children):
+    """One node over the children strategy, composite operands on either
+    side."""
+    k = st.integers(0, 4)
+    binary = [st.builds(node, children, children) for node in (Star, Arrow, Meet, Join, Oplus)]
+    return st.one_of(*binary, st.builds(Neg, children), st.builds(Inv, children),
+                     st.builds(Pow, children, k), st.builds(Mult, k, children))
+
+
+TREES = st.recursive(st.sampled_from([Var("x"), Var("y"), Bot(), Top()]), trees, max_leaves=10)
+
+
+def desugared(t):
+    """t with each Oplus written as ~(~l * ~r), as it renders."""
+    values = [getattr(t, name) for name in t.fields]
+    values = [desugared(v) if isinstance(v, Term) else v for v in values]
+    if isinstance(t, Oplus):
+        return Inv(Star(Inv(values[0]), Inv(values[1])))
+    return type(t)(*values)
+
+
+@given(TREES)
+def test_render_parse_round_trip_on_generated_trees(t):
+    # an Oplus-free tree comes back as itself
+    assert parse_term(render_term(t)) == desugared(t)
 
 
 # ---------------------------------------------------------------------------
