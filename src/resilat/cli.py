@@ -74,7 +74,7 @@ def _parse_assignments(pairs, params: AlgebraParams) -> dict:
         name, sep, literal = item.partition("=")
         if not sep:
             raise ValueError(f"bad --assign {item!r}, expected name=((m,r),a)")
-        env[name.strip()] = core.parse_element(literal, params)
+        env[terms.Var(name.strip()).name] = core.parse_element(literal, params)
     return env
 
 

@@ -21,12 +21,17 @@ all read.
 check_equation compiles its equation once per call.  Each distinct
 subterm becomes one node.  A node is recomputed only when the loop
 assigns its last variable, and it calls its operation once per distinct
-tuple of operand values.  The innermost variable runs as whole rows of
-interned ids, and the two sides compare as lists.  A node at that level
-whose one varying operand is that variable maps its operation over the
-candidates once per constant operand, or, as a meet or join under an
-OpsBundle, reads its closed-form row and calls nothing; any other maps
-its memo over its operands' rows.  eval_term walks the same case
+tuple of operand values.  The two innermost variables run together, as
+blocks of interned ids: a node whose last variable is the
+second-innermost one gets a row over a block of that variable's
+candidates, and a node of the innermost level a plane, one row over all
+innermost candidates per candidate in the block.  The two sides compare
+as lists of rows.  Blocks start at one candidate and double, so a check
+that fails early builds little.  A node whose one varying operand is its
+level's variable runs its operation over all the candidates in one pass
+per constant operand, or, as a meet or join under an OpsBundle, reads
+its closed-form row and calls nothing; any other maps its memo over its
+operands' rows.  eval_term walks the same case
 analysis recursively.  Both take their operations from core.REFERENCE
 unless given another bundle.
 """
@@ -110,7 +115,7 @@ class Var(Term):
     __slots__ = fields = ("name",)
 
     def __init__(self, name: str):
-        if not _IDENT_RE.match(name):
+        if not _IDENT_RE.match(name) or name in _CONSTANTS:
             raise ValueError(f"bad variable name {name!r}")
         super().__init__(name)
 
@@ -368,10 +373,25 @@ def _eval(t, env, params, o):
 # ---------------------------------------------------------------------------
 # Compiled evaluation over a sequence of assignments.
 
+class _Ids(dict):
+    """Value -> id.  A value met for the first time gets the next id, so
+    equal values share one, and values[i] is the value of id i."""
+
+    __slots__ = ("values",)
+
+    def __init__(self):  # a dict starts empty: nothing for dict.__init__
+        self.values = []
+
+    def __missing__(self, value) -> int:
+        i = self[value] = len(self.values)
+        self.values.append(value)
+        return i
+
+
 def _step(fn, out, args, slots, values, intern, memo):
-    """One compiled subterm below the last level: set slots[out] to the id
-    of fn applied to the values whose ids sit in the args slots.  With a
-    memo dict, fn runs once per distinct tuple of operand ids."""
+    """One compiled subterm outside the two innermost levels: set slots[out]
+    to the id of fn applied to the values whose ids sit in the args slots.
+    With a memo dict, fn runs once per distinct tuple of operand ids."""
     def step():
         key = tuple([slots[a] for a in args])
         got = None if memo is None else memo.get(key)
@@ -383,115 +403,158 @@ def _step(fn, out, args, slots, values, intern, memo):
     return step
 
 
-def _row(fn, out, args, levels, last, slots, rows, values, intern, memo):
-    """One compiled subterm at the last level: set rows[out] to the ids of
-    fn over the row, one per candidate of the last variable, where
-    _first_failure does not make the row whole.
+def _stretch(rows: list, n: int) -> list:
+    """rows as n rows: a single row stands for every row."""
+    return rows if len(rows) == n else rows * n
 
-    An operand that varies with the last variable reads its row from rows;
-    one of a lower level is constant along the row, and its id sits in
-    slots.  The memo keys the varying operands' ids, as a pair when both
-    vary, and under the constant operand's id when one is constant, so a
-    row is one map of a table's get over the varying ids.  fn runs only on
-    the misses, once per distinct key, in row order.  Without a memo no key
-    can repeat, so fn runs once per position.
+
+def _over(fn, args, c, const, operands) -> list:
+    """fn's values with each of operands in turn as its varying operand,
+    and const as operand c, when c is not None."""
+    if c is None:
+        return [fn(a) for a in operands]
+    if args[0] == c:
+        return [fn(const, a) for a in operands]
+    return [fn(a, const) for a in operands]
+
+
+def _row(fn, out, args, levels, sec, slots, grid, values, intern, memo):
+    """One compiled subterm at one of the two innermost levels: set
+    grid[out] to its rows of ids over the current block, where
+    _first_failure does not make them whole.
+
+    A subterm of the second-innermost level, sec, has one row, over the
+    block's candidates of that variable.  One of the innermost level has a
+    plane: a row over the innermost variable's candidates for each
+    candidate in the block, or one row for all when nothing in it varies
+    with sec.  Its varying operands, those of its own level, read their
+    rows from grid.  Along a row any other operand is constant: an outer
+    subterm, whose id sits in slots, or, under the innermost level, a
+    subterm of level sec, whose row holds one id per row of the plane.
+
+    The memo keys the varying operands' ids, as a pair when both vary, and
+    under the constant operand's id when there is one, so each row is one
+    map of a table's get over the varying ids.  fn runs only on the misses,
+    once per distinct key.  Without a memo no key repeats across
+    assignments, and a fresh one serves the block.
     """
-    const = [a for a in args if levels[a] < last]
-    if len(args) - len(const) == 2:
-        a, b = args
+    level = max(levels[a] for a in args)
+    varying = [a for a in args if levels[a] == level]
+    c = next((a for a in args if levels[a] < level), None)
 
-        def keys():
-            return zip(rows[a], rows[b])
+    def compute(keys: list, k):
+        # the ids of fn over keys, with k the constant operand's id
+        if len(varying) == 2:
+            return map(intern, [fn(values[a], values[b]) for a, b in keys])
+        return map(intern, _over(fn, args, c, None if c is None else values[k],
+                                 map(values.__getitem__, keys)))
 
-        def call(key):
-            return fn(values[key[0]], values[key[1]])
-    else:
-        (v,) = [a for a in args if a not in const]
+    def rows(tables, keys, consts) -> list[list[int]]:
+        # row i: the ids in tables[i], the table for constant id consts[i],
+        # of keys()[i]; misses are filled first
+        got = [list(map(t.get, ks)) for t, ks in zip(tables, keys())]
+        if any(map(operator.contains, got, itertools.repeat(None))):
+            missing: dict = {}  # constant id -> its table and its rows' keys
+            for g, t, ks, k in zip(got, tables, keys(), consts):
+                if None in g:
+                    missing.setdefault(k, (t, set()))[1].update(ks)
+            for k, (t, want) in missing.items():
+                new = list(want.difference(t))  # not empty: a row missed
+                t.update(zip(new, compute(new, k)))
+            got = [list(map(t.get, ks)) for t, ks in zip(tables, keys())]
+        return got
 
-        def keys():
-            return rows[v]
-
-        def call(key):
-            return fn(*[values[key] if a == v else values[slots[a]] for a in args])
-
-    if memo is None:
+    if len(varying) == 2:
         def row():
-            rows[out] = [intern(call(key)) for key in keys()]
-        return row
-
-    c = const[0] if const else None
-
-    def table():  # with a constant operand, the memo's part for its id
-        return memo if c is None else memo.get(slots[c]) or memo.setdefault(slots[c], {})
-
-    def row():
-        t = table()
-        got = list(map(t.get, keys()))
-        if None in got:
-            for key in dict.fromkeys(keys()):
-                if key not in t:
-                    t[key] = intern(call(key))
-            got = list(map(t.get, keys()))
-        rows[out] = got
+            m = {} if memo is None else memo
+            a, b = grid[varying[0]], grid[varying[1]]
+            n = max(len(a), len(b))
+            a, b = _stretch(a, n), _stretch(b, n)
+            grid[out] = rows(itertools.repeat(m), lambda: map(zip, a, b), itertools.repeat(None))
+    elif c is not None and levels[c] == sec:  # one constant id per row
+        def row():
+            m = {} if memo is None else memo
+            consts = grid[c][0]
+            keys = _stretch(grid[varying[0]], len(consts))
+            tables = [m.get(k) or m.setdefault(k, {}) for k in consts]
+            grid[out] = rows(tables, lambda: keys, consts)
+    else:
+        def row():
+            m = {} if memo is None else memo
+            k = None if c is None else slots[c]
+            t = m if k is None else m.get(k) or m.setdefault(k, {})
+            keys = grid[varying[0]]
+            grid[out] = rows(itertools.repeat(t), lambda: keys, itertools.repeat(k))
     return row
 
 
-def _first_difference(left: list[int], right: list[int]) -> int | None:
-    """The first position at which two rows of ids differ; None if none."""
+def _first_difference(left: list[list[int]], right: list[list[int]]):
+    """The first (row, position) at which two lists of rows of ids differ;
+    None if none does."""
     if left == right:
         return None
-    return list(map(operator.ne, left, right)).index(True)
+    b = list(map(operator.ne, left, right)).index(True)
+    return b, list(map(operator.ne, left[b], right[b])).index(True)
 
 
 def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[int] | None:
     """Positions in elems, one per name, of the first assignment in
     canonical order on which the two sides of eq differ; None if none does.
 
-    eq is compiled first.  Every distinct subterm owns one slot, which holds
-    the id of its current value; ids are handed out per call, so equal
-    values share one and the two sides compare by id.  A subterm's level
-    is the position in names of its last variable: it is recomputed right
-    after that variable is assigned, so work on outer variables is hoisted
-    out of the inner loops and closed subterms run once, here.  The last
-    level runs as rows: for each assignment of the outer variables, every
-    last-level subterm gets its row of ids over all candidates, and the two
-    sides compare as lists.  A subterm calls its operation once per
+    eq is compiled first.  Every distinct subterm owns one slot.  A
+    subterm's level is the position in names of its last variable, and
+    its value is kept as ids: equal values share one, handed out per call,
+    so the two sides compare by id.  Outside the two innermost levels a
+    subterm is recomputed right after its variable is assigned, and its id
+    sits in slots, so work on outer variables is hoisted out of the inner
+    loops; closed subterms run once, here.
+
+    The two innermost variables run as blocks.  For each assignment of the
+    outer variables, the second-innermost variable's candidates are taken
+    in blocks of consecutive ones: the first block is one candidate, and
+    each later one twice the one before, up to all N, carried over from
+    one outer assignment to the next.  So a check that fails early builds
+    little, and one that holds builds O(log N) blocks more than one per
+    outer assignment.  In a block, a subterm of the second-innermost level
+    gets a row of ids over the block, and one of the innermost level a
+    plane (see _row); the two sides compare as lists of rows, and the first
+    unequal row and position are the counterexample.  A one-variable
+    equation is a block of one row.  A subterm calls its operation once per
     distinct tuple of operand ids, except when its operands are variables
     covering every level up to its own: no key can repeat there, so a memo
     would only cost memory.
 
     Candidates are interned first: ids 0..N-1 are their positions, the
-    window indices when window is given.  A full row whose one varying
-    operand is the last variable is made whole: one map over the
-    candidates, or an OpsBundle's closed-form meet or join row with a
-    window element, kept per constant id where the subterm has a memo.
+    window indices when window is given.  A subterm whose one varying
+    operand is its level's variable makes its rows whole: one pass of its
+    operation over all N candidates per constant operand id, or an
+    OpsBundle's closed-form meet or join row with a window element, kept
+    per constant id (without a memo, the last one only) and sliced to the
+    block.  The lattice's rows are set up only when such a meet or join
+    exists.
 
     The compiled order differs from the walk's, so when an operation
-    raises, the row is run again one assignment at a time, and the
+    raises, the block is run again one assignment at a time, and the
     assignment where an operation raises first is walked again: the
     exception the walk meets first is the one that surfaces.  The memos
     hold only values already computed, and the operations are pure, so a
     counterexample before that assignment still wins.
     """
-    values: list = []
-    ids: dict = {}
+    ids = _Ids()
+    values, intern = ids.values, ids.__getitem__
     full = window is not None and isinstance(o, core.OpsBundle)
-    lattice = structure._lattice_row(window) if full else None
-
-    def intern(v) -> int:
-        i = ids.get(v)
-        if i is None:
-            i = ids[v] = len(values)
-            values.append(v)
-        return i
+    lattice = None  # structure._lattice_row(window), once a meet or join reads it
+    N = len(elems)
 
     slots: list[int] = []
     levels: list[int] = []
     index: dict[Term, int] = {}
     var_slots = [-1] * len(names)
     last = len(names) - 1
+    sec = last - 1 if last > 0 else None  # the second-innermost level
+    inner = last if sec is None else sec  # the first level run as blocks
     steps: list[list] = [[] for _ in names]
-    rows: dict[int, list[int]] = {}
+    grid: dict[int, list[list[int]]] = {}  # the two innermost levels' rows
 
     def add(t: Term) -> int:
         slot = index.get(t)
@@ -516,64 +579,115 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
             {levels[a] for a in args} == set(range(level + 1))
         )
         memo = None if unique else {}
-        if level < last:
+        if level not in (sec, last):
             steps[level].append(_step(fn, slot, args, slots, values, intern, memo))
             return slot
-        step = _row(fn, slot, args, levels, last, slots, rows, values, intern, memo)
-        if [a for a in args if levels[a] == last] == [var_slots[last]]:
-            step = whole(t, fn, slot, args, memo, step)
+        step = _row(fn, slot, args, levels, sec, slots, grid, values, intern, memo)
+        if [a for a in args if levels[a] == level] == [var_slots[level]]:
+            step = whole(t, fn, slot, args, level, memo, step)
         steps[level].append(step)
         return slot
 
-    def whole(t: Term, fn, out: int, args, memo, per_key):
-        # a full row made whole, N ids per constant id; rows of one per_key
-        v = var_slots[last]
-        c = next((a for a in args if a != v), v)  # unary: slots[v] stays -1
-        closed, side = lattice and t.op in ("meet", "join"), t.op == "join"
+    def whole(t: Term, fn, out: int, args, level: int, memo, per_key):
+        # rows made whole, N ids per constant id; per_key's when one
+        # assignment runs at a time
+        nonlocal lattice
+        v = var_slots[level]
+        c = next((a for a in args if a != v), None)
+        by_row = c is not None and levels[c] == sec
+        closed, side = full and t.op in ("meet", "join"), t.op == "join"
+        if closed and lattice is None:
+            lattice = structure._lattice_row(window)
         done = {}
 
-        def row():
-            if rows[v] is not elem_ids:
-                return per_key()
-            k = slots[c]
+        def ids_of(k: int) -> list[int]:
             got = done.get(k)
             if got is None:
-                if closed and k < len(elems):
+                if closed and k < N:
                     got = lattice(k)[side]
                 else:
-                    got = list(map(intern, map(fn, *[
-                        elems if a == v else itertools.repeat(values[k]) for a in args])))
-                if memo is not None:
-                    done[k] = got
-            rows[out] = got
+                    const = None if c is None else values[k]
+                    got = list(map(intern, _over(fn, args, c, const, elems)))
+                if memo is None:  # k recurs only in one assignment's blocks
+                    done.clear()
+                done[k] = got
+            return got
+
+        def row():
+            if grid[var_slots[last]][0] is not elem_ids:
+                return per_key()
+            if by_row:
+                ks = grid[c][0]
+                got = list(map(done.get, ks))
+                grid[out] = list(map(ids_of, ks)) if None in got else got
+                return
+            got = ids_of(-1 if c is None else slots[c])  # -1: a unary's one key
+            if level == sec:  # the block's ids are its candidates' positions
+                block = grid[v][0]
+                got = got if len(block) == N else got[block[0]:block[0] + len(block)]
+            grid[out] = [got]
         return row
 
-    def scan(row: list[int]) -> int | None:
-        """The first position in row, ids of the last variable, at which
-        the two sides differ under the current outer assignment."""
-        rows[var_slots[last]] = row
+    def side(s: int, size: int, width: int) -> list[list[int]]:
+        """Slot s's ids as size rows of width, whatever its level."""
+        if levels[s] == last:
+            return _stretch(grid[s], size)
+        if levels[s] == sec:
+            return [[k] * width for k in grid[s][0]]
+        return [[slots[s]] * width] * size
+
+    def run(lo: int, hi: int, cands: list[int]):
+        """The first (candidate of level sec, position in cands) at which
+        the sides differ over the block lo..hi-1 and the innermost
+        candidates cands; None if they agree."""
+        grid[var_slots[last]] = [cands]
+        if sec is not None:
+            grid[var_slots[sec]] = [elem_ids[lo:hi]]
+            for step in steps[sec]:
+                step()
         for step in steps[last]:
             step()
-        return _first_difference(
-            *[rows[s] if levels[s] == last else [slots[s]] * len(row) for s in (lhs, rhs)]
-        )
+        size, width = hi - lo, len(cands)
+        found = _first_difference(side(lhs, size, width), side(rhs, size, width))
+        return None if found is None else (lo + found[0], found[1])
 
     # the assignment an exception was raised at; only written while it unwinds
     raised_at = [0] * len(names)
+    size = 1  # rows in the next block
+
+    def blocks() -> list[int] | None:
+        nonlocal size
+        lo, count = 0, N if sec is not None else 1
+        while lo < count:
+            hi = min(lo + size, count)
+            try:
+                found = run(lo, hi, elem_ids)
+            except Exception:
+                found = rerun(lo, hi)
+            if found is not None:
+                return list(found) if sec is not None else [found[1]]
+            lo, size = hi, min(2 * size, N)
+        return None
+
+    def rerun(lo: int, hi: int):
+        # the block again one assignment at a time, after an operation raised
+        for b in range(lo, hi):
+            for j, vid in enumerate(elem_ids):
+                try:
+                    if run(b, b + 1, [vid]) is not None:
+                        return b, j
+                except Exception:
+                    if sec is not None:
+                        raised_at[sec] = b
+                    raised_at[last] = j
+                    raise
+        return None
 
     def search(level: int) -> list[int] | None:
+        if level == inner:
+            return blocks()
         j = 0
         try:
-            if level == last:
-                try:
-                    found = scan(elem_ids)
-                    return None if found is None else [found]
-                except Exception:
-                    pass  # rerun the row one assignment at a time
-                for j, vid in enumerate(elem_ids):
-                    if scan([vid]) is not None:
-                        return [j]
-                return None
             slot, todo = var_slots[level], steps[level]
             for j, vid in enumerate(elem_ids):
                 slots[slot] = vid

@@ -91,7 +91,11 @@ def test_eval_errors(capsys):
     out_of_universe = ["eval", "--n", "2", "--p", "3", "x", "--assign", "x=((3,0),1)"]
     bad_assign = ["eval", "--n", "2", "--p", "3", "x", "--assign", "x->top"]
     bad_term = ["eval", "--n", "2", "--p", "3", "x +"]
-    for argv in (unbound, bad_literal, out_of_universe, bad_assign, bad_term):
+    # names no term reads as a variable
+    constant_name = ["eval", "--n", "2", "--p", "3", "top", "--assign", "top=((0,0),0)"]
+    spaced_name = ["eval", "--n", "2", "--p", "3", "top", "--assign", "q r=((0,1),0)"]
+    for argv in (unbound, bad_literal, out_of_universe, bad_assign, bad_term,
+                 constant_name, spaced_name):
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""

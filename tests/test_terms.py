@@ -2,12 +2,13 @@
 
 import dataclasses
 import itertools
+import operator
 import random
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from resilat import core, structure, terms
 from resilat.core import AlgebraParams
@@ -133,6 +134,24 @@ def test_ast_validation():
         Var("X")
     with pytest.raises(ValueError):
         Var("")
+    # the constants' names would read back as the constants
+    for name in ("bot", "top"):
+        with pytest.raises(ValueError):
+            Var(name)
+
+
+@example("bot")
+@example("top")
+@example("x_1")
+@given(st.builds(operator.add, st.sampled_from("abtxyz"), st.text("bopt0_", max_size=3)))
+def test_every_name_read_as_a_variable_round_trips(name):
+    t = parse_term(name)
+    if isinstance(t, Var):
+        assert t == Var(name) and parse_term(render_term(t)) == t
+    else:
+        assert t in (Bot(), Top())
+        with pytest.raises(ValueError):
+            Var(name)
 
 
 def one_node_of_each_type():
@@ -493,21 +512,52 @@ def test_compiled_check_matches_the_walk_on_the_bench_lines():
         assert_same(parse_equation(text), AlgebraParams(n, p), R)
 
 
-def test_compiled_check_compares_whole_rows_on_the_bench_lines(monkeypatch):
-    # every last-level row runs whole; one run again an assignment at a
-    # time, after an operation raised, would record rows of length 1
-    lengths = []
+def block_rows(count, cap, outer):
+    """The rows of each block in order, over outer assignments of the outer
+    variables: count candidates of the second-innermost variable (1 for a
+    one-variable equation), in blocks of 1, 2, 4, ... up to cap rows, the
+    size carried over from one outer assignment to the next."""
+    rows, size = [], 1
+    for _ in range(outer):
+        lo = 0
+        while lo < count:
+            rows.append(min(size, count - lo))
+            lo, size = lo + rows[-1], min(2 * size, cap)
+    return rows
+
+
+def record_compares(monkeypatch):
+    """The shape of each block compare check_equation makes: its rows, and
+    the set of their lengths."""
+    shapes = []
     real = terms._first_difference
-    monkeypatch.setattr(terms, "_first_difference",
-                        lambda left, right: lengths.append(len(left)) or real(left, right))
+
+    def compare(left, right):
+        assert len(left) == len(right)
+        shapes.append((len(left), {len(row) for row in left + right}))
+        return real(left, right)
+
+    monkeypatch.setattr(terms, "_first_difference", compare)
+    return shapes
+
+
+def test_compiled_check_compares_whole_rows_on_the_bench_lines(monkeypatch):
+    # each compare covers a block of the second-innermost variable's
+    # candidates, each row all N innermost ones; a block run again one
+    # assignment at a time, after an operation raised, would record rows
+    # of length 1
+    shapes = record_compares(monkeypatch)
     for n, p, R, text in BENCH_LINES:
         params, eq = AlgebraParams(n, p), parse_equation(text)
         N = len(structure.Window(params, R))
-        del lengths[:]
+        del shapes[:]
         verdict = check_equation(eq, params, R)
         k = len(free_vars(eq.lhs) | free_vars(eq.rhs))
-        rows = N ** (k - 1) if verdict.holds else -(-verdict.checked // N)
-        assert lengths == [N] * rows, text
+        want = block_rows(N if k > 1 else 1, N, N ** max(k - 2, 0))
+        if not verdict.holds:  # up to the block that holds the failing row
+            failing_row = (verdict.checked - 1) // N
+            want = [b for i, b in enumerate(want) if sum(want[:i]) <= failing_row]
+        assert shapes == [(b, {N}) for b in want], text
 
 
 @pytest.mark.parametrize("ops", list(OPS), ids=list(OPS))
@@ -590,6 +640,113 @@ def test_direct_rows_match_the_walk(ops):
     # indices, keeps the map
     for text in DIRECT_ROWS[:4]:
         assert_same(parse_equation(text), P23, 1, ops=o, domain=lambda a: a.alpha != 0)
+
+
+# the two innermost variables' operand shapes: for x, y, z, y is the
+# second-innermost and z the innermost variable, for x, y, x and y
+PLANE_SHAPES = (
+    # constant, row and plane operands; meets and joins of a row and z
+    "x * (y*z) = (x*y) * z", "(x*y) /\\ z = z /\\ (x*y)", "(x*y) \\/ z = z \\/ (y*x)",
+    # a row and a plane, and two planes
+    "(x*y) -> (y*z) = (y*z) -> (x*y)", "(y*z) \\/ (x -> z) = (x -> z) \\/ (y*z)",
+    # unary operations on a row and on a plane
+    "~(x*y) * z = x \\/ ~(y*z)", "!(x*y)^2 = (~y * ~x) -> bot",
+    # rows of the second-innermost level: a meet with an outer constant,
+    # two rows, a closed constant
+    "(x /\\ y) \\/ z = z \\/ (y /\\ x)", "(x*y) \\/ (y -> x) = (y -> x) \\/ (x*y)",
+    "(y /\\ ~bot) * z = z * y",
+    # a side of the second-innermost level, and one of an outer level
+    "x*y = (y*x) \\/ (z /\\ bot)", "x = x \\/ (z /\\ bot)",
+    # planes of one row for all, next to planes of one row each
+    "x * z^2 = z^2 * x", "(z^2 \\/ (y*z)) * x = x * ((y*z) \\/ z^2)",
+    # two variables
+    "~x = ~x \\/ (y /\\ bot)", "~bot * (x*y) = (y*x) * ~bot", "~x * ~y = ~y * ~x",
+    "~x \\/ y = y \\/ ~x",
+    "(x*y) /\\ (y*y) = (y*y) /\\ (x*y)", "(x*y)^2 = x^2 * y^2", "x /\\ ~y = ~(~x \\/ y)",
+)
+
+
+def plane_point(eq):
+    """A window for eq, with nonzero offsets: 9 candidates for 3 variables,
+    22 for 2."""
+    if len(free_vars(eq.lhs) | free_vars(eq.rhs)) == 3:
+        return AlgebraParams(1, 2), 1
+    return P23, 1
+
+
+@pytest.mark.parametrize("ops", [*OPS, "other-meet"])
+def test_planes_match_the_walk(ops):
+    o = other_meet_ops() if ops == "other-meet" else OPS[ops]
+    for text in PLANE_SHAPES:
+        eq = parse_equation(text)
+        assert_same(eq, *plane_point(eq), ops=o)
+        # a domain-restricted candidate list, whose ids are not window
+        # indices
+        assert_same(eq, P23, 0, ops=o, domain=lambda a: a.alpha != 0)
+
+
+def test_planes_raise_where_and_what_the_walk_raises():
+    raised = 0
+    for seed, text in enumerate(PLANE_SHAPES * 2):
+        eq, ops = parse_equation(text), raising_ops(seed)
+        got = outcome(check_equation, eq, *plane_point(eq), ops=ops)
+        assert got == outcome(walk_check, eq, *plane_point(eq), ops=ops), text
+        raised += isinstance(got, tuple)
+    assert raised > 20
+
+
+def test_a_block_run_again_keeps_the_walks_outcome():
+    # blocks of x: 1, 2, 4, ...  In the block of x at positions 3..6 the ~x
+    # row raises at 5, so the block runs again one assignment at a time
+    elems = structure.Window(P23, 1).elements()
+    position = elems.index
+
+    def raising_from_5(fn, wrong_at_4=None):
+        def op(a, *rest):
+            if position(a) >= 5:
+                raise ArithmeticError(fn.__name__, position(a))
+            return wrong_at_4 if position(a) == 4 and wrong_at_4 else fn(a, *rest)
+        return op
+
+    # where ~x is top, at x = elems[4], the sides differ first
+    ops = reference_ops()
+    ops.inv = raising_from_5(core.ap_inv, wrong_at_4=core.ap_top(P23))
+    eq = parse_equation("y * ~x = y * (x -> bot)")
+    want = walk_check(eq, P23, 1, ops=ops)
+    assert (want.holds, want.counterexample["x"]) == (False, elems[4])
+    assert check_equation(eq, P23, 1, ops=ops) == want
+    # the row of ~x is built before x*y, but at x = elems[5] the walk meets
+    # x*y first
+    ops = reference_ops()
+    ops.inv, ops.mul = raising_from_5(core.ap_inv), raising_from_5(core.ap_mul)
+    eq = parse_equation("(x*y) /\\ ~x = ~x /\\ (x*y)")
+    assert outcome(walk_check, eq, P23, 1, ops=ops) == ("ap_mul", 5)
+    assert outcome(check_equation, eq, P23, 1, ops=ops) == ("ap_mul", 5)
+
+
+def test_a_check_that_holds_compares_once_per_block(monkeypatch):
+    shapes = record_compares(monkeypatch)
+    N = len(structure.Window(P23, 1))
+    verdict = check_equation(parse_equation("x*(y*z) = (x*y)*z"), P23, 1)
+    assert (verdict.holds, verdict.checked) == (True, N**3)
+    # blocks of 1, 2, 4, 8 and 7 for the first x, then one of all N per x
+    assert shapes == [(b, {N}) for b in [1, 2, 4, 8, 7] + [N] * (N - 1)]
+
+
+def test_an_early_failure_calls_each_operation_on_at_most_two_rows():
+    calls = {name: 0 for name in PROTOCOL}
+    counting = reference_ops()
+    for name in PROTOCOL:
+        def op(*args, name=name, fn=getattr(counting, name)):
+            calls[name] += 1
+            return fn(*args)
+        setattr(counting, name, op)
+    eq = parse_equation("(x*y) -> ~y = x /\\ (y \\/ ~x)")
+    N = len(structure.Window(P23, 2))
+    verdict = check_equation(eq, P23, 2, ops=counting)
+    assert (verdict.holds, verdict.checked) == (False, 1)
+    assert max(calls.values()) <= 2 * N
+    assert calls["div"] <= N  # the first row alone
 
 
 def test_meet_rows_under_a_bundle_call_no_lattice_operation(monkeypatch):
