@@ -86,7 +86,7 @@ def _eq(x: object, y: object) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The two chains' operations as functions, an independent route to the
+# The two chains' products as functions, an independent route to the
 # cases that core.ap_mul writes out: _case2, S11's pair powers and the
 # tests' oracles read them.
 
@@ -95,17 +95,8 @@ def omega_star(a: tuple[int, int], b: tuple[int, int], n: int) -> tuple[int, int
     return max((0, 0), (a[0] + b[0] - n, a[1] + b[1]))
 
 
-def omega_arrow(a: tuple[int, int], b: tuple[int, int], n: int) -> tuple[int, int]:
-    """Chain residual min{(n,0), (n-m+k, s-r)}."""
-    return min((n, 0), (n - a[0] + b[0], b[1] - a[1]))
-
-
 def fin_star(a: int, b: int, p: int) -> int:
     return max(0, a + b - p)
-
-
-def fin_arrow(a: int, b: int, p: int) -> int:
-    return min(p, p - a + b)
 
 
 # ---------------------------------------------------------------------------

@@ -199,8 +199,8 @@ class _Tables:
         ids = defaultdict(lambda: len(ids), idx)
         intern = ids.__getitem__
         self.inv_id = list(map(intern, map(ops.inv, elems)))
-        mul_id = [list(map(intern, map(ops.mul, itertools.repeat(a, N), elems)))
-                  for a in elems]
+        mul = ops.mul
+        mul_id = [list(map(intern, [mul(a, b) for b in elems])) for a in elems]
         # The residual a/b is ~(a*~b).  Where ~b_j is the window element f,
         # a_i*~b_j has id mul_id[i][f], and ~ is applied once per distinct
         # product id; where ~b is invalid or leaves the window (under a

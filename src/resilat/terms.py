@@ -20,18 +20,20 @@ all read.
 
 check_equation compiles its equation once per call.  Each distinct
 subterm becomes one node.  A node is recomputed only when the loop
-assigns its last variable, and it calls its operation once per distinct
-tuple of operand values.  The two innermost variables run together, as
-blocks of interned ids: a node whose last variable is the
-second-innermost one gets a row over a block of that variable's
-candidates, and a node of the innermost level a plane, one row over all
-innermost candidates per candidate in the block.  The two sides compare
-as lists of rows.  Blocks start at one candidate and double, so a check
-that fails early builds little.  A node whose one varying operand is its
-level's variable runs its operation over all the candidates in one pass
-per constant operand, or, as a meet or join under an OpsBundle, reads
-its closed-form row and calls nothing; any other maps its memo over its
-operands' rows.  eval_term walks the same case
+assigns its last variable, and, while no operation raises, it calls its
+operation once per distinct tuple of operand values.  When one raises,
+the check drops the compiled loop and walks both trees on every
+assignment in order, so it ends as a plain walk does.  The two innermost
+variables run together, as blocks of interned ids: a node whose last
+variable is the second-innermost one gets a row over a block of that
+variable's candidates, and a node of the innermost level a plane, one
+row over all innermost candidates per candidate in the block.  The two
+sides compare as lists of rows.  Blocks start at one candidate and
+double, so a check that fails early builds little.  A node whose one
+varying operand is its level's variable runs its operation over all the
+candidates in one pass per constant operand, or, as a meet or join under
+an OpsBundle, reads its closed-form row and calls nothing; any other
+maps its memo over its operands' rows.  eval_term walks the same case
 analysis recursively.  Both take their operations from core.REFERENCE
 unless given another bundle.
 """
@@ -428,15 +430,16 @@ def _row(fn, out, args, levels, sec, slots, grid, values, intern, memo):
     plane: a row over the innermost variable's candidates for each
     candidate in the block, or one row for all when nothing in it varies
     with sec.  Its varying operands, those of its own level, read their
-    rows from grid.  Along a row any other operand is constant: an outer
-    subterm, whose id sits in slots, or, under the innermost level, a
-    subterm of level sec, whose row holds one id per row of the plane.
+    rows from grid.  Along a row the other operand, if any, is constant:
+    an outer subterm, whose id sits in slots, or, under the innermost
+    level, a subterm of level sec, whose row holds one id per row of the
+    plane.
 
-    The memo keys the varying operands' ids, as a pair when both vary, and
-    under the constant operand's id when there is one, so each row is one
-    map of a table's get over the varying ids.  fn runs only on the misses,
-    once per distinct key.  Without a memo no key repeats across
-    assignments, and a fresh one serves the block.
+    The memo keys the varying operands' ids, as a pair when both vary, in
+    a table per constant id when there is one, so each row is one map of a
+    table's get over the varying ids.  fn runs only on the misses, once
+    per distinct key while nothing raises.  Without a memo no key repeats
+    across assignments, and a fresh one serves the block.
     """
     level = max(levels[a] for a in args)
     varying = [a for a in args if levels[a] == level]
@@ -449,42 +452,27 @@ def _row(fn, out, args, levels, sec, slots, grid, values, intern, memo):
         return map(intern, _over(fn, args, c, None if c is None else values[k],
                                  map(values.__getitem__, keys)))
 
-    def rows(tables, keys, consts) -> list[list[int]]:
-        # row i: the ids in tables[i], the table for constant id consts[i],
-        # of keys()[i]; misses are filled first
-        got = [list(map(t.get, ks)) for t, ks in zip(tables, keys())]
+    def row():
+        m = {} if memo is None else memo
+        consts = [None] if c is None else grid[c][0] if levels[c] == sec else [slots[c]]
+        operands = [grid[a] for a in varying]
+        n = max(len(consts), *map(len, operands))
+        keys = _stretch(operands[0], n)
+        if len(varying) == 2:
+            keys = [list(zip(a, b)) for a, b in zip(keys, _stretch(operands[1], n))]
+        tables = _stretch([m if k is None else m.get(k) or m.setdefault(k, {})
+                           for k in consts], n)
+        got = [list(map(t.get, ks)) for t, ks in zip(tables, keys)]
         if any(map(operator.contains, got, itertools.repeat(None))):
             missing: dict = {}  # constant id -> its table and its rows' keys
-            for g, t, ks, k in zip(got, tables, keys(), consts):
+            for g, t, k, ks in zip(got, tables, _stretch(consts, n), keys):
                 if None in g:
                     missing.setdefault(k, (t, set()))[1].update(ks)
             for k, (t, want) in missing.items():
                 new = list(want.difference(t))  # not empty: a row missed
                 t.update(zip(new, compute(new, k)))
-            got = [list(map(t.get, ks)) for t, ks in zip(tables, keys())]
-        return got
-
-    if len(varying) == 2:
-        def row():
-            m = {} if memo is None else memo
-            a, b = grid[varying[0]], grid[varying[1]]
-            n = max(len(a), len(b))
-            a, b = _stretch(a, n), _stretch(b, n)
-            grid[out] = rows(itertools.repeat(m), lambda: map(zip, a, b), itertools.repeat(None))
-    elif c is not None and levels[c] == sec:  # one constant id per row
-        def row():
-            m = {} if memo is None else memo
-            consts = grid[c][0]
-            keys = _stretch(grid[varying[0]], len(consts))
-            tables = [m.get(k) or m.setdefault(k, {}) for k in consts]
-            grid[out] = rows(tables, lambda: keys, consts)
-    else:
-        def row():
-            m = {} if memo is None else memo
-            k = None if c is None else slots[c]
-            t = m if k is None else m.get(k) or m.setdefault(k, {})
-            keys = grid[varying[0]]
-            grid[out] = rows(itertools.repeat(t), lambda: keys, itertools.repeat(k))
+            got = [list(map(t.get, ks)) for t, ks in zip(tables, keys)]
+        grid[out] = got
     return row
 
 
@@ -495,6 +483,16 @@ def _first_difference(left: list[list[int]], right: list[list[int]]):
         return None
     b = list(map(operator.ne, left, right)).index(True)
     return b, list(map(operator.ne, left[b], right[b])).index(True)
+
+
+def _walk_failure(eq: Equation, names, elems, params, o) -> list[int] | None:
+    """What _first_failure returns, by a plain walk of both trees on every
+    assignment in canonical order: the left side, then the right."""
+    for picks in itertools.product(range(len(elems)), repeat=len(names)):
+        env = {name: elems[j] for name, j in zip(names, picks)}
+        if _eval(eq.lhs, env, params, o) != _eval(eq.rhs, env, params, o):
+            return list(picks)
+    return None
 
 
 def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[int] | None:
@@ -519,10 +517,10 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
     gets a row of ids over the block, and one of the innermost level a
     plane (see _row); the two sides compare as lists of rows, and the first
     unequal row and position are the counterexample.  A one-variable
-    equation is a block of one row.  A subterm calls its operation once per
-    distinct tuple of operand ids, except when its operands are variables
-    covering every level up to its own: no key can repeat there, so a memo
-    would only cost memory.
+    equation is a block of one row.  While nothing raises, a subterm calls
+    its operation once per distinct tuple of operand ids, except when its
+    operands are variables covering every level up to its own: no key can
+    repeat there, so a memo would only cost memory.
 
     Candidates are interned first: ids 0..N-1 are their positions, the
     window indices when window is given.  A subterm whose one varying
@@ -534,11 +532,9 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
     exists.
 
     The compiled order differs from the walk's, so when an operation
-    raises, the block is run again one assignment at a time, and the
-    assignment where an operation raises first is walked again: the
-    exception the walk meets first is the one that surfaces.  The memos
-    hold only values already computed, and the operations are pure, so a
-    counterexample before that assignment still wins.
+    raises, the compiled search is dropped and _walk_failure's outcome is
+    the check's: the walk's counterexample, or the exception the walk
+    meets first.
     """
     ids = _Ids()
     values, intern = ids.values, ids.__getitem__
@@ -581,16 +577,15 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
         memo = None if unique else {}
         if level not in (sec, last):
             steps[level].append(_step(fn, slot, args, slots, values, intern, memo))
-            return slot
-        step = _row(fn, slot, args, levels, sec, slots, grid, values, intern, memo)
-        if [a for a in args if levels[a] == level] == [var_slots[level]]:
-            step = whole(t, fn, slot, args, level, memo, step)
-        steps[level].append(step)
+        elif [a for a in args if levels[a] == level] == [var_slots[level]]:
+            steps[level].append(whole(t, fn, slot, args, level, memo))
+        else:
+            steps[level].append(_row(fn, slot, args, levels, sec, slots, grid,
+                                     values, intern, memo))
         return slot
 
-    def whole(t: Term, fn, out: int, args, level: int, memo, per_key):
-        # rows made whole, N ids per constant id; per_key's when one
-        # assignment runs at a time
+    def whole(t: Term, fn, out: int, args, level: int, memo):
+        # rows made whole, N ids per constant id
         nonlocal lattice
         v = var_slots[level]
         c = next((a for a in args if a != v), None)
@@ -614,8 +609,6 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
             return got
 
         def row():
-            if grid[var_slots[last]][0] is not elem_ids:
-                return per_key()
             if by_row:
                 ks = grid[c][0]
                 got = list(map(done.get, ks))
@@ -628,31 +621,27 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
             grid[out] = [got]
         return row
 
-    def side(s: int, size: int, width: int) -> list[list[int]]:
-        """Slot s's ids as size rows of width, whatever its level."""
+    def side(s: int, size: int) -> list[list[int]]:
+        """Slot s's ids as size rows of N, whatever its level."""
         if levels[s] == last:
             return _stretch(grid[s], size)
         if levels[s] == sec:
-            return [[k] * width for k in grid[s][0]]
-        return [[slots[s]] * width] * size
+            return [[k] * N for k in grid[s][0]]
+        return [[slots[s]] * N] * size
 
-    def run(lo: int, hi: int, cands: list[int]):
-        """The first (candidate of level sec, position in cands) at which
-        the sides differ over the block lo..hi-1 and the innermost
-        candidates cands; None if they agree."""
-        grid[var_slots[last]] = [cands]
+    def run(lo: int, hi: int):
+        """The first (candidate of level sec, candidate of the innermost
+        level) at which the sides differ over the block lo..hi-1; None if
+        they agree."""
         if sec is not None:
             grid[var_slots[sec]] = [elem_ids[lo:hi]]
             for step in steps[sec]:
                 step()
         for step in steps[last]:
             step()
-        size, width = hi - lo, len(cands)
-        found = _first_difference(side(lhs, size, width), side(rhs, size, width))
+        found = _first_difference(side(lhs, hi - lo), side(rhs, hi - lo))
         return None if found is None else (lo + found[0], found[1])
 
-    # the assignment an exception was raised at; only written while it unwinds
-    raised_at = [0] * len(names)
     size = 1  # rows in the next block
 
     def blocks() -> list[int] | None:
@@ -660,59 +649,35 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
         lo, count = 0, N if sec is not None else 1
         while lo < count:
             hi = min(lo + size, count)
-            try:
-                found = run(lo, hi, elem_ids)
-            except Exception:
-                found = rerun(lo, hi)
+            found = run(lo, hi)
             if found is not None:
                 return list(found) if sec is not None else [found[1]]
             lo, size = hi, min(2 * size, N)
         return None
 
-    def rerun(lo: int, hi: int):
-        # the block again one assignment at a time, after an operation raised
-        for b in range(lo, hi):
-            for j, vid in enumerate(elem_ids):
-                try:
-                    if run(b, b + 1, [vid]) is not None:
-                        return b, j
-                except Exception:
-                    if sec is not None:
-                        raised_at[sec] = b
-                    raised_at[last] = j
-                    raise
-        return None
-
     def search(level: int) -> list[int] | None:
         if level == inner:
             return blocks()
-        j = 0
-        try:
-            slot, todo = var_slots[level], steps[level]
-            for j, vid in enumerate(elem_ids):
-                slots[slot] = vid
-                for step in todo:
-                    step()
-                found = search(level + 1)
-                if found is not None:
-                    return [j, *found]
-            return None
-        except Exception:
-            raised_at[level] = j
-            raise
+        slot, todo = var_slots[level], steps[level]
+        for j, vid in enumerate(elem_ids):
+            slots[slot] = vid
+            for step in todo:
+                step()
+            found = search(level + 1)
+            if found is not None:
+                return [j, *found]
+        return None
 
     elem_ids = list(map(intern, elems))  # ids 0..N-1 before any closed subterm
     try:
         lhs, rhs = add(eq.lhs), add(eq.rhs)
         if not names:
             return [] if slots[lhs] != slots[rhs] else None
+        grid[var_slots[last]] = [elem_ids]
         return search(0)
-    except Exception as exc:
-        failure = exc
-    env = {name: elems[j] for name, j in zip(names, raised_at)}
-    _eval(eq.lhs, env, params, o)
-    _eval(eq.rhs, env, params, o)
-    raise failure
+    except Exception:  # an operation raised: the plain walk's outcome is the check's
+        pass
+    return _walk_failure(eq, names, elems, params, o)
 
 
 # ---------------------------------------------------------------------------
@@ -755,9 +720,10 @@ def check_equation(
     equation_estimate exceeds the budget, unless force is set.
 
     A substitute ops bundle must be pure and return hashable values, as
-    elements are: each operation runs once per distinct tuple of operands.
-    An operation that raises does so at the same assignment, with the same
-    exception, as under a plain walk of both trees.
+    elements are: while nothing raises, each operation runs once per
+    distinct tuple of operands.  When an operation raises, the check walks
+    both trees again on every assignment in order, so it returns or raises
+    what a plain walk does.
     """
     if radius < 0:
         raise ValueError(f"window radius must be >= 0, got {radius}")

@@ -61,18 +61,13 @@ def wide_elements(draw, count=1):
 def test_omega_chain_ops():
     assert harness.omega_star((1, 0), (1, 0), 2) == (0, 0)
     assert harness.omega_star((0, 3), (0, -5), 2) == (0, 0)  # clamped at (0,0)
-    assert harness.omega_arrow((1, 0), (0, 3), 2) == (1, 3)
-    assert harness.omega_arrow((0, 0), (2, 0), 2) == (2, 0)  # clamped at (n,0)
-    # the clamps are lex min and max, never componentwise
-    assert harness.omega_arrow((1, 0), (0, 5), 2) == (1, 5)
+    # the clamp is a lex max, never componentwise
     assert harness.omega_star((2, 5), (1, -9), 2) == (1, -4)
 
 
 def test_fin_chain_ops():
     assert harness.fin_star(2, 2, 3) == 1
     assert harness.fin_star(1, 1, 3) == 0
-    assert harness.fin_arrow(2, 1, 3) == 2
-    assert harness.fin_arrow(0, 0, 3) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +357,11 @@ def _oracle_meet(a, b):
     return core._mk(pr[0], pr[1], 0, n, p)
 
 
+def _omega_arrow(a, b, n):
+    """Chain residual min{(n,0), (n-m+k, s-r)}."""
+    return min((n, 0), (n - a[0] + b[0], b[1] - a[1]))
+
+
 def _oracle_mul(a, b):
     core._same_params(a, b)
     n, p = a.n, a.p
@@ -375,10 +375,10 @@ def _oracle_mul(a, b):
         pr = min((n, 0), (2 * n - (m + k + 1), -(r + s)))
         return core._mk(pr[0], pr[1], 0, n, p)
     if al != 0:
-        pr = harness.omega_arrow((m, r), (k, s), n)
+        pr = _omega_arrow((m, r), (k, s), n)
         return core._mk(pr[0], pr[1], 0, n, p)
     if be != 0:
-        pr = harness.omega_arrow((k, s), (m, r), n)
+        pr = _omega_arrow((k, s), (m, r), n)
         return core._mk(pr[0], pr[1], 0, n, p)
     pr = min((n, 0), (m + k + 1, r + s))
     return core._mk(pr[0], pr[1], 0, n, p)

@@ -543,9 +543,7 @@ def record_compares(monkeypatch):
 
 def test_compiled_check_compares_whole_rows_on_the_bench_lines(monkeypatch):
     # each compare covers a block of the second-innermost variable's
-    # candidates, each row all N innermost ones; a block run again one
-    # assignment at a time, after an operation raised, would record rows
-    # of length 1
+    # candidates, each row all N innermost ones
     shapes = record_compares(monkeypatch)
     for n, p, R, text in BENCH_LINES:
         params, eq = AlgebraParams(n, p), parse_equation(text)
@@ -697,7 +695,7 @@ def test_planes_raise_where_and_what_the_walk_raises():
 
 def test_a_block_run_again_keeps_the_walks_outcome():
     # blocks of x: 1, 2, 4, ...  In the block of x at positions 3..6 the ~x
-    # row raises at 5, so the block runs again one assignment at a time
+    # row raises at 5, so the check replays the plain walk
     elems = structure.Window(P23, 1).elements()
     position = elems.index
 
@@ -813,6 +811,14 @@ def test_compiled_check_raises_where_and_what_the_walk_raises():
     for text in ("y^2 = ~x", "y^2 = ~bot", "x * y^2 = ~x"):
         with pytest.raises(ArithmeticError, match="power"):
             check_equation(parse_equation(text), P23, 0, ops=always)
+    # a closed equation raises while it compiles, before any assignment
+    for text in ("~bot * top = top", "2.bot = bot^0"):
+        eq = parse_equation(text)
+        for ops in (always, *map(raising_ops, range(8))):
+            got = outcome(check_equation, eq, P23, 0, ops=ops)
+            assert got == outcome(walk_check, eq, P23, 0, ops=ops), text
+    assert outcome(check_equation, parse_equation("~bot * top = top"), P23, 0,
+                   ops=always) == ("inv",)
     raised = 0
     for seed, (eq, params, R) in enumerate(random_cases(seed=7, count=60)):
         ops = raising_ops(seed)
@@ -820,6 +826,23 @@ def test_compiled_check_raises_where_and_what_the_walk_raises():
         assert got == outcome(walk_check, eq, params, R, ops=ops)
         raised += isinstance(got, tuple)
     assert raised > 20
+
+
+def test_the_compiled_check_never_replays_the_walk(monkeypatch):
+    # no operation of the reference or of a mutation bundle raises: the
+    # bundles turn an error into the invalid marker
+    def replay(*args):
+        raise AssertionError("replayed the walk")
+
+    monkeypatch.setattr(terms, "_walk_failure", replay)
+    for ops in (REFERENCE, *MUTATIONS.values()):
+        for n, p, R, text in BENCH_LINES:
+            assert_same(parse_equation(text), AlgebraParams(n, p), R, ops=ops)
+        for text in DIRECT_ROWS:
+            assert_same(parse_equation(text), P23, 1, ops=ops)
+        for text in PLANE_SHAPES:
+            eq = parse_equation(text)
+            assert_same(eq, *plane_point(eq), ops=ops)
 
 
 def test_compiled_check_raises_where_the_walk_raises_within_a_row():
