@@ -17,7 +17,9 @@ import sys
 import time
 from dataclasses import dataclass
 
-from resilat import core, harness, structure, terms
+# harness is imported where it is read (suites, the default grid and JSON
+# check rates), so `check --eq` at one point starts without it
+from resilat import core, structure, terms
 from resilat.core import AlgebraParams
 from resilat.structure import BudgetError, Window, enforce_budget
 
@@ -93,6 +95,8 @@ def _grid_points(cfg: CliConfig):
     if cfg.n is not None and cfg.p is not None:
         return ((cfg.n, cfg.p),)
     if cfg.n is None and cfg.p is None:
+        from resilat import harness
+
         return harness.DEFAULT_GRID
     raise ValueError("give both --n and --p, or neither for the default grid")
 
@@ -101,6 +105,8 @@ def _eq_line(eq_text: str, n: int, p: int, R: int, estimate: int, verdict,
              elapsed: float, fmt: str) -> str:
     ce = verdict.counterexample
     if fmt == "json":
+        from resilat import harness
+
         return json.dumps(
             {
                 "eq": eq_text,
@@ -137,6 +143,8 @@ def cmd_check(args: argparse.Namespace, cfg: CliConfig) -> int:
     points = _grid_points(cfg)
     failed = False
     if args.suite:
+        from resilat import harness
+
         sids = [s.strip() for s in args.suite.split(",") if s.strip()]
         if not sids:
             raise ValueError(f"no suite ids in --suite {args.suite!r}")

@@ -20,22 +20,25 @@ all read.
 
 check_equation compiles its equation once per call.  Each distinct
 subterm becomes one node.  A node is recomputed only when the loop
-assigns its last variable, and, while no operation raises, it calls its
-operation once per distinct tuple of operand values.  When one raises,
-the check drops the compiled loop and walks both trees on every
-assignment in order, so it ends as a plain walk does.  The two innermost
-variables run together, as blocks of interned ids: a node whose last
-variable is the second-innermost one gets a row over a block of that
-variable's candidates, and a node of the innermost level a plane, one
-row over all innermost candidates per candidate in the block.  The two
+assigns its last variable.  The nodes that apply one operation share its
+results, one table per operand layout (which operand, if any, stays
+constant along a row), so while no operation raises, each runs once per
+distinct tuple of operand values in each layout.  When one raises, the
+check drops the compiled loop and walks both trees on every assignment
+in order, so it ends as a plain walk does.  The two innermost variables
+run together, as blocks of interned ids: a node whose last variable is
+the second-innermost one gets a row over a block of that variable's
+candidates, and a node of the innermost level a plane, one row over all
+innermost candidates per candidate in the block.  A one-variable
+equation runs its variable's candidates as blocks the same way.  The two
 sides compare as lists of rows.  Blocks start at one candidate and
 double, so a check that fails early builds little.  A node whose one
-varying operand is its level's variable runs its operation over all the
-candidates in one pass per constant operand, or, as a meet or join under
-an OpsBundle, reads its closed-form row and calls nothing; any other
-maps its memo over its operands' rows.  eval_term walks the same case
-analysis recursively.  Both take their operations from core.REFERENCE
-unless given another bundle.
+varying operand is its level's variable keeps, in its operation's table,
+its row over all the candidates per constant operand, or, as a meet or
+join under an OpsBundle, reads its closed-form row and calls nothing;
+any other maps its operation's table over its operands' rows.  eval_term
+walks the same case analysis recursively.  Both take their operations
+from core.REFERENCE unless given another bundle.
 """
 
 from __future__ import annotations
@@ -390,17 +393,36 @@ class _Ids(dict):
         return i
 
 
+class _Table(dict):
+    """The results of one operation in one operand layout, shared by every
+    subterm that applies the operation so.  It maps the id of the operand
+    that stays constant along a row (None where none does) to a dict from
+    the varying operand's id, or the pair of ids where both vary, to the
+    result's id.  rows maps a constant id to its results over all N
+    candidates, ids 0..N-1, once a whole row (see _first_failure) has read
+    them; a constant's dict, made when first read, starts from its row."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):  # a dict starts empty: nothing for dict.__init__
+        self.rows = {}
+
+    def __missing__(self, k) -> dict:
+        got = self[k] = dict(enumerate(self.rows[k])) if k in self.rows else {}
+        return got
+
+
 def _step(fn, out, args, slots, values, intern, memo):
     """One compiled subterm outside the two innermost levels: set slots[out]
     to the id of fn applied to the values whose ids sit in the args slots.
-    With a memo dict, fn runs once per distinct tuple of operand ids."""
+    memo is its operation's table with no operand constant, keyed by the
+    operand's id, or by the pair of ids of a binary operation."""
     def step():
-        key = tuple([slots[a] for a in args])
-        got = None if memo is None else memo.get(key)
+        ks = [slots[a] for a in args]
+        key = tuple(ks) if len(ks) == 2 else ks[0]
+        got = memo.get(key)
         if got is None:
-            got = intern(fn(*[values[k] for k in key]))
-            if memo is not None:
-                memo[key] = got
+            got = memo[key] = intern(fn(*map(values.__getitem__, ks)))
         slots[out] = got
     return step
 
@@ -410,20 +432,28 @@ def _stretch(rows: list, n: int) -> list:
     return rows if len(rows) == n else rows * n
 
 
-def _over(fn, args, c, const, operands) -> list:
-    """fn's values with each of operands in turn as its varying operand,
-    and const as operand c, when c is not None."""
-    if c is None:
-        return [fn(a) for a in operands]
-    if args[0] == c:
-        return [fn(const, a) for a in operands]
-    return [fn(a, const) for a in operands]
+def _results(fn, args, c, k, keys, values, intern) -> list[int]:
+    """The ids of fn over keys, with k the constant operand's id.  c is
+    the slot of the constant operand, or None when no operand is constant;
+    then a key is the pair of operand ids of a binary fn, or the one
+    operand's id."""
+    if c is None and len(args) == 2:
+        got = [fn(values[a], values[b]) for a, b in keys]
+    elif c is None:
+        got = [fn(values[a]) for a in keys]
+    elif args[0] == c:
+        const = values[k]
+        got = [fn(const, values[a]) for a in keys]
+    else:
+        const = values[k]
+        got = [fn(values[a], const) for a in keys]
+    return list(map(intern, got))
 
 
-def _row(fn, out, args, levels, sec, slots, grid, values, intern, memo):
+def _row(fn, out, args, levels, sec, slots, grid, values, intern, table):
     """One compiled subterm at one of the two innermost levels: set
-    grid[out] to its rows of ids over the current block, where
-    _first_failure does not make them whole.
+    grid[out] to its rows of ids over the current block, read from table,
+    its operation's _Table for its operand layout.
 
     A subterm of the second-innermost level, sec, has one row, over the
     block's candidates of that variable.  One of the innermost level has a
@@ -435,33 +465,23 @@ def _row(fn, out, args, levels, sec, slots, grid, values, intern, memo):
     level, a subterm of level sec, whose row holds one id per row of the
     plane.
 
-    The memo keys the varying operands' ids, as a pair when both vary, in
-    a table per constant id when there is one, so each row is one map of a
-    table's get over the varying ids.  fn runs only on the misses, once
-    per distinct key while nothing raises.  Without a memo no key repeats
-    across assignments, and a fresh one serves the block.
+    Each row is one map of the constant's table's get over the varying
+    keys.  The misses are filled in one batch per constant id, so while
+    nothing raises fn runs once per distinct key, across every subterm
+    that shares the table.
     """
     level = max(levels[a] for a in args)
     varying = [a for a in args if levels[a] == level]
     c = next((a for a in args if levels[a] < level), None)
 
-    def compute(keys: list, k):
-        # the ids of fn over keys, with k the constant operand's id
-        if len(varying) == 2:
-            return map(intern, [fn(values[a], values[b]) for a, b in keys])
-        return map(intern, _over(fn, args, c, None if c is None else values[k],
-                                 map(values.__getitem__, keys)))
-
     def row():
-        m = {} if memo is None else memo
         consts = [None] if c is None else grid[c][0] if levels[c] == sec else [slots[c]]
         operands = [grid[a] for a in varying]
         n = max(len(consts), *map(len, operands))
         keys = _stretch(operands[0], n)
         if len(varying) == 2:
             keys = [list(zip(a, b)) for a, b in zip(keys, _stretch(operands[1], n))]
-        tables = _stretch([m if k is None else m.get(k) or m.setdefault(k, {})
-                           for k in consts], n)
+        tables = _stretch(list(map(table.__getitem__, consts)), n)
         got = [list(map(t.get, ks)) for t, ks in zip(tables, keys)]
         if any(map(operator.contains, got, itertools.repeat(None))):
             missing: dict = {}  # constant id -> its table and its rows' keys
@@ -470,7 +490,7 @@ def _row(fn, out, args, levels, sec, slots, grid, values, intern, memo):
                     missing.setdefault(k, (t, set()))[1].update(ks)
             for k, (t, want) in missing.items():
                 new = list(want.difference(t))  # not empty: a row missed
-                t.update(zip(new, compute(new, k)))
+                t.update(zip(new, _results(fn, args, c, k, new, values, intern)))
             got = [list(map(t.get, ks)) for t, ks in zip(tables, keys)]
         grid[out] = got
     return row
@@ -507,29 +527,35 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
     sits in slots, so work on outer variables is hoisted out of the inner
     loops; closed subterms run once, here.
 
-    The two innermost variables run as blocks.  For each assignment of the
-    outer variables, the second-innermost variable's candidates are taken
-    in blocks of consecutive ones: the first block is one candidate, and
-    each later one twice the one before, up to all N, carried over from
-    one outer assignment to the next.  So a check that fails early builds
-    little, and one that holds builds O(log N) blocks more than one per
-    outer assignment.  In a block, a subterm of the second-innermost level
-    gets a row of ids over the block, and one of the innermost level a
-    plane (see _row); the two sides compare as lists of rows, and the first
-    unequal row and position are the counterexample.  A one-variable
-    equation is a block of one row.  While nothing raises, a subterm calls
-    its operation once per distinct tuple of operand ids, except when its
-    operands are variables covering every level up to its own: no key can
-    repeat there, so a memo would only cost memory.
+    The innermost variables run as blocks.  For each assignment of the
+    outer variables, the candidates of the second-innermost variable, or
+    of the one variable of a one-variable equation, are taken in blocks of
+    consecutive ones: the first block is one candidate, and each later one
+    twice the one before, up to all N, carried over from one outer
+    assignment to the next.  So a check that fails early builds little,
+    and one that holds builds O(log N) blocks more than one per outer
+    assignment.  In a block, a subterm of the second-innermost level gets a
+    row of ids over the block, and one of the innermost level a plane (see
+    _row); the two sides compare as lists of rows, and the first unequal
+    row and position are the counterexample.  A one-variable equation's
+    subterms have one row each, over the block.
+
+    Subterms that apply one operation share its results: one _Table per
+    operation, its exponent or multiplier included, and operand layout,
+    which says which operand, if any, stays constant along a row.  Outer
+    and closed subterms read the layout with none constant.  So while
+    nothing raises, each operation runs once per distinct tuple of operand
+    ids in each layout.
 
     Candidates are interned first: ids 0..N-1 are their positions, the
     window indices when window is given.  A subterm whose one varying
-    operand is its level's variable makes its rows whole: one pass of its
-    operation over all N candidates per constant operand id, or an
-    OpsBundle's closed-form meet or join row with a window element, kept
-    per constant id (without a memo, the last one only) and sliced to the
-    block.  The lattice's rows are set up only when such a meet or join
-    exists.
+    operand is its level's variable makes its rows whole: over a block of
+    all N candidates, it reads its table's row for each constant operand
+    id, made once by filling the table over all N, or, as a meet or join
+    under an OpsBundle with a window element, the lattice's closed-form
+    row, sliced to the block.  Over a smaller block it reads the table as
+    any other subterm does.  The lattice's rows are set up only when such
+    a meet or join exists.
 
     The compiled order differs from the walk's, so when an operation
     raises, the compiled search is dropped and _walk_failure's outcome is
@@ -550,7 +576,8 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
     sec = last - 1 if last > 0 else None  # the second-innermost level
     inner = last if sec is None else sec  # the first level run as blocks
     steps: list[list] = [[] for _ in names]
-    grid: dict[int, list[list[int]]] = {}  # the two innermost levels' rows
+    grid: dict[int, list[list[int]]] = {}  # the innermost levels' rows
+    tables: dict[tuple, _Table] = {}  # (op, exponent or multiplier, layout) -> results
 
     def add(t: Term) -> int:
         slot = index.get(t)
@@ -567,91 +594,105 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
         level = max((levels[a] for a in args), default=-1)
         slot = index[t] = len(slots)
         levels.append(level)
-        if level < 0:
-            slots.append(intern(fn(*[values[slots[a]] for a in args])))
+        if not args:  # bot or top
+            slots.append(intern(fn()))
             return slot
         slots.append(-1)
-        unique = all(a in var_slots for a in args) and (
-            {levels[a] for a in args} == set(range(level + 1))
-        )
-        memo = None if unique else {}
-        if level not in (sec, last):
-            steps[level].append(_step(fn, slot, args, slots, values, intern, memo))
+        rowed = level >= 0 and level in (sec, last)
+        c = next((a for a in args if levels[a] < level), None) if rowed else None
+        layout = None if c is None else args.index(c)
+        table = tables.setdefault((t.op, getattr(t, "k", None), layout), _Table())
+        if not rowed:
+            step = _step(fn, slot, args, slots, values, intern, table[None])
+            if level < 0:
+                step()
+            else:
+                steps[level].append(step)
         elif [a for a in args if levels[a] == level] == [var_slots[level]]:
-            steps[level].append(whole(t, fn, slot, args, level, memo))
+            steps[level].append(whole(t, fn, slot, args, level, c, table))
         else:
             steps[level].append(_row(fn, slot, args, levels, sec, slots, grid,
-                                     values, intern, memo))
+                                     values, intern, table))
         return slot
 
-    def whole(t: Term, fn, out: int, args, level: int, memo):
-        # rows made whole, N ids per constant id
+    def whole(t: Term, fn, out: int, args, level: int, c, table: _Table):
+        # the row step of a subterm whose one varying operand is v, its
+        # level's variable: over all N candidates, its row per constant id
         nonlocal lattice
         v = var_slots[level]
-        c = next((a for a in args if a != v), None)
-        by_row = c is not None and levels[c] == sec
         closed, side = full and t.op in ("meet", "join"), t.op == "join"
         if closed and lattice is None:
             lattice = structure._lattice_row(window)
-        done = {}
+        over_block = _row(fn, out, args, levels, sec, slots, grid, values, intern, table)
+        rows = table.rows
 
-        def ids_of(k: int) -> list[int]:
-            got = done.get(k)
+        def ids_of(k) -> list[int]:
+            got = rows.get(k)
             if got is None:
                 if closed and k < N:
                     got = lattice(k)[side]
+                elif k not in table:  # no dict is made for the row alone
+                    got = _results(fn, args, c, k, range(N), values, intern)
                 else:
-                    const = None if c is None else values[k]
-                    got = list(map(intern, _over(fn, args, c, const, elems)))
-                if memo is None:  # k recurs only in one assignment's blocks
-                    done.clear()
-                done[k] = got
+                    t = table[k]
+                    new = [j for j in range(N) if j not in t]
+                    t.update(zip(new, _results(fn, args, c, k, new, values, intern)))
+                    got = list(map(t.__getitem__, range(N)))
+                rows[k] = got
             return got
 
         def row():
-            if by_row:
-                ks = grid[c][0]
-                got = list(map(done.get, ks))
-                grid[out] = list(map(ids_of, ks)) if None in got else got
+            block = grid[v][0]
+            if len(block) < N and not closed:
+                over_block()  # only the block's keys, so an early failure builds little
                 return
-            got = ids_of(-1 if c is None else slots[c])  # -1: a unary's one key
-            if level == sec:  # the block's ids are its candidates' positions
-                block = grid[v][0]
-                got = got if len(block) == N else got[block[0]:block[0] + len(block)]
-            grid[out] = [got]
+            consts = [None] if c is None else grid[c][0] if levels[c] == sec else [slots[c]]
+            got = list(map(rows.get, consts))
+            if None in got:
+                got = list(map(ids_of, consts))
+            if len(block) < N:  # the block's ids are its candidates' positions
+                got = [g[block[0]:block[0] + len(block)] for g in got]
+            grid[out] = got
         return row
 
-    def side(s: int, size: int) -> list[list[int]]:
-        """Slot s's ids as size rows of N, whatever its level."""
+    def side(s: int, count: int, width: int) -> list[list[int]]:
+        """Slot s's ids as count rows of width, whatever its level."""
         if levels[s] == last:
-            return _stretch(grid[s], size)
+            return _stretch(grid[s], count)
         if levels[s] == sec:
-            return [[k] * N for k in grid[s][0]]
-        return [[slots[s]] * N] * size
+            return [[k] * width for k in grid[s][0]]
+        return [[slots[s]] * width] * count
 
-    def run(lo: int, hi: int):
-        """The first (candidate of level sec, candidate of the innermost
-        level) at which the sides differ over the block lo..hi-1; None if
-        they agree."""
-        if sec is not None:
+    def run(lo: int, hi: int) -> list[int] | None:
+        """The positions of the first (candidate of level sec, candidate of
+        the innermost level) at which the sides differ over the block
+        lo..hi-1, or of the innermost candidate alone in a one-variable
+        equation; None if they agree."""
+        if sec is None:
+            grid[var_slots[last]] = [elem_ids[lo:hi]]
+            count, width = 1, hi - lo
+        else:
             grid[var_slots[sec]] = [elem_ids[lo:hi]]
             for step in steps[sec]:
                 step()
+            count, width = hi - lo, N
         for step in steps[last]:
             step()
-        found = _first_difference(side(lhs, hi - lo), side(rhs, hi - lo))
-        return None if found is None else (lo + found[0], found[1])
+        found = _first_difference(side(lhs, count, width), side(rhs, count, width))
+        if found is None:
+            return None
+        return [lo + found[1]] if sec is None else [lo + found[0], found[1]]
 
-    size = 1  # rows in the next block
+    size = 1  # candidates in the next block
 
     def blocks() -> list[int] | None:
         nonlocal size
-        lo, count = 0, N if sec is not None else 1
-        while lo < count:
-            hi = min(lo + size, count)
+        lo = 0
+        while lo < N:
+            hi = min(lo + size, N)
             found = run(lo, hi)
             if found is not None:
-                return list(found) if sec is not None else [found[1]]
+                return found
             lo, size = hi, min(2 * size, N)
         return None
 
@@ -720,10 +761,12 @@ def check_equation(
     equation_estimate exceeds the budget, unless force is set.
 
     A substitute ops bundle must be pure and return hashable values, as
-    elements are: while nothing raises, each operation runs once per
-    distinct tuple of operands.  When an operation raises, the check walks
-    both trees again on every assignment in order, so it returns or raises
-    what a plain walk does.
+    elements are: subterms that apply one operation share its results, so
+    while nothing raises, each operation runs once per distinct tuple of
+    operands in each operand layout, by which operand, the left, the right
+    or neither, stays constant along the checker's rows.  When an
+    operation raises, the check walks both trees again on every assignment
+    in order, so it returns or raises what a plain walk does.
     """
     if radius < 0:
         raise ValueError(f"window radius must be >= 0, got {radius}")

@@ -415,3 +415,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "((0,0),1)\n"
+
+
+def test_check_eq_at_one_point_starts_without_the_harness():
+    # --eq with --n and --p reads neither the default grid nor JSON rates
+    argv = ["check", "--n", "2", "--p", "3", "--R", "1", "--eq", "x*y = y*x"]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from resilat import cli; code = cli.main(sys.argv[1:]); "
+         "sys.stderr.write(str('resilat.harness' in sys.modules)); sys.exit(code)",
+         *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "False")
+    assert proc.stdout == "eq n=2 p=3 R=1 pass checks=484\n"

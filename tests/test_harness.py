@@ -30,6 +30,8 @@ from resilat.structure import (
     effective_budget,
 )
 
+from bundles import NONCOMMUTATIVE
+
 P23 = AlgebraParams(2, 3)
 P11 = AlgebraParams(1, 1)
 
@@ -519,14 +521,9 @@ TWO_STEP_BUNDLES = {
     "reference": REFERENCE,
     **MUTATIONS,
     "invalid-past-r2": OpsBundle(_mul_invalid_past_r2, core.ap_inv, "invalid-past-r2"),
-    # a case-2 product whose left operand has the larger m is one lower
-    # in r, so a*b and b*a differ there; S1 first fails past row 0, and a
-    # table read with its operands swapped changes a report
-    "case2-larger-m-left": OpsBundle(
-        harness._mul_override(
-            lambda a, b: harness._case2(a, b) and a.m > b.m,
-            lambda a, b: (2 * a.n - (a.m + b.m + 1), -(a.r + b.r) - 1)),
-        core.ap_inv, "case2-larger-m-left"),
+    # S1 first fails past row 0 under it, and a table read with its
+    # operands swapped changes a report
+    NONCOMMUTATIVE.name: NONCOMMUTATIVE,
 }
 
 

@@ -1,5 +1,6 @@
 """Parser, renderer, evaluator, and equation checker."""
 
+import collections
 import dataclasses
 import itertools
 import operator
@@ -43,6 +44,8 @@ from resilat.terms import (
     render_equation,
     render_term,
 )
+
+from bundles import NONCOMMUTATIVE
 
 P23 = AlgebraParams(2, 3)
 
@@ -435,7 +438,9 @@ def walk_check(eq, params, radius, max_vars=3, domain=None, ops=None):
     return EquationVerdict(True, radius, checked, None)
 
 
-OPS = {"core": None, "reference": REFERENCE, **MUTATIONS}
+# every product here commutes but NONCOMMUTATIVE's, so only it tells a
+# table read with its operands swapped
+OPS = {"core": None, "reference": REFERENCE, **MUTATIONS, NONCOMMUTATIVE.name: NONCOMMUTATIVE}
 
 # the evaluation protocol of the term module
 PROTOCOL = ("mul", "inv", "div", "neg", "oplus", "meet", "join", "power", "multiple")
@@ -444,6 +449,23 @@ PROTOCOL = ("mul", "inv", "div", "neg", "oplus", "meet", "join", "power", "multi
 def reference_ops():
     """A plain namespace holding the reference operations, to override."""
     return SimpleNamespace(**{name: getattr(core.REFERENCE, name) for name in PROTOCOL})
+
+
+def recording_ops(record):
+    """reference_ops() that call record(name, operands) before each operation."""
+    ops = reference_ops()
+    for name in PROTOCOL:
+        def op(*args, name=name, fn=getattr(ops, name)):
+            record(name, args)
+            return fn(*args)
+        setattr(ops, name, op)
+    return ops
+
+
+def counting_ops():
+    """recording_ops() and the Counter of the calls it makes, by operation."""
+    calls = collections.Counter()
+    return recording_ops(lambda name, args: calls.update((name,))), calls
 
 
 # the five `resilat check --eq` lines of the benchmark's equations workload;
@@ -513,10 +535,11 @@ def test_compiled_check_matches_the_walk_on_the_bench_lines():
 
 
 def block_rows(count, cap, outer):
-    """The rows of each block in order, over outer assignments of the outer
-    variables: count candidates of the second-innermost variable (1 for a
-    one-variable equation), in blocks of 1, 2, 4, ... up to cap rows, the
-    size carried over from one outer assignment to the next."""
+    """The candidates of each block in order, over outer assignments of the
+    outer variables: count candidates of the variable run in blocks, the
+    second-innermost one or a one-variable equation's one, in blocks of 1,
+    2, 4, ... up to cap, the size carried over from one outer assignment to
+    the next."""
     rows, size = [], 1
     for _ in range(outer):
         lo = 0
@@ -543,7 +566,8 @@ def record_compares(monkeypatch):
 
 def test_compiled_check_compares_whole_rows_on_the_bench_lines(monkeypatch):
     # each compare covers a block of the second-innermost variable's
-    # candidates, each row all N innermost ones
+    # candidates, each row all N innermost ones; a one-variable equation
+    # compares one row per block of its variable's candidates
     shapes = record_compares(monkeypatch)
     for n, p, R, text in BENCH_LINES:
         params, eq = AlgebraParams(n, p), parse_equation(text)
@@ -551,11 +575,12 @@ def test_compiled_check_compares_whole_rows_on_the_bench_lines(monkeypatch):
         del shapes[:]
         verdict = check_equation(eq, params, R)
         k = len(free_vars(eq.lhs) | free_vars(eq.rhs))
-        want = block_rows(N if k > 1 else 1, N, N ** max(k - 2, 0))
-        if not verdict.holds:  # up to the block that holds the failing row
-            failing_row = (verdict.checked - 1) // N
-            want = [b for i, b in enumerate(want) if sum(want[:i]) <= failing_row]
-        assert shapes == [(b, {N}) for b in want], text
+        blocks = block_rows(N, N, N ** max(k - 2, 0))
+        per = N if k > 1 else 1  # assignments per candidate of a block
+        if not verdict.holds:  # up to the block that holds the failure
+            blocks = [b for i, b in enumerate(blocks)
+                      if sum(blocks[:i]) * per < verdict.checked]
+        assert shapes == [(b, {N}) if k > 1 else (1, {b}) for b in blocks], text
 
 
 @pytest.mark.parametrize("ops", list(OPS), ids=list(OPS))
@@ -591,7 +616,7 @@ def test_compiled_check_matches_the_walk_on_row_shapes():
             "(x*z)*(y*z) = (y*z)*(x*z)", "z /\\ z = z", "x * (z /\\ z) = x * z",
             # a side constant along the last variable's row
             "x*y = top", "x -> x = y -> y",
-            # no memo: x*y and y*x take a new operand pair at every step
+            # one product with its constant on the left and on the right
             "x*y = y*x", "x*y -> x = y",
         ):
             assert_same(parse_equation(text), P23, 1, ops=ops)
@@ -683,6 +708,24 @@ def test_planes_match_the_walk(ops):
         assert_same(eq, P23, 0, ops=o, domain=lambda a: a.alpha != 0)
 
 
+# one operation with its constant on the left in one subterm and on the
+# right in another, whose results sit in two tables: under a product that
+# does not commute, a read of the wrong one changes the outcome
+SIDED = (
+    "x*(y*z) = (z*y)*x", "x*z = y*x", "(x*y) -> z = z -> (y*x)", "~x * y = y * ~x",
+    "(x*x) * y = y * (x*x)", "y*x -> x = x*y -> x",
+)
+
+
+@pytest.mark.parametrize("ops", list(OPS))
+def test_one_operation_with_its_constant_on_either_side_matches_the_walk(ops):
+    for text in SIDED:
+        eq = parse_equation(text)
+        assert_same(eq, P23, 0 if len(free_vars(eq.lhs) | free_vars(eq.rhs)) == 3 else 1,
+                    ops=OPS[ops])
+        assert_same(eq, P23, 0, ops=OPS[ops], domain=lambda a: a.alpha != 0)
+
+
 def test_planes_raise_where_and_what_the_walk_raises():
     raised = 0
     for seed, text in enumerate(PLANE_SHAPES * 2):
@@ -732,19 +775,27 @@ def test_a_check_that_holds_compares_once_per_block(monkeypatch):
 
 
 def test_an_early_failure_calls_each_operation_on_at_most_two_rows():
-    calls = {name: 0 for name in PROTOCOL}
-    counting = reference_ops()
-    for name in PROTOCOL:
-        def op(*args, name=name, fn=getattr(counting, name)):
-            calls[name] += 1
-            return fn(*args)
-        setattr(counting, name, op)
+    counting, calls = counting_ops()
     eq = parse_equation("(x*y) -> ~y = x /\\ (y \\/ ~x)")
     N = len(structure.Window(P23, 2))
     verdict = check_equation(eq, P23, 2, ops=counting)
     assert (verdict.holds, verdict.checked) == (False, 1)
     assert max(calls.values()) <= 2 * N
     assert calls["div"] <= N  # the first row alone
+
+
+@pytest.mark.parametrize("text,checked", [
+    ("x \\/ !(x^2) = top", 1), ("2.x = x", 2), ("x^0 /\\ 4.x = 2.x", 67),
+    ("top = !(3.x)^3", 132), ("~x /\\ x^3 = bot", 264)])
+def test_a_one_variable_failure_calls_each_operation_on_its_blocks_alone(text, checked):
+    # blocks of 1, 2, 4, ... candidates: at most 2 * checked - 1 of them
+    # are built by the block that holds the failure
+    calls = collections.Counter()  # by operation, its exponent or multiplier included
+    counting = recording_ops(lambda name, args: calls.update(
+        [(name, *[k for k in args if isinstance(k, int)])]))
+    verdict = check_equation(parse_equation(text), P23, 32, ops=counting)
+    assert (verdict.holds, verdict.checked) == (False, checked)
+    assert 0 < max(calls.values()) < 2 * checked
 
 
 def test_meet_rows_under_a_bundle_call_no_lattice_operation(monkeypatch):
@@ -759,27 +810,57 @@ def test_meet_rows_under_a_bundle_call_no_lattice_operation(monkeypatch):
     assert (verdict.holds, verdict.checked) == (True, len(structure.Window(P33, 2)) ** 2)
 
 
+def walk_operands(eq, params, radius):
+    """A plain walk's verdict on eq, and the distinct operand tuples it
+    meets, by operation."""
+    met = collections.defaultdict(set)
+    ops = recording_ops(lambda name, args: met[name].add(args))
+    return walk_check(eq, params, radius, ops=ops), met
+
+
+def test_each_operation_runs_once_per_operand_tuple_the_walk_meets():
+    # the bench lines, and the E, EM, WL and Bterm presets at S16's
+    # exponent on the grid: subterms that apply one operation share its
+    # results, so on an equation that holds each operation runs once per
+    # operand tuple the plain walk meets
+    cases = [(parse_equation(text), AlgebraParams(n, p), R) for n, p, R, text in BENCH_LINES]
+    for n, p in DEFAULT_GRID:
+        params = AlgebraParams(n, p)
+        cases += [(preset(name, max(n + 1, p)), params, 2) for name in ("E", "EM", "WL")]
+        cases.append((preset("Bterm", params=params), params, 2))
+    holding = 0
+    for eq, params, R in cases:
+        want, met = walk_operands(eq, params, R)
+        if not want.holds:
+            continue
+        holding += 1
+        counting, calls = counting_ops()
+        assert check_equation(eq, params, R, ops=counting) == want
+        want_calls = {name: len(tuples) for name, tuples in met.items()}
+        assert calls == want_calls, render_equation(eq)
+    assert holding == 22
+
+
 def test_compiled_check_runs_each_operation_once_per_distinct_operand():
-    calls = []
-    counting = reference_ops()
-    counting.power = lambda a, k: calls.append(a) or core.ap_pow(a, k)
+    elems = structure.Window(P23, 1).elements()
+    N = len(elems)
+    counting, calls = counting_ops()
     eq = parse_equation("x^4 * y^4 = y^4 * x^4")
     verdict = check_equation(eq, P23, 1, ops=counting)
-    N = len(structure.Window(P23, 1))
     assert (verdict.holds, verdict.checked) == (True, N * N)
-    # x^4 once per x, y^4 once per distinct y; a plain walk makes 4 * N^2 calls
-    assert len(calls) == 2 * N
-    # once per distinct operand pair of each node: x*y and y*z meet N^2
-    # pairs, x*(y*z) and (x*y)*z N times the distinct products; a plain
+    # x^4 and y^4 read one table: once per candidate; a plain walk makes
+    # 4 * N^2 calls
+    assert calls["power"] == N
+    # x*y, y*z, x*(y*z) and (x*y)*z, each with its left operand constant
+    # along its row, read one table: once per distinct pair met; a plain
     # walk makes 4 * N^3 calls
-    products = []
-    counting.mul = lambda a, b: products.append((a, b)) or core.ap_mul(a, b)
-    eq = parse_equation("x*(y*z) = (x*y)*z")
-    verdict = check_equation(eq, P23, 1, ops=counting)
+    counting, calls = counting_ops()
+    verdict = check_equation(parse_equation("x*(y*z) = (x*y)*z"), P23, 1, ops=counting)
     assert (verdict.holds, verdict.checked) == (True, N**3)
-    elems = structure.Window(P23, 1).elements()
-    distinct = len({core.ap_mul(a, b) for a in elems for b in elems})
-    assert len(products) == 2 * N * N + 2 * N * distinct
+    products = {core.ap_mul(a, b) for a in elems for b in elems}
+    pairs = {*itertools.product(elems, elems), *itertools.product(elems, products),
+             *itertools.product(products, elems)}
+    assert calls == {"mul": len(pairs)}
 
 
 def raising_ops(seed):
