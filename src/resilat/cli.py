@@ -15,10 +15,8 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
 
-# harness is imported where it is read (suites, the default grid and JSON
-# check rates), so `check --eq` at one point starts without it
+# harness is imported only for --suite, so `check --eq` starts without it
 from resilat import core, structure, terms
 from resilat.core import AlgebraParams
 from resilat.structure import BudgetError, Window, enforce_budget
@@ -28,37 +26,14 @@ _SUB_ALIASES = {s.lower(): s for s in structure.SUBALGEBRA_IDS}
 _TABLE_OPS = ("mul", "div", "meet", "join", "oplus")
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    n: int | None
-    p: int | None
-    R: int
-    fmt: str | None
-    force_budget: bool
-
-    def params(self) -> AlgebraParams:
-        if self.n is None or self.p is None:
-            raise ValueError("this command needs both --n and --p")
-        return AlgebraParams(self.n, self.p)
-
-
-def _config(args: argparse.Namespace) -> CliConfig:
-    n = getattr(args, "n", None)
-    p = getattr(args, "p", None)
-    R = getattr(args, "R", 2)
-    if n is not None and n < 1:
-        raise ValueError(f"--n must be positive, got {n}")
-    if p is not None and p < 1:
-        raise ValueError(f"--p must be positive, got {p}")
-    if R < 0:
-        raise ValueError(f"--R must be >= 0, got {R}")
-    return CliConfig(
-        n=n,
-        p=p,
-        R=R,
-        fmt=getattr(args, "fmt", None),
-        force_budget=getattr(args, "force_budget", False),
-    )
+def _check_flags(args: argparse.Namespace) -> None:
+    """The flag checks every subcommand shares."""
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n must be positive, got {args.n}")
+    if args.p is not None and args.p < 1:
+        raise ValueError(f"--p must be positive, got {args.p}")
+    if args.R < 0:
+        raise ValueError(f"--R must be >= 0, got {args.R}")
 
 
 def _sub_id(text: str) -> str:
@@ -83,21 +58,19 @@ def _parse_assignments(pairs, params: AlgebraParams) -> dict:
 # ---------------------------------------------------------------------------
 # Subcommands.
 
-def cmd_eval(args: argparse.Namespace, cfg: CliConfig) -> int:
-    params = cfg.params()
+def cmd_eval(args: argparse.Namespace) -> int:
+    params = AlgebraParams(args.n, args.p)
     env = _parse_assignments(args.assign, params)
     value = terms.eval_term(terms.parse_term(args.term), env, params)
     print(core.render_element(value))
     return 0
 
 
-def _grid_points(cfg: CliConfig):
-    if cfg.n is not None and cfg.p is not None:
-        return ((cfg.n, cfg.p),)
-    if cfg.n is None and cfg.p is None:
-        from resilat import harness
-
-        return harness.DEFAULT_GRID
+def _grid_points(args: argparse.Namespace):
+    if args.n is not None and args.p is not None:
+        return ((args.n, args.p),)
+    if args.n is None and args.p is None:
+        return structure.DEFAULT_GRID
     raise ValueError("give both --n and --p, or neither for the default grid")
 
 
@@ -105,8 +78,6 @@ def _eq_line(eq_text: str, n: int, p: int, R: int, estimate: int, verdict,
              elapsed: float, fmt: str) -> str:
     ce = verdict.counterexample
     if fmt == "json":
-        from resilat import harness
-
         return json.dumps(
             {
                 "eq": eq_text,
@@ -122,7 +93,7 @@ def _eq_line(eq_text: str, n: int, p: int, R: int, estimate: int, verdict,
                     else None
                 ),
                 "elapsed": round(elapsed, 6),
-                "checks_per_s": harness.checks_per_s(verdict.checked, elapsed),
+                "checks_per_s": structure.checks_per_s(verdict.checked, elapsed),
             }
         )
     line = (
@@ -136,11 +107,11 @@ def _eq_line(eq_text: str, n: int, p: int, R: int, estimate: int, verdict,
     return line
 
 
-def cmd_check(args: argparse.Namespace, cfg: CliConfig) -> int:
-    fmt = cfg.fmt or "text"
+def cmd_check(args: argparse.Namespace) -> int:
+    fmt = args.fmt or "text"
     if bool(args.suite) == bool(args.eq):
         raise ValueError("give exactly one of --suite or --eq")
-    points = _grid_points(cfg)
+    points = _grid_points(args)
     failed = False
     if args.suite:
         from resilat import harness
@@ -154,7 +125,7 @@ def cmd_check(args: argparse.Namespace, cfg: CliConfig) -> int:
             if sid in sids[:k]:
                 raise ValueError(f"suite {sid!r} named twice in --suite {args.suite!r}")
         reports = harness.run_grid(
-            suites=sids, grid=points, R=cfg.R, force=cfg.force_budget
+            suites=sids, grid=points, R=args.R, force=args.force_budget
         )
         for report in reports:
             print(report.json_line() if fmt == "json" else report.text_line())
@@ -165,18 +136,18 @@ def cmd_check(args: argparse.Namespace, cfg: CliConfig) -> int:
         estimates = []
         for n, p in points:
             params = AlgebraParams(n, p)
-            estimates.append(terms.equation_estimate(eq, params, cfg.R))
-            enforce_budget("eq", params, cfg.R, estimates[-1], force=cfg.force_budget)
+            estimates.append(terms.equation_estimate(eq, params, args.R))
+            enforce_budget("eq", params, args.R, estimates[-1], force=args.force_budget)
         for (n, p), estimate in zip(points, estimates):
             start = time.perf_counter()
-            verdict = terms.check_equation(eq, AlgebraParams(n, p), cfg.R, force=True)
+            verdict = terms.check_equation(eq, AlgebraParams(n, p), args.R, force=True)
             elapsed = time.perf_counter() - start
-            print(_eq_line(args.eq, n, p, cfg.R, estimate, verdict, elapsed, fmt))
+            print(_eq_line(args.eq, n, p, args.R, estimate, verdict, elapsed, fmt))
             failed = failed or not verdict.holds
     return 1 if failed else 0
 
 
-def _sub_members(args: argparse.Namespace, cfg: CliConfig, sid: str):
+def _sub_members(args: argparse.Namespace, sid: str):
     """The members of subalgebra sid in the --window window, or in the
     r=0 slice, which holds all of a finite one."""
     if sid not in _FINITE_SUBS and args.window is None:
@@ -186,18 +157,18 @@ def _sub_members(args: argparse.Namespace, cfg: CliConfig, sid: str):
     radius = args.window if args.window is not None else 0
     return tuple(
         a
-        for a in Window(cfg.params(), radius).elements()
+        for a in Window(AlgebraParams(args.n, args.p), radius).elements()
         if structure.subalg_member(sid, a, args.q)
     )
 
 
-def _hasse_members(args: argparse.Namespace, cfg: CliConfig):
-    params = cfg.params()
+def _hasse_members(args: argparse.Namespace):
+    params = AlgebraParams(args.n, args.p)
     if args.sub is None:
         if args.window is None:
             raise ValueError("export hasse needs --sub or --window")
         return Window(params, args.window).elements()
-    return _sub_members(args, cfg, _sub_id(args.sub))
+    return _sub_members(args, _sub_id(args.sub))
 
 
 def _emit_dot(elems) -> str:
@@ -212,18 +183,18 @@ def _emit_dot(elems) -> str:
     return "\n".join(lines)
 
 
-def cmd_export(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_export(args: argparse.Namespace) -> int:
     if args.kind == "hasse":
-        if cfg.fmt not in (None, "dot"):
+        if args.fmt not in (None, "dot"):
             raise ValueError("export hasse emits dot; use --format dot")
-        print(_emit_dot(_hasse_members(args, cfg)))
+        print(_emit_dot(_hasse_members(args)))
         return 0
     # Cayley table
-    if cfg.fmt not in (None, "csv"):
+    if args.fmt not in (None, "csv"):
         raise ValueError("export table emits csv; use --format csv")
     if args.sub is None:
         raise ValueError("export table needs --sub")
-    members = _sub_members(args, cfg, _sub_id(args.sub))
+    members = _sub_members(args, _sub_id(args.sub))
     if args.op not in _TABLE_OPS:
         raise ValueError(
             f"unknown op {args.op!r}; one of {', '.join(_TABLE_OPS)}"
@@ -242,8 +213,8 @@ def cmd_export(args: argparse.Namespace, cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_filters(args: argparse.Namespace, cfg: CliConfig) -> int:
-    params = cfg.params()
+def cmd_filters(args: argparse.Namespace) -> int:
+    params = AlgebraParams(args.n, args.p)
     a = core.parse_element(args.element, params)
     value = core.boolean_term(a)
     if value == core.ap_top(params):
@@ -320,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        return args.func(args, cfg)
+        _check_flags(args)
+        return args.func(args)
     except BudgetError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 2

@@ -16,8 +16,8 @@ over ap_mul and ap_inv.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
+from operator import attrgetter
 from typing import NamedTuple
 
 
@@ -29,18 +29,60 @@ class ParamsMismatchError(ValueError):
     """Operands belong to algebras with different (n, p)."""
 
 
-@dataclass(frozen=True)
-class AlgebraParams:
+class _Record:
+    """An immutable record whose fields are its slots, given positionally.
+    It equals only a record of its own type with equal fields, and hashes
+    likewise.  Every record of the package is one: a subclass names its
+    fields in __slots__ = fields = (...), and validates in __init__."""
+
+    __slots__ = fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the type and the fields read in one C call, which == and hash
+        # compare: records key the window and table caches
+        cls._key = staticmethod(attrgetter("__class__", *cls.fields))
+
+    def __init__(self, *values):
+        if len(values) != len(self.fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self.fields)} fields")
+        for name, value in zip(self.fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class AlgebraParams(_Record):
     """Height n of the pair chain and size p of the finite chain, both >= 1."""
 
-    n: int
-    p: int
+    __slots__ = fields = ("n", "p")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if self.p < 1:
-            raise ValueError(f"p must be a positive integer, got {self.p}")
+    def __init__(self, n: int, p: int):
+        if n < 1:
+            raise ValueError(f"n must be a positive integer, got {n}")
+        if p < 1:
+            raise ValueError(f"p must be a positive integer, got {p}")
+        # set here, not by _Record.__init__'s loop, at half the cost: inputs
+        # are built by the thousand, each with its own params
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
 
 
 class LexPair(NamedTuple):

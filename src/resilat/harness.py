@@ -67,15 +67,13 @@ import random
 import sys
 import time
 from collections import defaultdict
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable
 
 from resilat import core, structure, terms
-from resilat.core import _INVALID, REFERENCE, AlgebraParams, ApElem, OpsBundle
-from resilat.structure import Window, _low, _tables, _Tables, _transpose, enforce_budget
-
-DEFAULT_GRID = tuple((n, p) for n in (1, 2, 3) for p in (1, 2, 3))
+from resilat.core import _INVALID, REFERENCE, AlgebraParams, ApElem, OpsBundle, _Record
+from resilat.structure import DEFAULT_GRID, Window, _low, _tables, _Tables, _transpose
+from resilat.structure import checks_per_s, enforce_budget
 
 
 def _eq(x: object, y: object) -> bool:
@@ -214,19 +212,16 @@ def _draws(seed: int, arity: int, N: int, sample: int) -> tuple:
     return tuple(zip(*[iter(vals)] * arity))
 
 
-class _Ctx:
-    __slots__ = ("params", "R", "w", "elems", "N", "ops", "t", "sample", "seed")
+class _Ctx(_Record):
+    """What a suite body reads: the window, the bundle under test, its
+    tables, and the sample size (None when exhaustive) and seed."""
 
-    def __init__(self, w: Window, ops: OpsBundle, t: _Tables, sample, seed):
-        self.params = w.params
-        self.R = w.R
-        self.w = w
-        self.elems = t.elems
-        self.N = t.N
-        self.ops = ops
-        self.t = t
-        self.sample = sample
-        self.seed = seed
+    __slots__ = fields = ("w", "ops", "t", "sample", "seed")
+
+    params = property(lambda self: self.w.params)
+    R = property(lambda self: self.w.R)
+    elems = property(lambda self: self.t.elems)
+    N = property(lambda self: self.t.N)
 
     def indices(self, arity: int):
         """Index tuples: the full product, or seeded-random draws in
@@ -798,15 +793,13 @@ def _s16(ctx: _Ctx):
 # ---------------------------------------------------------------------------
 # Registry.
 
-@dataclass(frozen=True)
-class _SuiteEntry:
-    sid: str
-    title: str
-    runner: Callable[[_Ctx], tuple]
-    # Estimated checks from |W| and draws(k), the number of k-tuples the
-    # ctx.indices loops visit: N**k exhaustively, sample when sampled.
-    # Every other loop runs in full either way.
-    cost: Callable[[int, Callable[[int], int]], int]
+class _SuiteEntry(_Record):
+    """A suite's id, title and runner, and its cost: the estimated checks
+    from |W| and draws(k), the number of k-tuples the ctx.indices loops
+    visit, N**k exhaustively and sample when sampled.  Every other loop
+    runs in full either way."""
+
+    __slots__ = fields = ("sid", "title", "runner", "cost")
 
 
 # Suites whose structure scans read the REFERENCE tables whatever the bundle.
@@ -836,20 +829,15 @@ SUITES: dict[str, _SuiteEntry] = {
 }
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    title: str
-    n: int
-    p: int
-    R: int
-    checks_run: int
-    estimate: int  # the check count the budget was gated on
-    verdict: str  # "pass" | "fail"
-    first_counterexample: tuple[str, ...] | None
-    details: dict
-    elapsed: float
-    tables_s: float
+class SuiteReport(_Record):
+    """One suite's outcome at one window.  estimate is the check count the
+    budget was gated on; verdict is "pass" or "fail"; first_counterexample
+    is a tuple of name=value strings or None; elapsed times the checks and
+    tables_s the table build."""
+
+    __slots__ = fields = ("suite", "title", "n", "p", "R", "checks_run", "estimate",
+                          "verdict", "first_counterexample", "details", "elapsed",
+                          "tables_s")
 
     def text_line(self) -> str:
         """One summary line; deliberately free of timing so output is
@@ -864,15 +852,10 @@ class SuiteReport:
 
     def json_line(self) -> str:
         """The fields in order, timings rounded, and the check rate."""
-        out = asdict(self)
+        out = dict(zip(self.fields, self._values()))
         out["elapsed"], out["tables_s"] = round(self.elapsed, 6), round(self.tables_s, 6)
         out["checks_per_s"] = checks_per_s(self.checks_run, self.elapsed)
         return json.dumps(out)
-
-
-def checks_per_s(checks: int, elapsed: float) -> float | None:
-    """The check rate JSON lines report, rounded; None for no time."""
-    return round(checks / elapsed, 1) if elapsed > 0 else None
 
 
 def run_suite(
@@ -916,23 +899,11 @@ def run_suite(
         for arity in _ARITIES:  # the window's draws, made once for every suite
             _draws(seed, arity, N, sample)
     built = time.perf_counter()
-    ctx = _Ctx(w, bundle, tables, sample, seed)
-    checks, ce, details = entry.runner(ctx)
+    checks, ce, details = entry.runner(_Ctx(w, bundle, tables, sample, seed))
     elapsed = time.perf_counter() - built
-    return SuiteReport(
-        suite=sid,
-        title=entry.title,
-        n=params.n,
-        p=params.p,
-        R=R,
-        checks_run=checks,
-        estimate=estimate,
-        verdict="pass" if ce is None else "fail",
-        first_counterexample=tuple(ce) if ce else None,
-        details=details,
-        elapsed=elapsed,
-        tables_s=built - start,
-    )
+    return SuiteReport(sid, entry.title, params.n, params.p, R, checks, estimate,
+                       "pass" if ce is None else "fail", tuple(ce) if ce else None,
+                       details, elapsed, built - start)
 
 
 def run_grid(

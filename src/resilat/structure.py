@@ -21,18 +21,18 @@ import itertools
 import os
 from collections import defaultdict
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from operator import or_
 
 from resilat import core
-from resilat.core import _INVALID, REFERENCE, AlgebraParams, ApElem, LexPair
+from resilat.core import _INVALID, REFERENCE, AlgebraParams, ApElem, LexPair, _Record
 from resilat.core import OpsBundle, ParamsMismatchError
 
 FILTER_IDS = ("Top", "FOmega", "Radical", "Improper")
 SUBALGEBRA_IDS = ("L2", "ChangL2w", "HatLnp", "HatLn2", "A2", "Aq", "HatLq")
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV = "RESILAT_BUDGET"
+DEFAULT_GRID = tuple((n, p) for n in (1, 2, 3) for p in (1, 2, 3))
 
 
 @lru_cache(maxsize=None)
@@ -48,17 +48,16 @@ def _window_elements(params: AlgebraParams, radius: int) -> tuple[ApElem, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Record):
     """The valid elements with |r| <= R, in a fixed enumeration order:
     level ascending, then m ascending, then r ascending."""
 
-    params: AlgebraParams
-    R: int
+    __slots__ = fields = ("params", "R")
 
-    def __post_init__(self) -> None:
-        if self.R < 0:
-            raise ValueError(f"window radius must be >= 0, got {self.R}")
+    def __init__(self, params: AlgebraParams, R: int):
+        if R < 0:
+            raise ValueError(f"window radius must be >= 0, got {R}")
+        super().__init__(params, R)
 
     def elements(self) -> tuple[ApElem, ...]:
         return _window_elements(self.params, self.R)
@@ -275,7 +274,8 @@ def _tables(params: AlgebraParams, radius: int, ops: OpsBundle) -> _Tables:
 
 
 # ---------------------------------------------------------------------------
-# The check-count budget every exhaustive entry point obeys.
+# The check-count budget every exhaustive entry point obeys, and the
+# check rate the JSON lines report.
 
 class BudgetError(RuntimeError):
     """Estimated check count exceeds the budget; pass force to run anyway."""
@@ -305,6 +305,11 @@ def enforce_budget(
             f"{label} at n={params.n} p={params.p} R={R} needs about {estimate} "
             f"checks, over the budget of {limit}"
         )
+
+
+def checks_per_s(checks: int, elapsed: float) -> float | None:
+    """The check rate JSON lines report, rounded; None for no time."""
+    return round(checks / elapsed, 1) if elapsed > 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +539,11 @@ def subalg_member(s: str, a: ApElem, q: int | None = None) -> bool:
     raise ValueError(f"unknown subalgebra id {s!r}")
 
 
-@dataclass(frozen=True)
-class ClosureResult:
-    """Outcome of iterated closure; truncation is an outcome, not an error."""
+class ClosureResult(_Record):
+    """Outcome of iterated closure; truncation is an outcome, not an error.
+    reason is "max_size", "max_iters", or None at the fixpoint."""
 
-    elements: tuple[ApElem, ...]
-    truncated: bool
-    iterations: int
-    reason: str | None  # "max_size", "max_iters", or None at fixpoint
+    __slots__ = fields = ("elements", "truncated", "iterations", "reason")
 
 
 def closure(
@@ -564,8 +566,8 @@ def closure(
     for g in gens:
         if g.params != params:
             raise ParamsMismatchError(
-                f"generator {core.render_element(g)} has params {g.params}, "
-                f"expected {params}"
+                f"generator {core.render_element(g)} has params ({g.n},{g.p}), "
+                f"expected ({params.n},{params.p})"
             )
     current = {core.ap_bot(params), core.ap_top(params), *gens}
     reason = None

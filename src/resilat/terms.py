@@ -48,7 +48,7 @@ import operator
 import re
 
 from resilat import core, structure
-from resilat.core import AlgebraParams, ApElem
+from resilat.core import AlgebraParams, ApElem, _Record
 
 
 class ParseError(ValueError):
@@ -72,44 +72,13 @@ _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _ARROW, _JOIN, _MEET, _MUL, _UNARY, _POSTFIX, _ATOM = range(7)
 
 
-class _Record:
-    """An immutable record whose fields are its slots, given positionally.
-    It equals only a record of its own type with equal fields, and hashes
-    likewise, so x*y and x /\\ y are different dict keys."""
-
-    __slots__ = fields = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self.fields):
-            raise TypeError(f"{type(self).__name__} takes {len(self.fields)} fields")
-        for name, value in zip(self.fields, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.fields])
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash((type(self), self._values()))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-
 class Term(_Record):
     """A term node.  Its type's row: fields, in constructor order; symbol,
     its concrete syntax; strength, how tightly it binds; right, whether an
     infix operator associates to the right; and op, the OpsBundle method
-    that computes it.  The parser, _render and _node read the rows."""
+    that computes it.  The parser, _render and _node read the rows.  A
+    node equals only a node of its own type, so x*y and x /\\ y are
+    different dict keys."""
 
     __slots__ = ()
     symbol = op = ""

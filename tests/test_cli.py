@@ -417,16 +417,22 @@ def test_module_entry_point():
     assert proc.stdout == "((0,0),1)\n"
 
 
-def test_check_eq_at_one_point_starts_without_the_harness():
-    # --eq with --n and --p reads neither the default grid nor JSON rates
-    argv = ["check", "--n", "2", "--p", "3", "--R", "1", "--eq", "x*y = y*x"]
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from resilat import cli; code = cli.main(sys.argv[1:]); "
-         "sys.stderr.write(str('resilat.harness' in sys.modules)); sys.exit(code)",
-         *argv],
-        capture_output=True,
-        text=True,
+def test_check_eq_starts_without_the_harness():
+    # --eq loads none of the harness, dataclasses and inspect, at one point
+    # in text and over the default grid in JSON
+    code = ("import sys; from resilat import cli; code = cli.main(sys.argv[1:]); "
+            "sys.stderr.write(' '.join(m for m in ('resilat.harness', 'dataclasses', "
+            "'inspect') if m in sys.modules)); sys.exit(code)")
+    at_one_point, over_the_grid = (
+        subprocess.run([sys.executable, "-c", code, "check", *argv, "--eq", "x*y = y*x"],
+                       capture_output=True, text=True)
+        for argv in (["--n", "2", "--p", "3", "--R", "1"], ["--R", "0", "--format", "json"])
     )
-    assert (proc.returncode, proc.stderr) == (0, "False")
-    assert proc.stdout == "eq n=2 p=3 R=1 pass checks=484\n"
+    for proc in (at_one_point, over_the_grid):
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert at_one_point.stdout == "eq n=2 p=3 R=1 pass checks=484\n"
+    lines = [json.loads(line) for line in over_the_grid.stdout.splitlines()]
+    assert [(d["n"], d["p"], d["holds"]) for d in lines] == [
+        (n, p, True) for n in (1, 2, 3) for p in (1, 2, 3)
+    ]
+    assert all(isinstance(d["checks_per_s"], float) for d in lines)

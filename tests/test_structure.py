@@ -411,8 +411,9 @@ def test_closure_argument_validation():
     with pytest.raises(ValueError):
         closure([])
     other = core.ap_top(AlgebraParams(3, 3))
-    with pytest.raises(ParamsMismatchError):
+    with pytest.raises(ParamsMismatchError) as excinfo:
         closure([core.ap_top(P23), other])
+    assert str(excinfo.value) == "generator ((3,0),3) has params (3,3), expected (2,3)"
 
 
 def test_boolean_elements_are_only_the_bounds():

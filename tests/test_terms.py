@@ -2,8 +2,10 @@
 
 import collections
 import dataclasses
+import importlib
 import itertools
 import operator
+import pkgutil
 import random
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +13,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from resilat import core, structure, terms
+import resilat
+from resilat import core, harness, structure, terms
 from resilat.core import AlgebraParams
 from resilat.harness import DEFAULT_GRID, MUTATIONS, REFERENCE
 from resilat.structure import BUDGET_ENV, BudgetError
@@ -178,16 +181,31 @@ def test_nodes_equal_only_nodes_of_their_own_type():
         assert_same(parse_equation(text), P23, 1)
 
 
-def test_terms_defines_no_dataclass_and_nodes_carry_no_dict():
-    # the start-up cost of the module: each dataclass execs its methods
-    classes = [c for c in vars(terms).values()
-               if isinstance(c, type) and c.__module__ == terms.__name__]
+def test_no_module_defines_a_dataclass_and_records_carry_no_dict():
+    # the start-up cost of the package: dataclasses imports inspect, and
+    # each dataclass execs its methods
+    modules = [importlib.import_module(f"resilat.{m.name}")
+               for m in pkgutil.iter_modules(resilat.__path__) if m.name != "__main__"]
+    assert {m.__name__ for m in modules} >= {"resilat.core", "resilat.cli", "resilat.harness"}
+    classes = [c for m in modules for c in vars(m).values()
+               if isinstance(c, type) and c.__module__ == m.__name__]
     assert [c.__name__ for c in classes if dataclasses.is_dataclass(c)] == []
     nodes = one_node_of_each_type()
     assert {type(t) for t in nodes} == {
         c for c in classes if issubclass(c, terms.Term) and not c.__name__.startswith("_")
     } - {terms.Term}
-    assert [t for t in nodes if hasattr(t, "__dict__")] == []
+    w = structure.Window(P23, 1)
+    records = [
+        *nodes, parse_equation("x = x"), check_equation(parse_equation("x = x"), P23, 0),
+        P23, w, structure.closure([core.ap_top(P23)]), harness.SUITES["S6"],
+        harness.run_suite("S6", P23, R=0),
+        harness._Ctx(w, REFERENCE, structure._tables(P23, 1, REFERENCE), None, 0),
+    ]
+    bases = {core._Record, terms.Term, terms._Binary, terms._Prefix}
+    assert {type(r) for r in records} | bases == {
+        c for c in classes if issubclass(c, core._Record)
+    }
+    assert [r for r in records if hasattr(r, "__dict__")] == []
 
 
 def test_free_vars():
