@@ -35,7 +35,7 @@ BUDGET_ENV = "RESILAT_BUDGET"
 DEFAULT_GRID = tuple((n, p) for n in (1, 2, 3) for p in (1, 2, 3))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _window_elements(params: AlgebraParams, radius: int) -> tuple[ApElem, ...]:
     out = []
     for alpha in range(params.p + 1):
@@ -63,7 +63,11 @@ class Window(_Record):
         return _window_elements(self.params, self.R)
 
     def __len__(self) -> int:
-        return len(self.elements())
+        """The count of elements() in closed form, so a budget gate
+        enumerates nothing: a level whose cap on m is c holds (2R+1)c + 1,
+        and c is n on the two boundary levels and n-1 on the p-1 others."""
+        n, p, R = self.params.n, self.params.p, self.R
+        return 2 * ((2 * R + 1) * n + 1) + (p - 1) * ((2 * R + 1) * (n - 1) + 1)
 
 
 # ---------------------------------------------------------------------------

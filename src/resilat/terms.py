@@ -20,29 +20,30 @@ all read.
 
 check_equation compiles its equation once per call.  Each distinct
 subterm becomes one node.  A node is recomputed only when the loop
-assigns its last variable.  The nodes that apply one operation share its
-results, one table per operand layout (which operand, if any, stays
-constant along a row), so while no operation raises, each runs once per
-distinct tuple of operand values in each layout.  When one raises, the
-check drops the compiled loop and walks both trees on every assignment
-in order, so it ends as a plain walk does.  The two innermost variables
-run together, as blocks of interned ids: a node whose last variable is
-the second-innermost one gets a row over a block of that variable's
-candidates, and a node of the innermost level a plane, one row over all
-innermost candidates per candidate in the block.  A one-variable
-equation runs its variable's candidates as blocks the same way.  The two
-sides compare as lists of rows.  Blocks start at one candidate and
-double, so a check that fails early builds little.  A node whose one
-varying operand is its level's variable keeps, in its operation's table,
-its row over all the candidates per constant operand, or, as a meet or
-join under an OpsBundle, reads its closed-form row and calls nothing;
-any other maps its operation's table over its operands' rows.  eval_term
-walks the same case analysis recursively.  Both take their operations
-from core.REFERENCE unless given another bundle.
+assigns its last variable.  The nodes that apply one operation share one
+table of its results, keyed by the ids of its operands, so while no
+operation raises, each runs once per distinct tuple of operand values.
+When one raises, the check drops the compiled loop and walks both trees
+on every assignment in order, so it ends as a plain walk does.  The two
+innermost variables run together, as blocks of interned ids: a node
+whose last variable is the second-innermost one gets a row over a block
+of that variable's candidates, and a node of the innermost level a
+plane, one row over all innermost candidates per candidate in the block.
+A one-variable equation runs its variable's candidates as blocks the
+same way.  The two sides compare as lists of rows.  Blocks start at one
+candidate and double, so a check that fails early builds little.  A node
+whose one varying operand is its level's variable keeps, in its
+operation's table, its row over all the candidates per value of the
+other operand, or, as a meet or join under an OpsBundle, reads its
+closed-form row and calls nothing; any other reads its operation's table
+along its operands' rows.  eval_term walks the same case analysis
+recursively.  Both take their operations from core.REFERENCE unless
+given another bundle.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 import re
@@ -363,36 +364,73 @@ class _Ids(dict):
 
 
 class _Table(dict):
-    """The results of one operation in one operand layout, shared by every
-    subterm that applies the operation so.  It maps the id of the operand
-    that stays constant along a row (None where none does) to a dict from
-    the varying operand's id, or the pair of ids where both vary, to the
-    result's id.  rows maps a constant id to its results over all N
-    candidates, ids 0..N-1, once a whole row (see _first_failure) has read
-    them; a constant's dict, made when first read, starts from its row."""
+    """The results of one operation, its exponent or multiplier included,
+    shared by every subterm that applies it: left operand id (None for a
+    unary operation) -> {right operand id: result id}.  Whole rows (see
+    _row) are kept over ids 0..N-1, all the candidates: rows[k] with left
+    id k, cols[k] with right id k.  A left id's dict, when first read,
+    starts from its row.  closed, for a meet or a join under an OpsBundle,
+    gives a window element's row in closed form."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("fn", "values", "intern", "closed", "rows", "cols")
 
-    def __init__(self):  # a dict starts empty: nothing for dict.__init__
-        self.rows = {}
+    def __init__(self, fn, values: list, intern):
+        self.fn, self.values, self.intern = fn, values, intern
+        self.closed, self.rows, self.cols = None, {}, {}
 
-    def __missing__(self, k) -> dict:
-        got = self[k] = dict(enumerate(self.rows[k])) if k in self.rows else {}
+    def __missing__(self, a) -> dict:
+        got = self[a] = dict(enumerate(self.rows[a])) if a in self.rows else {}
+        return got
+
+    def results(self, a, bs) -> list[int]:
+        """The ids of fn on left id a and each right id in bs, unstored."""
+        fn, values = self.fn, self.values
+        if a is None:
+            got = [fn(values[b]) for b in bs]
+        else:
+            x = values[a]
+            got = [fn(x, values[b]) for b in bs]
+        return list(map(self.intern, got))
+
+    def fill(self, a, bs) -> dict:
+        """Left id a's dict, its misses among bs computed in one batch."""
+        t = self[a]
+        new = list(bs - t.keys())
+        t.update(zip(new, self.results(a, new)))
+        return t
+
+    def row(self, k, N: int, column: bool) -> list[int]:
+        """cols[k] or rows[k], its misses computed in one batch.  A left id
+        with no dict yet gets none for its row; a closed row serves either
+        side, as meet and join commute."""
+        kept = self.cols if column else self.rows
+        got = kept.get(k)
+        if got is None:
+            if self.closed is not None and k < N:
+                got = self.closed(k)
+            elif column:
+                x, fn, values = self.values[k], self.fn, self.values
+                new = [a for a in range(N) if k not in self[a]]
+                for a, r in zip(new, map(self.intern, [fn(values[a], x) for a in new])):
+                    self[a][k] = r
+                got = [self[a][k] for a in range(N)]
+            elif k in self:
+                got = list(map(self.fill(k, range(N)).__getitem__, range(N)))
+            else:
+                got = self.results(k, range(N))
+            kept[k] = got
         return got
 
 
-def _step(fn, out, args, slots, values, intern, memo):
+def _step(table: _Table, out: int, args, slots):
     """One compiled subterm outside the two innermost levels: set slots[out]
-    to the id of fn applied to the values whose ids sit in the args slots.
-    memo is its operation's table with no operand constant, keyed by the
-    operand's id, or by the pair of ids of a binary operation."""
+    to the id of its operation on the values whose ids sit in the args
+    slots, read from table."""
+    left, right = args if len(args) == 2 else (None, *args)
+
     def step():
-        ks = [slots[a] for a in args]
-        key = tuple(ks) if len(ks) == 2 else ks[0]
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = intern(fn(*map(values.__getitem__, ks)))
-        slots[out] = got
+        a, b = None if left is None else slots[left], slots[right]
+        slots[out] = table.fill(a, {b})[b]
     return step
 
 
@@ -401,28 +439,9 @@ def _stretch(rows: list, n: int) -> list:
     return rows if len(rows) == n else rows * n
 
 
-def _results(fn, args, c, k, keys, values, intern) -> list[int]:
-    """The ids of fn over keys, with k the constant operand's id.  c is
-    the slot of the constant operand, or None when no operand is constant;
-    then a key is the pair of operand ids of a binary fn, or the one
-    operand's id."""
-    if c is None and len(args) == 2:
-        got = [fn(values[a], values[b]) for a, b in keys]
-    elif c is None:
-        got = [fn(values[a]) for a in keys]
-    elif args[0] == c:
-        const = values[k]
-        got = [fn(const, values[a]) for a in keys]
-    else:
-        const = values[k]
-        got = [fn(values[a], const) for a in keys]
-    return list(map(intern, got))
-
-
-def _row(fn, out, args, levels, sec, slots, grid, values, intern, table):
+def _row(table: _Table, out, args, levels, sec, slots, grid, v: int, N: int):
     """One compiled subterm at one of the two innermost levels: set
-    grid[out] to its rows of ids over the current block, read from table,
-    its operation's _Table for its operand layout.
+    grid[out] to its rows of ids over the current block, read from table.
 
     A subterm of the second-innermost level, sec, has one row, over the
     block's candidates of that variable.  One of the innermost level has a
@@ -432,35 +451,60 @@ def _row(fn, out, args, levels, sec, slots, grid, values, intern, table):
     rows from grid.  Along a row the other operand, if any, is constant:
     an outer subterm, whose id sits in slots, or, under the innermost
     level, a subterm of level sec, whose row holds one id per row of the
-    plane.
+    plane.  The misses of a block are filled in one batch per left id.
 
-    Each row is one map of the constant's table's get over the varying
-    keys.  The misses are filled in one batch per constant id, so while
-    nothing raises fn runs once per distinct key, across every subterm
-    that shares the table.
+    A whole row's one varying operand is v, its level's variable.  Over
+    all N candidates it is its table's row for its constant operand, kept
+    from one outer assignment to the next, and a closed one is sliced to a
+    smaller block.
     """
-    level = max(levels[a] for a in args)
-    varying = [a for a in args if levels[a] == level]
-    c = next((a for a in args if levels[a] < level), None)
+    level = levels[v]
+    left, right = args if len(args) == 2 else (None, *args)
+    lvar = left is not None and levels[left] == level
+    whole = [a for a in args if levels[a] == level] == [v]
+
+    def ids(a) -> list:
+        # a's rows where it varies at this level, else its id on each row
+        if levels[a] == level:
+            return grid[a]
+        return grid[a][0] if levels[a] == sec else [slots[a]]
+
+    def read(ls, rs) -> list[list]:
+        if lvar:
+            return [list(map(dict.get, map(table.__getitem__, l), r)) for l, r in zip(ls, rs)]
+        return [list(map(table[l].get, r)) for l, r in zip(ls, rs)]
 
     def row():
-        consts = [None] if c is None else grid[c][0] if levels[c] == sec else [slots[c]]
-        operands = [grid[a] for a in varying]
-        n = max(len(consts), *map(len, operands))
-        keys = _stretch(operands[0], n)
-        if len(varying) == 2:
-            keys = [list(zip(a, b)) for a, b in zip(keys, _stretch(operands[1], n))]
-        tables = _stretch(list(map(table.__getitem__, consts)), n)
-        got = [list(map(t.get, ks)) for t, ks in zip(tables, keys)]
+        ls, rs = [None] if left is None else ids(left), ids(right)
+        block = grid[v][0]
+        if whole and (len(block) == N or table.closed is not None):
+            ks, kept = (rs, table.cols) if lvar else (ls, table.rows)
+            got = list(map(kept.get, ks))
+            if None in got:
+                got = [table.row(k, N, lvar) for k in ks]
+            if len(block) < N:  # the block's ids are its candidates' positions
+                got = [g[block[0]:block[0] + len(block)] for g in got]
+            grid[out] = got
+            return
+        if lvar and levels[right] < level:  # a constant right operand: its id at each position
+            rs = list(map(itertools.repeat, rs))
+        n = max(len(ls), len(rs))
+        ls, rs = _stretch(ls, n), _stretch(rs, n)
+        got = read(ls, rs)
         if any(map(operator.contains, got, itertools.repeat(None))):
-            missing: dict = {}  # constant id -> its table and its rows' keys
-            for g, t, k, ks in zip(got, tables, _stretch(consts, n), keys):
-                if None in g:
-                    missing.setdefault(k, (t, set()))[1].update(ks)
-            for k, (t, want) in missing.items():
-                new = list(want.difference(t))  # not empty: a row missed
-                t.update(zip(new, _results(fn, args, c, k, new, values, intern)))
-            got = [list(map(t.get, ks)) for t, ks in zip(tables, keys)]
+            wants = collections.defaultdict(set)  # left id -> right ids
+            for g, l, r in zip(got, ls, rs):
+                if None not in g:
+                    continue
+                if lvar:  # the missing pairs alone, as each has its own left id
+                    missing = map(operator.is_, g, itertools.repeat(None))
+                    for a, b in itertools.compress(zip(l, r), missing):
+                        wants[a].add(b)
+                else:
+                    wants[l].update(r)
+            for a, bs in wants.items():
+                table.fill(a, bs)
+            got = read(ls, rs)
         grid[out] = got
     return row
 
@@ -510,21 +554,19 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
     subterms have one row each, over the block.
 
     Subterms that apply one operation share its results: one _Table per
-    operation, its exponent or multiplier included, and operand layout,
-    which says which operand, if any, stays constant along a row.  Outer
-    and closed subterms read the layout with none constant.  So while
-    nothing raises, each operation runs once per distinct tuple of operand
-    ids in each layout.
+    operation, its exponent or multiplier included, keyed by the ids of
+    the left and the right operand.  So while nothing raises, each
+    operation runs once per distinct tuple of operand ids.
 
     Candidates are interned first: ids 0..N-1 are their positions, the
     window indices when window is given.  A subterm whose one varying
     operand is its level's variable makes its rows whole: over a block of
-    all N candidates, it reads its table's row for each constant operand
-    id, made once by filling the table over all N, or, as a meet or join
-    under an OpsBundle with a window element, the lattice's closed-form
-    row, sliced to the block.  Over a smaller block it reads the table as
-    any other subterm does.  The lattice's rows are set up only when such
-    a meet or join exists.
+    all N candidates, it reads its table's row for each id of its other
+    operand, made once over all N, or, as a meet or join under an
+    OpsBundle with a window element, the lattice's closed-form row,
+    sliced to the block.  Any other whole row reads the table over a
+    smaller block as every subterm does, so an early failure builds
+    little.
 
     The compiled order differs from the walk's, so when an operation
     raises, the compiled search is dropped and _walk_failure's outcome is
@@ -533,8 +575,6 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
     """
     ids = _Ids()
     values, intern = ids.values, ids.__getitem__
-    full = window is not None and isinstance(o, core.OpsBundle)
-    lattice = None  # structure._lattice_row(window), once a meet or join reads it
     N = len(elems)
 
     slots: list[int] = []
@@ -546,7 +586,7 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
     inner = last if sec is None else sec  # the first level run as blocks
     steps: list[list] = [[] for _ in names]
     grid: dict[int, list[list[int]]] = {}  # the innermost levels' rows
-    tables: dict[tuple, _Table] = {}  # (op, exponent or multiplier, layout) -> results
+    tables: dict[tuple, _Table] = {}  # (op, exponent or multiplier) -> results
 
     def add(t: Term) -> int:
         slot = index.get(t)
@@ -567,62 +607,21 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
             slots.append(intern(fn()))
             return slot
         slots.append(-1)
-        rowed = level >= 0 and level in (sec, last)
-        c = next((a for a in args if levels[a] < level), None) if rowed else None
-        layout = None if c is None else args.index(c)
-        table = tables.setdefault((t.op, getattr(t, "k", None), layout), _Table())
-        if not rowed:
-            step = _step(fn, slot, args, slots, values, intern, table[None])
-            if level < 0:
-                step()
-            else:
-                steps[level].append(step)
-        elif [a for a in args if levels[a] == level] == [var_slots[level]]:
-            steps[level].append(whole(t, fn, slot, args, level, c, table))
+        key = (t.op, getattr(t, "k", None))
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _Table(fn, values, intern)
+            if t.op in ("meet", "join") and window is not None and isinstance(o, core.OpsBundle):
+                rows, side = structure._lattice_row(window), t.op == "join"
+                table.closed = lambda k: rows(k)[side]
+        if level < 0:
+            _step(table, slot, args, slots)()
+        elif level < inner:
+            steps[level].append(_step(table, slot, args, slots))
         else:
-            steps[level].append(_row(fn, slot, args, levels, sec, slots, grid,
-                                     values, intern, table))
+            steps[level].append(_row(table, slot, args, levels, sec, slots, grid,
+                                     var_slots[level], N))
         return slot
-
-    def whole(t: Term, fn, out: int, args, level: int, c, table: _Table):
-        # the row step of a subterm whose one varying operand is v, its
-        # level's variable: over all N candidates, its row per constant id
-        nonlocal lattice
-        v = var_slots[level]
-        closed, side = full and t.op in ("meet", "join"), t.op == "join"
-        if closed and lattice is None:
-            lattice = structure._lattice_row(window)
-        over_block = _row(fn, out, args, levels, sec, slots, grid, values, intern, table)
-        rows = table.rows
-
-        def ids_of(k) -> list[int]:
-            got = rows.get(k)
-            if got is None:
-                if closed and k < N:
-                    got = lattice(k)[side]
-                elif k not in table:  # no dict is made for the row alone
-                    got = _results(fn, args, c, k, range(N), values, intern)
-                else:
-                    t = table[k]
-                    new = [j for j in range(N) if j not in t]
-                    t.update(zip(new, _results(fn, args, c, k, new, values, intern)))
-                    got = list(map(t.__getitem__, range(N)))
-                rows[k] = got
-            return got
-
-        def row():
-            block = grid[v][0]
-            if len(block) < N and not closed:
-                over_block()  # only the block's keys, so an early failure builds little
-                return
-            consts = [None] if c is None else grid[c][0] if levels[c] == sec else [slots[c]]
-            got = list(map(rows.get, consts))
-            if None in got:
-                got = list(map(ids_of, consts))
-            if len(block) < N:  # the block's ids are its candidates' positions
-                got = [g[block[0]:block[0] + len(block)] for g in got]
-            grid[out] = got
-        return row
 
     def side(s: int, count: int, width: int) -> list[list[int]]:
         """Slot s's ids as count rows of width, whatever its level."""
@@ -699,16 +698,14 @@ class EquationVerdict(_Record):
     __slots__ = fields = ("holds", "radius", "checked", "counterexample")
 
 
-def _candidates(params: AlgebraParams, radius: int, domain) -> tuple[ApElem, ...]:
-    elems = structure.Window(params, radius).elements()
-    return elems if domain is None else tuple(e for e in elems if domain(e))
-
-
 def equation_estimate(eq: Equation, params: AlgebraParams, radius: int, domain=None) -> int:
     """The checks check_equation makes when eq holds, which the budget
-    gates on: the candidate count to the power of the variable count."""
-    names = free_vars(eq.lhs) | free_vars(eq.rhs)
-    return len(_candidates(params, radius, domain)) ** len(names)
+    gates on: the candidate count to the power of the variable count.
+    Without a domain the count is the window's closed form, so nothing is
+    enumerated before the budget is enforced."""
+    w = structure.Window(params, radius)
+    count = len(w) if domain is None else len(list(filter(domain, w.elements())))
+    return count ** len(free_vars(eq.lhs) | free_vars(eq.rhs))
 
 
 def check_equation(
@@ -732,10 +729,9 @@ def check_equation(
     A substitute ops bundle must be pure and return hashable values, as
     elements are: subterms that apply one operation share its results, so
     while nothing raises, each operation runs once per distinct tuple of
-    operands in each operand layout, by which operand, the left, the right
-    or neither, stays constant along the checker's rows.  When an
-    operation raises, the check walks both trees again on every assignment
-    in order, so it returns or raises what a plain walk does.
+    operands.  When an operation raises, the check walks both trees again
+    on every assignment in order, so it returns or raises what a plain
+    walk does.
     """
     if radius < 0:
         raise ValueError(f"window radius must be >= 0, got {radius}")
@@ -744,13 +740,12 @@ def check_equation(
         raise ValueError(
             f"{len(names)} free variables exceed the cap of {max_vars}"
         )
-    elems = _candidates(params, radius, domain)
-    structure.enforce_budget("eq", params, radius, len(elems) ** len(names), force=force)
-    if names and not elems:
-        return EquationVerdict(True, radius, 0, None)
-    window = structure.Window(params, radius) if domain is None else None
+    structure.enforce_budget("eq", params, radius, equation_estimate(eq, params, radius, domain),
+                             force=force)
+    window = structure.Window(params, radius)
+    elems = window.elements() if domain is None else tuple(filter(domain, window.elements()))
     o = core.REFERENCE if ops is None else ops
-    picks = _first_failure(eq, names, elems, params, o, window)
+    picks = _first_failure(eq, names, elems, params, o, window if domain is None else None)
     if picks is None:
         return EquationVerdict(True, radius, len(elems) ** len(names), None)
     position = 0

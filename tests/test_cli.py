@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from resilat import core
+from resilat import core, structure
 from resilat.core import AlgebraParams
 from resilat.cli import main
 
@@ -311,6 +311,19 @@ def test_check_eq_budget(capsys, monkeypatch):
     code, out, _ = run(capsys, argv + ["--force-budget"])
     assert code == 0
     assert out == "eq n=3 p=3 R=3 pass checks=405224\n"
+
+
+@pytest.mark.parametrize("argv", [["--suite", "S6"], ["--eq", "x = x"]])
+def test_a_budget_stop_enumerates_no_window(capsys, monkeypatch, argv):
+    # the budget gate counts the window in closed form, so a radius far
+    # too large to enumerate stops at once
+    def never(*args):
+        raise AssertionError("enumerated the window")
+
+    monkeypatch.setattr(structure, "_window_elements", never)
+    code, out, err = run(capsys, ["check", "--R", str(10**12), *argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("budget: ") and "R=1000000000000 needs about" in err
 
 
 # ---------------------------------------------------------------------------

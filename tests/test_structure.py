@@ -54,6 +54,10 @@ def test_window_sizes_frozen():
         assert len(Window(AlgebraParams(n, p), 2)) == size
     assert len(Window(P23, 1)) == 22
     assert len(Window(AlgebraParams(1, 1), 0)) == 4
+    # the closed form counts what the window enumerates
+    for params in GRID:
+        for R in range(6):
+            assert len(Window(params, R)) == len(Window(params, R).elements()), (params, R)
 
 
 def test_window_enumeration_order_frozen():

@@ -727,8 +727,9 @@ def test_planes_match_the_walk(ops):
 
 
 # one operation with its constant on the left in one subterm and on the
-# right in another, whose results sit in two tables: under a product that
-# does not commute, a read of the wrong one changes the outcome
+# right in another, which read its one table along a row and along a
+# column: under a product that does not commute, a read with its operands
+# swapped changes the outcome
 SIDED = (
     "x*(y*z) = (z*y)*x", "x*z = y*x", "(x*y) -> z = z -> (y*x)", "~x * y = y * ~x",
     "(x*x) * y = y * (x*x)", "y*x -> x = x*y -> x",
@@ -837,15 +838,19 @@ def walk_operands(eq, params, radius):
 
 
 def test_each_operation_runs_once_per_operand_tuple_the_walk_meets():
-    # the bench lines, and the E, EM, WL and Bterm presets at S16's
-    # exponent on the grid: subterms that apply one operation share its
-    # results, so on an equation that holds each operation runs once per
-    # operand tuple the plain walk meets
+    # the bench lines, the E, EM, WL and Bterm presets at S16's exponent on
+    # the grid, and one operation with its constant on either side:
+    # subterms that apply one operation share its results, so on an
+    # equation that holds each operation runs once per operand tuple the
+    # plain walk meets
     cases = [(parse_equation(text), AlgebraParams(n, p), R) for n, p, R, text in BENCH_LINES]
     for n, p in DEFAULT_GRID:
         params = AlgebraParams(n, p)
         cases += [(preset(name, max(n + 1, p)), params, 2) for name in ("E", "EM", "WL")]
         cases.append((preset("Bterm", params=params), params, 2))
+    for text in (*SIDED, "x*y = y*x", "x /\\ y = y /\\ x"):
+        eq = parse_equation(text)
+        cases.append((eq, P23, 0 if len(free_vars(eq.lhs) | free_vars(eq.rhs)) == 3 else 1))
     holding = 0
     for eq, params, R in cases:
         want, met = walk_operands(eq, params, R)
@@ -856,7 +861,12 @@ def test_each_operation_runs_once_per_operand_tuple_the_walk_meets():
         assert check_equation(eq, params, R, ops=counting) == want
         want_calls = {name: len(tuples) for name, tuples in met.items()}
         assert calls == want_calls, render_equation(eq)
-    assert holding == 22
+    assert holding == 28
+    # x*y reads its table along rows, y*x along columns: 22^2 pairs, each
+    # made once
+    counting, calls = counting_ops()
+    assert check_equation(parse_equation("x*y = y*x"), P23, 1, ops=counting).holds
+    assert calls == {"mul": 484}
 
 
 def test_compiled_check_runs_each_operation_once_per_distinct_operand():
@@ -934,14 +944,16 @@ def test_the_compiled_check_never_replays_the_walk(monkeypatch):
         raise AssertionError("replayed the walk")
 
     monkeypatch.setattr(terms, "_walk_failure", replay)
-    for ops in (REFERENCE, *MUTATIONS.values()):
+    for ops in (*OPS.values(), other_meet_ops()):
         for n, p, R, text in BENCH_LINES:
             assert_same(parse_equation(text), AlgebraParams(n, p), R, ops=ops)
         for text in DIRECT_ROWS:
             assert_same(parse_equation(text), P23, 1, ops=ops)
-        for text in PLANE_SHAPES:
+        for text in (*PLANE_SHAPES, *SIDED):
             eq = parse_equation(text)
             assert_same(eq, *plane_point(eq), ops=ops)
+        for eq, params, R in random_cases(seed=2024, count=60):
+            assert_same(eq, params, R, ops=ops)
 
 
 def test_compiled_check_raises_where_the_walk_raises_within_a_row():
