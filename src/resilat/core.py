@@ -29,6 +29,12 @@ class ParamsMismatchError(ValueError):
     """Operands belong to algebras with different (n, p)."""
 
 
+# Bound once: a lookup of object.__setattr__ or tuple.__new__ at each
+# call searches the type's attributes for the same C function every time.
+_setattr = object.__setattr__
+_new_tuple = tuple.__new__
+
+
 class _Record:
     """An immutable record whose fields are its slots, given positionally.
     It equals only a record of its own type with equal fields, and hashes
@@ -47,7 +53,7 @@ class _Record:
         if len(values) != len(self.fields):
             raise TypeError(f"{type(self).__name__} takes {len(self.fields)} fields")
         for name, value in zip(self.fields, values):
-            object.__setattr__(self, name, value)
+            _setattr(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.fields])
@@ -81,8 +87,8 @@ class AlgebraParams(_Record):
             raise ValueError(f"p must be a positive integer, got {p}")
         # set here, not by _Record.__init__'s loop, at half the cost: inputs
         # are built by the thousand, each with its own params
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
+        _setattr(self, "n", n)
+        _setattr(self, "p", p)
 
 
 class LexPair(NamedTuple):
@@ -149,8 +155,9 @@ def _mk(m: int, r: int, alpha: int, n: int, p: int) -> ApElem:
 
     The pair tests are the lex comparisons (m, r) < (0, 0) and
     (m, r) > (bound, 0) written out, so no pair tuple is built, and the
-    element is made by one tuple.__new__ call, skipping the namedtuple's
-    generated __new__.
+    element is made by tuple.__new__ bound once at import (_new_tuple):
+    it skips the namedtuple's generated __new__, and the bound name skips
+    looking __new__ up on the type at every call.
     """
     if not 0 <= alpha <= p:
         raise UniverseError(f"level {alpha} outside [0,{p}]")
@@ -161,7 +168,7 @@ def _mk(m: int, r: int, alpha: int, n: int, p: int) -> ApElem:
         raise UniverseError(
             f"pair ({m},{r}) above ({bound},0), the cap for level {alpha}"
         )
-    return tuple.__new__(ApElem, (m, r, alpha, n, p))
+    return _new_tuple(ApElem, (m, r, alpha, n, p))
 
 
 def ap_validate(first: tuple[int, int], second: int, params: AlgebraParams) -> ApElem:
@@ -171,12 +178,12 @@ def ap_validate(first: tuple[int, int], second: int, params: AlgebraParams) -> A
 
 def ap_bot(params: AlgebraParams) -> ApElem:
     """The least element <(n,0), 0>."""
-    return tuple.__new__(ApElem, (params.n, 0, 0, params.n, params.p))
+    return _new_tuple(ApElem, (params.n, 0, 0, params.n, params.p))
 
 
 def ap_top(params: AlgebraParams) -> ApElem:
     """The greatest element <(n,0), p>."""
-    return tuple.__new__(ApElem, (params.n, 0, params.p, params.n, params.p))
+    return _new_tuple(ApElem, (params.n, 0, params.p, params.n, params.p))
 
 
 def _same_params(a: ApElem, b: ApElem) -> None:
@@ -330,7 +337,8 @@ class OpsBundle:
     window tables rely on it, reading a/b as the involution of a product
     already in the product table, applied once per distinct product; so
     do power and multiple, which stop at the first step that returns the
-    value it was given (the invalid marker is its own fixed point).
+    value it was given (the invalid marker is its own fixed point), and
+    multiple, which computes ~a once per chain rather than at every step.
     """
 
     __slots__ = ("mul", "inv", "name")
@@ -364,7 +372,8 @@ class OpsBundle:
 
     def div(self, a, b):
         """The residual a / b = ~(a . ~b); a.b =< c iff b =< a/c."""
-        return self.inv(self.mul(a, self.inv(b)))
+        inv = self.inv
+        return inv(self.mul(a, inv(b)))
 
     def neg(self, a):
         """Negation a / bot; coincides with the involution on this algebra."""
@@ -373,12 +382,19 @@ class OpsBundle:
         return self.div(a, ap_bot(a.params))
 
     def oplus(self, a, b):
-        """Dual sum ~(~a . ~b).
+        """Dual sum ~(~a . ~b), one _cosum step from ~a."""
+        return self._cosum(self.inv(a), b)
+
+    def _cosum(self, na, b):
+        """The dual sum a + b given na = ~a: ~(na . ~b).
 
         Written out deliberately: the factors are ~a and ~b, not ~a twice;
         the symmetric form is what the recursion (k+1).x = x + k.x needs.
+        This is the one copy of the composition: oplus, multiple and the
+        window tables' multiple chains all step through it.
         """
-        return self.inv(self.mul(self.inv(a), self.inv(b)))
+        inv = self.inv
+        return inv(self.mul(na, inv(b)))
 
     def meet(self, a, b):
         if a is _INVALID or b is _INVALID:
@@ -399,12 +415,14 @@ class OpsBundle:
         return _steps(self.mul, a, ap_top(a.params), k)
 
     def multiple(self, k: int, a):
-        """k-fold dual sum; 0.a is bot."""
+        """k-fold dual sum; 0.a is bot.  a is fixed along the chain, so ~a
+        is computed once, and at k = 0 no raw runs."""
         if k < 0:
             raise ValueError(f"negative multiple {k}")
         if a is _INVALID:
             return _INVALID
-        return _steps(self.oplus, a, ap_bot(a.params), k)
+        bot = ap_bot(a.params)
+        return _steps(self._cosum, self.inv(a), bot, k) if k else bot
 
     def bterm(self, a):
         """(n+1).a^max(n+1, p); lands in {bot, top}, top exactly on the radical."""

@@ -247,7 +247,7 @@ class _Tables:
     # for S8-S11 and _generated_mask: a step a_i*out is mul_id[i][out], and
     # ~(~a_i * ~out) is div_id[f][out] for ~a_i = elems[f].  Equal values
     # share an id, so a step that returns its id is the fixed point; past
-    # the window the bundle runs the rest.
+    # the window the bundle runs the rest, a multiple by _cosum from elems[f].
 
     def power(self, a, k: int):
         i = self.idx.get(a)
@@ -259,9 +259,12 @@ class _Tables:
         f = self.inv_id[self.idx[a]] if a in self.idx else self.N
         if f >= self.N or k < 0:
             return self.ops.multiple(k, a)
-        return self._chain(self.div_id[f], self.bot_i, k, self.ops.oplus, a)
+        return self._chain(self.div_id[f], self.bot_i, k, self.ops._cosum,
+                           self.elems[f])
 
     def _chain(self, row, out: int, k: int, op, a):
+        """k steps out -> op(a, out) from the id out: row[out] while out
+        is a window id, then _steps for the rest."""
         for left in range(k, 0, -1):
             nxt = row[out]
             if nxt == out:
@@ -388,17 +391,21 @@ def quotient_classes(w: Window, f: str) -> list[list[ApElem]]:
     members in enumeration order, so classes[i][0] is the canonical
     representative.  congruent(a_i, a_j, f) reads both residuals from
     the REFERENCE tables, so its product and filter test are made once
-    per distinct pair of residual ids, not once per pair of elements.
+    per distinct pair of residual ids, not once per pair of elements,
+    and the product of two window residuals is a read of the product
+    table too.
     """
     t = _tables(w.params, w.R, REFERENCE)
-    div_id, vals = t.div_id, t.vals
+    div_id, mul_id, vals, N = t.div_id, t.mul_id, t.vals, t.N
     inside: dict[tuple[int, int], bool] = {}
     classes: list[list[int]] = []
-    for i in range(t.N):
+    for i in range(N):
         for cls in classes:
             key = (div_id[i][cls[0]], div_id[cls[0]][i])
             if key not in inside:
-                both = core.ap_mul(vals[key[0]], vals[key[1]])
+                u, v = key
+                both = (vals[mul_id[u][v]] if u < N and v < N
+                        else core.ap_mul(vals[u], vals[v]))
                 inside[key] = filter_member(f, both)
             if inside[key]:
                 cls.append(i)

@@ -270,12 +270,24 @@ def test_element_equality_includes_the_parameters():
     assert b.first == LexPair(1, 0) and b.second == 1 and repr(b) == "((1,0),1)"
 
 
-def _constructor_sites(path):
+def _new_aliases(trees):
+    """The names any of the modules binds to a __new__, as core binds
+    _new_tuple = tuple.__new__."""
+    return {t.id
+            for tree in trees
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "__new__"
+            for t in node.targets if isinstance(t, ast.Name)}
+
+
+def _constructor_sites(tree, aliases):
     """(function, line) of every place in a module that builds an ApElem:
     a call of ApElem(...) or core.ApElem(...), any __new__ call (as in
-    tuple.__new__(ApElem, ...)), or the namedtuple builders _make and
-    _replace."""
-    tree = ast.parse(path.read_text(), str(path))
+    tuple.__new__(ApElem, ...)), a call through one of the aliases of a
+    __new__, bare or as a module attribute, or the namedtuple builders
+    _make and _replace."""
+    builders = {"ApElem", "__new__", "_make", "_replace", *aliases}
     sites = []
 
     def visit(node, func):
@@ -284,7 +296,7 @@ def _constructor_sites(path):
         if isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name in ("ApElem", "__new__", "_make", "_replace"):
+            if name in builders:
                 sites.append((func, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -297,9 +309,12 @@ def test_elements_are_built_only_by_the_validating_constructor():
     # construction skips validation, so _mk stays the one check: only it
     # and the two constants build elements
     src = Path(core.__file__).parent
-    found = {(path.stem, func)
-             for path in sorted(src.glob("*.py"))
-             for func, _ in _constructor_sites(path)}
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(src.glob("*.py"))}
+    aliases = _new_aliases(trees.values())
+    found = {(module, func)
+             for module, tree in trees.items()
+             for func, _ in _constructor_sites(tree, aliases)}
     assert found == {("core", "_mk"), ("core", "ap_bot"), ("core", "ap_top")}
 
 
@@ -465,6 +480,75 @@ def test_powers_and_multiples_stop_at_their_fixed_point():
     assert ops.power(core.ap_top(P23), 10**6) == core.ap_top(P23)
     assert ops.multiple(10**6, core.ap_bot(P23)) == core.ap_bot(P23)
     assert len(calls) == 2
+
+
+def _counting_bundle(fail_on=None):
+    """A guarded bundle over the reference raws that logs each raw call as
+    (name, operands); its inv raises ArithmeticError on fail_on."""
+    log = []
+
+    def mul(a, b):
+        log.append(("mul", a, b))
+        return core.ap_mul(a, b)
+
+    def inv(a):
+        log.append(("inv", a))
+        if a == fail_on:
+            raise ArithmeticError(f"inv of {a}")
+        return core.ap_inv(a)
+
+    return core.OpsBundle(mul, inv, "counting"), log
+
+
+def test_a_multiple_chain_inverts_its_operand_once():
+    ops, log = _counting_bundle()
+    elems = Window(P23, 2).elements()
+    for a in elems:
+        for k in range(6):
+            log.clear()
+            got = ops.multiple(k, a)
+            steps = sum(1 for call in log if call[0] == "mul")
+            # one ~a per chain, then ~out, ~a.~out and its ~ per step
+            if k:
+                assert log[0] == ("inv", a) and len(log) == 3 * steps + 1, (a, k)
+            else:
+                assert log == []
+            log.clear()
+            assert core._steps(ops.oplus, a, core.ap_bot(P23), k) == got
+            assert len(log) == 4 * steps
+    # the unhoisted chain and the window tables' chain give its values,
+    # the invalid marker included, under every bundle; at R=2 some table
+    # chains leave the window under each of them
+    for bundle in (core.REFERENCE, *harness.MUTATIONS.values()):
+        t = structure._tables(P23, 2, bundle)
+        for a in elems:
+            for k in range(6):
+                want = core._steps(bundle.oplus, a, core.ap_bot(P23), k)
+                assert bundle.multiple(k, a) == want, (bundle, a, k)
+                assert t.multiple(k, a) == want, (bundle, a, k)
+
+
+def test_a_multiple_chain_raises_where_the_unhoisted_chain_does():
+    # a raw inv that raises something other than UniverseError on one
+    # value: the error and the step it stops at are the unhoisted chain's
+    a = el("((0,1),1)")
+    chain = [core.ap_mult(k, a) for k in range(4)]  # bot, a, 2.a, top
+    assert len(set(chain)) == 4
+    raised = 0
+    for fail_on in chain:
+        for k in range(6):
+            outcomes = []
+            for run in (lambda ops: ops.multiple(k, a),
+                        lambda ops: core._steps(ops.oplus, a, core.ap_bot(P23), k)):
+                ops, log = _counting_bundle(fail_on)
+                try:
+                    outcomes.append(("value", run(ops)))
+                except ArithmeticError as exc:
+                    outcomes.append(("error", str(exc)))
+                outcomes.append(sum(1 for call in log if call[0] == "mul"))
+            assert outcomes[:2] == outcomes[2:], (fail_on, k)
+            raised += outcomes[0][0] == "error"
+    assert raised > 0
 
 
 # ---------------------------------------------------------------------------

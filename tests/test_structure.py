@@ -543,6 +543,22 @@ def test_table_scans_cover_more_than_256_ids():
     assert len(t.vals) > 256 and isinstance(t.div_id[0], list)
 
 
+def test_quotient_products_of_window_residuals_are_table_reads(monkeypatch):
+    # over the grid's four filter quotients, ap_mul runs once per distinct
+    # pair of residual ids with one past the window (1,683 calls at R=2
+    # and 3,033 at R=4 when every distinct pair ran it)
+    for R, products in ((1, 180), (2, 360), (4, 720)):
+        windows = [Window(params, R) for params in GRID]
+        for w in windows:
+            structure._tables(w.params, R, core.REFERENCE)
+        with monkeypatch.context() as patch:
+            calls = _count_core_calls(patch)
+            for w in windows:
+                for f in FILTER_IDS:
+                    quotient_classes(w, f)
+        assert calls["ap_mul"] == products, R
+
+
 _COUNTED = ("ap_div", "ap_mul", "ap_leq", "ap_meet", "ap_join")
 
 
@@ -566,7 +582,7 @@ def test_structure_scans_make_no_per_pair_core_calls(monkeypatch):
         run_suite(sid, params, 2)  # warm the tables
     calls = _count_core_calls(monkeypatch)
     assert run_suite("S11", params, 2).verdict == "pass"
-    # 480 residual and 789 product calls for N=54: the distinct pairs of
+    # 480 residual and 340 product calls for N=54: the distinct pairs of
     # residual ids and the products that leave the window, not 3 per pair
     assert calls["ap_div"] + calls["ap_mul"] <= 25 * N
     # 339 Radical membership tests, and one row each for the R generators
