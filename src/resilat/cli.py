@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -288,8 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# main's parser, built on its first call: parsing leaves no state on it,
+# and a process that calls main more than once builds it once
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_flags(args)
         return args.func(args)

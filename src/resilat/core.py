@@ -177,12 +177,13 @@ def ap_validate(first: tuple[int, int], second: int, params: AlgebraParams) -> A
 
 
 def ap_bot(params: AlgebraParams) -> ApElem:
-    """The least element <(n,0), 0>."""
+    """The least element <(n,0), 0>.  Only params.n and params.p are
+    read, so an element of the algebra serves as params too."""
     return _new_tuple(ApElem, (params.n, 0, 0, params.n, params.p))
 
 
 def ap_top(params: AlgebraParams) -> ApElem:
-    """The greatest element <(n,0), p>."""
+    """The greatest element <(n,0), p>, read from params like ap_bot."""
     return _new_tuple(ApElem, (params.n, 0, params.p, params.n, params.p))
 
 
@@ -339,6 +340,8 @@ class OpsBundle:
     do power and multiple, which stop at the first step that returns the
     value it was given (the invalid marker is its own fixed point), and
     multiple, which computes ~a once per chain rather than at every step.
+    neg, power and multiple build bot and top from the operand's own n and
+    p, ap_bot(a), without the params property.
     """
 
     __slots__ = ("mul", "inv", "name")
@@ -379,7 +382,7 @@ class OpsBundle:
         """Negation a / bot; coincides with the involution on this algebra."""
         if a is _INVALID:
             return _INVALID
-        return self.div(a, ap_bot(a.params))
+        return self.div(a, ap_bot(a))
 
     def oplus(self, a, b):
         """Dual sum ~(~a . ~b), one _cosum step from ~a."""
@@ -412,7 +415,7 @@ class OpsBundle:
             raise ValueError(f"negative exponent {k}")
         if a is _INVALID:
             return _INVALID
-        return _steps(self.mul, a, ap_top(a.params), k)
+        return _steps(self.mul, a, ap_top(a), k)
 
     def multiple(self, k: int, a):
         """k-fold dual sum; 0.a is bot.  a is fixed along the chain, so ~a
@@ -421,7 +424,7 @@ class OpsBundle:
             raise ValueError(f"negative multiple {k}")
         if a is _INVALID:
             return _INVALID
-        bot = ap_bot(a.params)
+        bot = ap_bot(a)
         return _steps(self._cosum, self.inv(a), bot, k) if k else bot
 
     def bterm(self, a):

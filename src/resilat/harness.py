@@ -22,11 +22,14 @@ element on either side.  Sampled S2 reads the same way per drawn triple:
 a second step whose first step is in the window comes from the product
 table, and the bundle multiplies only the others.  S13's subalgebra
 members are window elements, so its closure checks read the id tables
-directly, against one membership flag per value id.  S8-S11 walk each
-power and multiple of a window element on the id tables, one read per
-step while the chain stays in the window.  The structure scans that S8,
-S9, S11 and S12 call read the REFERENCE tables under every bundle, and
-run_suite builds those along with the suite's own.  Each report times
+directly: each member's four rows, read at the members, are tested at
+once against the set of ids that pass, and only a member that fails is
+walked.  S8-S11 walk each power and multiple of a window element on the
+id tables, one read per step while the chain stays in the window.  S10
+and S16 take their operations from _TableOps, a view of the tables as a
+bundle, so S16's equations read the tables too.  The structure scans
+that S8, S9, S11 and S12 call read the REFERENCE tables under every
+bundle, and run_suite builds those along with the suite's own.  Each report times
 the table build (tables_s) apart from the checks (elapsed) and carries
 the estimate its budget gate used next to the checks it ran.
 
@@ -52,11 +55,16 @@ three laws only on the window's cover pairs, c_k covering b_j,
 reading ge bits; the order is transitive, so they imply the laws on
 every pair b_j <= c_k.  S2 and S7 compose their rows
 with bytes.translate, a row read through another, while their ids fit in
-a byte (window elements, for S7); past 256 they walk every triple.
+a byte (window elements, for S7); past 256 they walk every triple.  S7's
+N**2 pair laws, which every run checks in full, go a row at a time too:
+a row that passes its row test is skipped, and any other is walked pair
+by pair.
 
 A sampled run draws its pairs and triples once per window (_draws), with
 the tables and timed as part of tables_s; every suite on the window reads
 the same draws.  The budget gates the 5*sample draws before any build.
+Draws repeat: S14 runs its oracle once per distinct drawn pair, in order
+of first draw, and counts its checks up to the first draw that fails.
 """
 
 from __future__ import annotations
@@ -67,12 +75,13 @@ import random
 import sys
 import time
 from collections import defaultdict
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import itemgetter, or_
 from typing import Callable
 
 from resilat import core, structure, terms
 from resilat.core import _INVALID, REFERENCE, AlgebraParams, ApElem, OpsBundle, _Record
-from resilat.structure import DEFAULT_GRID, Window, _low, _tables, _Tables, _transpose
+from resilat.structure import DEFAULT_GRID, Window, _low, _TableOps, _tables, _Tables, _transpose
 from resilat.structure import checks_per_s, enforce_budget
 
 
@@ -428,7 +437,24 @@ def _s7(ctx: _Ctx):
         checks += 1
         if not up[i] >> i & 1:
             return checks, _ce(a=elems[i]), {}
+    ups, downs = up[:N], down[:N]
+
+    def holds(i: int) -> bool:
+        # Row i's pair laws over every j at once: i is the one element
+        # both above and below i; every up row of an element above i lies
+        # in up[i]; and each meet's down row, and each join's up row, is
+        # the common one.  down is up transposed, and the order reflexive,
+        # so these imply the four laws the loop below checks per j.
+        ui, di = up[i], down[i]
+        above = itertools.compress(up, map("1".__eq__, bin(ui)[:1:-1]))
+        return (ui & di == 1 << i and not reduce(or_, above, 0) & ~ui
+                and list(map(down.__getitem__, meet_i[i])) == list(map(di.__and__, downs))
+                and list(map(up.__getitem__, join_i[i])) == list(map(ui.__and__, ups)))
+
     for i in range(N):
+        if holds(i):
+            checks += N
+            continue
         for j in range(N):
             checks += 1
             i_le_j = up[i] >> j & 1
@@ -532,15 +558,12 @@ def _s9(ctx: _Ctx):
 
 
 def _s10(ctx: _Ctx):
-    params, ops, t = ctx.params, ctx.ops, ctx.t
+    params, t = ctx.params, ctx.t
+    ops = _TableOps(t)
     n, p = params.n, params.p
     k0 = max(n + 1, p)
     bot = core.ap_bot(params)
     top = core.ap_top(params)
-
-    def neg(x):  # x / bot, a table read in the window
-        return t.div[t.idx[x]][t.bot_i] if x in t.idx else ops.neg(x)
-
     checks = 0
     for a in ctx.elems:
         deep = t.power(a, k0)
@@ -559,9 +582,9 @@ def _s10(ctx: _Ctx):
         if structure.radical_member_via_powers(a) != rad:
             return checks, _ce(a=a), {"route": "powers"}
         checks += 1
-        if not _eq(ops.join(tb, neg(tb)), top):
+        if not _eq(ops.join(tb, ops.neg(tb)), top):
             return checks, _ce(a=a, t=tb), {"law": "t \\/ !t = top"}
-        v = ops.join(a, neg(t.power(a, p)))
+        v = ops.join(a, ops.neg(t.power(a, p)))
         for k in (1, 2, 3):
             checks += 1
             if not _eq(t.multiple(n + 1, t.power(v, k)), top):
@@ -693,15 +716,18 @@ def _s12(ctx: _Ctx):
 
 
 def _s13(ctx: _Ctx):
-    t, elems, R = ctx.t, ctx.elems, ctx.R
+    t, elems, N = ctx.t, ctx.elems, ctx.N
     p = ctx.params.p
     vals = t.vals
     # Members are window elements, so every operation on them is a table
     # read: mul and div give value ids, and meets and joins stay in the
-    # window, whose indices are the first ids.  Membership is decided once
-    # per value id; a valid result past the window's radius passes.
+    # window, whose indices are the first ids.  An id past the window is
+    # the invalid marker, which fails, or a valid value past the window's
+    # radius, which passes.  A member's four rows, read at the members, are
+    # tested at once against the set of passing ids, and only a member
+    # that fails is walked.
     tables = (t.mul_id, t.div_id, t.meet_i, t.join_i)
-    wide = [v is not _INVALID and abs(v.r) > R for v in vals]
+    past = [v is not _INVALID for v in vals[N:]]
     targets: list[tuple[str, int | None]] = [
         ("L2", None), ("ChangL2w", None), ("HatLnp", None),
         ("HatLn2", None), ("A2", None),
@@ -712,17 +738,24 @@ def _s13(ctx: _Ctx):
             targets.append(("HatLq", q))
     checks = 0
     for sid, q in targets:
-        member = [v is not _INVALID and structure.subalg_member(sid, v, q)
-                  for v in vals]
-        closed = [x or y for x, y in zip(member, wide)]
-        members = [i for i in range(ctx.N) if member[i]]
+        member = [structure.subalg_member(sid, a, q) for a in elems]
+        closed = member + past
+        passing = set(itertools.compress(itertools.count(), closed)).issuperset
+        members = list(itertools.compress(range(N), member))
+        # every named subalgebra holds bot and top, so pick gives a tuple
+        pick = itemgetter(*members)
         label = sid if q is None else f"{sid}(q={q})"
         for i in members:
-            a = elems[i]
+            u = t.inv_id[i]
+            a, c = elems[i], vals[u]
             checks += 1
-            if not member[t.inv_id[i]]:
-                return checks, [f"subalgebra={label}"] + _ce(a=a, inv=t.inv[i]), {}
+            if not (member[u] if u < N
+                    else c is not _INVALID and structure.subalg_member(sid, c, q)):
+                return checks, [f"subalgebra={label}"] + _ce(a=a, inv=c), {}
             rows = [table[i] for table in tables]
+            if passing(itertools.chain.from_iterable(map(pick, rows))):
+                checks += 4 * len(members)
+                continue
             for j in members:
                 for row in rows:
                     checks += 1
@@ -742,13 +775,15 @@ def _s13(ctx: _Ctx):
 
 
 def _s14(ctx: _Ctx):
-    t, elems = ctx.t, ctx.elems
-    checks = 0
-    for i, j in ctx.indices(2):
-        checks += 1
+    t, elems, N = ctx.t, ctx.elems, ctx.N
+    draws = ctx.indices(2)
+    # Draws repeat pairs, so a sampled run checks each distinct pair once,
+    # in order of its first draw, and counts the checks up to that draw.
+    for i, j in draws if ctx.sample is None else dict.fromkeys(draws):
         if closed_form_div(elems[i], elems[j]) != t.div[i][j]:  # the left is never invalid
-            return checks, _ce(a=elems[i], b=elems[j]), {}
-    return checks, None, {}
+            at = i * N + j if ctx.sample is None else draws.index((i, j))
+            return at + 1, _ce(a=elems[i], b=elems[j]), {}
+    return N * N if ctx.sample is None else len(draws), None, {}
 
 
 def _s15(ctx: _Ctx):
@@ -768,9 +803,11 @@ def _s15(ctx: _Ctx):
 def _s16(ctx: _Ctx):
     params = ctx.params
     kmax = max(params.n + 1, params.p)
-    # run_suite has already gated S16's estimate against the budget
+    # the equations read the bundle's tables; run_suite has already gated
+    # S16's estimate against the budget
+    ops = _TableOps(ctx.t)
     v1 = terms.check_equation(
-        terms.preset("WL", kmax), params, ctx.R, ops=ctx.ops, force=True
+        terms.preset("WL", kmax), params, ctx.R, ops=ops, force=True
     )
     checks = v1.checked
     details: dict = {"k": kmax}
@@ -781,7 +818,7 @@ def _s16(ctx: _Ctx):
         params,
         ctx.R,
         domain=lambda a: structure.subalg_member("HatLn2", a),
-        ops=ctx.ops,
+        ops=ops,
         force=True,
     )
     checks += v2.checked

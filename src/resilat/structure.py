@@ -25,7 +25,7 @@ from functools import cache, lru_cache
 from operator import or_
 
 from resilat import core
-from resilat.core import _INVALID, REFERENCE, AlgebraParams, ApElem, LexPair, _Record
+from resilat.core import _INVALID, REFERENCE, AlgebraParams, ApElem, _Record
 from resilat.core import OpsBundle, ParamsMismatchError
 
 FILTER_IDS = ("Top", "FOmega", "Radical", "Improper")
@@ -37,14 +37,14 @@ DEFAULT_GRID = tuple((n, p) for n in (1, 2, 3) for p in (1, 2, 3))
 
 @lru_cache(maxsize=64)
 def _window_elements(params: AlgebraParams, radius: int) -> tuple[ApElem, ...]:
+    n, p, mk = params.n, params.p, core._mk
     out = []
-    for alpha in range(params.p + 1):
-        bound = params.n if alpha in (0, params.p) else params.n - 1
+    for alpha in range(p + 1):
+        bound = n if alpha in (0, p) else n - 1
         for m in range(bound + 1):
             lo = 0 if m == 0 else -radius
             hi = 0 if m == bound else radius
-            for r in range(lo, hi + 1):
-                out.append(core.ap_validate(LexPair(m, r), alpha, params))
+            out += [mk(m, r, alpha, n, p) for r in range(lo, hi + 1)]
     return tuple(out)
 
 
@@ -273,6 +273,45 @@ class _Tables:
             if out >= self.N:
                 return core._steps(op, a, self.vals[out], left - 1)
         return self.vals[out]
+
+
+class _TableOps(OpsBundle):
+    """The bundle t.ops read from its tables t, for callers that take a
+    bundle: mul, div, inv and neg are table reads when every operand is a
+    window element, and power and multiple are t's chains; past the window
+    t.ops computes.  The bundle is pure, so the values are its own, and
+    oplus, meet, join and bterm are OpsBundle's over these.  A view: it
+    stores nothing but t."""
+
+    __slots__ = ("t",)
+
+    def __init__(self, t: _Tables):
+        self.t, self.name = t, t.ops.name
+
+    def mul(self, a, b):
+        t = self.t
+        i, j = t.idx.get(a), t.idx.get(b)
+        return t.ops.mul(a, b) if i is None or j is None else t.mul[i][j]
+
+    def div(self, a, b):
+        t = self.t
+        i, j = t.idx.get(a), t.idx.get(b)
+        return t.ops.div(a, b) if i is None or j is None else t.div[i][j]
+
+    def inv(self, a):
+        i = self.t.idx.get(a)
+        return self.t.ops.inv(a) if i is None else self.t.inv[i]
+
+    def neg(self, a):
+        t = self.t
+        i = t.idx.get(a)
+        return t.ops.neg(a) if i is None else t.div[i][t.bot_i]
+
+    def power(self, a, k: int):
+        return self.t.power(a, k)
+
+    def multiple(self, k: int, a):
+        return self.t.multiple(k, a)
 
 
 @lru_cache(maxsize=64)

@@ -417,6 +417,56 @@ def test_export_infinite_sub_with_a_window(capsys):
 
 
 # ---------------------------------------------------------------------------
+# one parser per process
+
+# eval with and without --assign (an appended list must not carry over),
+# a usage error, and both kinds of check, each more than once
+PARSER_SEQUENCE = [
+    ["eval", "--n", "2", "--p", "3", "x*y", "--assign", "x=((1,0),2)",
+     "--assign", "y=((0,1),3)"],
+    ["eval", "--n", "2", "--p", "3", "bot -> bot"],
+    ["eval", "--n", "2", "--p", "3", "x", "--assign", "x=top"],
+    ["eval", "--n", "2", "--p", "3", "x"],
+    ["check", "--n", "2", "--p", "3", "--frobnicate"],
+    ["check", "--n", "2", "--p", "3", "--R", "1", "--eq", "x*y = y*x"],
+    ["check", "--n", "1", "--p", "1", "--R", "1", "--suite", "S1,S7"],
+    ["check", "--n", "2", "--p", "3", "--R", "0", "--eq", "x = top"],
+    ["check", "--n", "2", "--p", "3", "--R", "1", "--suite", "S14"],
+    ["eval", "--n", "2", "--p", "3", "x*y", "--assign", "x=((1,0),2)",
+     "--assign", "y=((0,1),3)"],
+    ["eval", "--n", "2", "--p", "3", "--assign", "x=bot", "x"],
+    ["eval", "x"],
+]
+
+
+def _outcomes(capsys, argvs):
+    out = []
+    for argv in argvs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out.append((code, *capsys.readouterr()))
+    return out
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    from resilat import cli
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    shared = _outcomes(capsys, PARSER_SEQUENCE * 2)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = _outcomes(capsys, PARSER_SEQUENCE * 2)
+    assert shared == fresh
+    codes = [code for code, _, _ in shared[:len(PARSER_SEQUENCE)]]
+    assert codes == [0, 0, 0, 2, ("exit", 2), 0, 0, 1, 0, 0, 0, ("exit", 2)]
+    assert shared[0][1] == shared[9][1] == "((0,0),2)\n"
+    assert shared[3][2] == "error: unbound variable 'x'\n"
+
+
+# ---------------------------------------------------------------------------
 # process-level smoke
 
 def test_module_entry_point():

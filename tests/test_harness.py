@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resilat import core, harness, structure
+from resilat import core, harness, structure, terms
 from resilat.core import AlgebraParams, ApElem
 from resilat.harness import (
     DEFAULT_GRID,
@@ -517,6 +517,34 @@ def _plain_s13(ctx):
                                       for s, q in targets]}
 
 
+def _plain_s14(ctx):
+    t, elems = ctx.t, ctx.elems
+    checks = 0
+    for i, j in ctx.indices(2):
+        checks += 1
+        if harness.closed_form_div(elems[i], elems[j]) != t.div[i][j]:
+            return checks, harness._ce(a=elems[i], b=elems[j]), {}
+    return checks, None, {}
+
+
+def _plain_s16(ctx):
+    params = ctx.params
+    kmax = max(params.n + 1, params.p)
+    v1 = terms.check_equation(
+        terms.preset("WL", kmax), params, ctx.R, ops=ctx.ops, force=True)
+    checks, details = v1.checked, {"k": kmax}
+    if not v1.holds:
+        return checks, ["x=" + harness._fmt(v1.counterexample["x"])], details
+    v2 = terms.check_equation(
+        terms.preset("WLwitness", params=params), params, ctx.R,
+        domain=lambda a: structure.subalg_member("HatLn2", a), ops=ctx.ops, force=True)
+    checks += v2.checked
+    if v2.holds:
+        return checks, [f"no witness against the m={params.n} equation"], details
+    details["witness"] = harness._fmt(v2.counterexample["x"])
+    return checks, None, details
+
+
 def _mul_invalid_past_r2(a, b):
     """The product, except that an operand with |r| > 2 gives a level
     outside the universe, which raises as the validating constructor
@@ -606,7 +634,8 @@ def _assert_suites_match_plain(bundle, R, sample, suites,
 def test_two_step_suites_match_plain_guarded_calls(name, R, sample):
     _assert_suites_match_plain(TWO_STEP_BUNDLES[name], R, sample,
                                (("S2", _plain_s2), ("S7", _plain_s7),
-                                ("S13", _plain_s13)))
+                                ("S13", _plain_s13), ("S14", _plain_s14),
+                                ("S16", _plain_s16)))
 
 
 def _spy_row_scans(monkeypatch):
@@ -747,6 +776,24 @@ def _lattice_tables(t, N, covers):
     return lattice
 
 
+def _relation_tables(t, up):
+    """A copy of the tables t cut down to len(up) elements, whose order
+    rows are up, any reflexive relation, and whose meet of x and y is the
+    first z with down[z] = down[x] & down[y], 0 if none is, and dually
+    for joins."""
+    N = len(up)
+    down = harness._transpose(up, N)
+
+    def bound(masks, x, y):
+        return next((z for z in range(N) if masks[z] == masks[x] & masks[y]), 0)
+
+    broken = copy.copy(t)
+    broken.elems, broken.N, broken.up, broken.down = t.elems[:N], N, up, down
+    broken.meet_i = [[bound(down, x, y) for y in range(N)] for x in range(N)]
+    broken.join_i = [[bound(up, x, y) for y in range(N)] for x in range(N)]
+    return broken
+
+
 # a chain 0 < 1 < 2 with the pentagon 2 < 3 < 4 < 6, 2 < 5 < 6 above it,
 # and the same chain with the diamond 2 < 3, 4, 5 < 6: neither lattice is
 # distributive
@@ -767,6 +814,11 @@ def test_s7_rows_match_plain_on_broken_tables(monkeypatch):
         rows[5][9] = (rows[5][9] + 1) % t.N
         setattr(broken, table, rows)
         cases.append(broken)
+    # relations that are not orders: the chain 0 < 1 < 2 with 1 <= 0 too,
+    # or without 0 <= 2, and one whose row 0 fails only the transitivity
+    # part of the row test, its meets and joins passing the rest
+    for up in ([0b111, 0b111, 0b100], [0b011, 0b110, 0b100], [19, 26, 31, 26, 18]):
+        cases.append(_relation_tables(t, up))
     # a consistent lattice that is not distributive reaches the two laws;
     # relabelled at random, either law can come first
     rng = random.Random(7)
@@ -785,7 +837,8 @@ def test_s7_rows_match_plain_on_broken_tables(monkeypatch):
             m.setattr(harness, "_BYTES", 0)
             assert harness._s7(ctx) == want
         laws.add(want[2]["law"])
-    assert laws == {"glb", "lub", "meet over join", "join over meet"}
+    assert laws == {"antisymmetry", "transitivity", "glb", "lub",
+                    "meet over join", "join over meet"}
 
 
 # Bundles that reach the two S13 counterexamples no mutation reaches (a
@@ -1060,6 +1113,32 @@ def test_table_chains_are_the_bundle_chains():
         t.multiple(-1, t.elems[0])
 
 
+@pytest.mark.parametrize("name", list(TWO_STEP_BUNDLES))
+def test_the_table_view_is_the_bundle(name):
+    # window elements, values past the window and, under a guarded
+    # bundle, the invalid marker
+    bundle = TWO_STEP_BUNDLES[name]
+    t = harness._tables(P23, 1, bundle)
+    view = structure._TableOps(t)
+    assert isinstance(view, OpsBundle) and view.name == bundle.name
+    xs = [*t.elems, el("((1,-3),3)"), el("((1,4),0)"), el("((0,2),1)")]
+    if bundle is not REFERENCE:
+        xs.append(harness._INVALID)
+
+    def same(got, want):
+        return got is want if want is harness._INVALID else got == want
+
+    for a in xs:
+        for op in ("inv", "neg", "bterm"):
+            assert same(getattr(view, op)(a), getattr(bundle, op)(a)), (op, a)
+        for k in (0, 1, 4):
+            assert same(view.power(a, k), bundle.power(a, k)), (a, k)
+            assert same(view.multiple(k, a), bundle.multiple(k, a)), (a, k)
+        for b in xs:
+            for op in ("mul", "div", "oplus", "meet", "join"):
+                assert same(getattr(view, op)(a, b), getattr(bundle, op)(a, b)), (op, a, b)
+
+
 def test_chain_steps_in_the_window_make_no_bundle_call():
     bundle, calls = _counting_bundle()
     handed_over = 0
@@ -1293,6 +1372,80 @@ def test_sampled_s2_multiplies_only_the_drawn_triples():
                    for i, j, k in triples)
         assert len(calls) == want
         assert 0 < want < 2 * 200
+
+
+def _counting_oracle(monkeypatch):
+    """Count closed_form_div's calls from the suites."""
+    calls, real = [], harness.closed_form_div
+
+    def oracle(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(harness, "closed_form_div", oracle)
+    return calls
+
+
+def test_sampled_s14_checks_each_distinct_drawn_pair_once(monkeypatch):
+    calls = _counting_oracle(monkeypatch)
+    reports = run_grid(suites=["S14"], R=4, sample=2000, seed=0)
+    assert [r.verdict for r in reports] == ["pass"] * len(DEFAULT_GRID)
+    assert sum(r.checks_run for r in reports) == 18000
+    distinct = sum(len(set(harness._draws(0, 2, len(Window(AlgebraParams(n, p), 4)), 2000)))
+                   for n, p in DEFAULT_GRID)
+    assert len(calls) == distinct == 10200
+
+
+def test_sampled_s14_reports_the_first_draw_of_a_repeated_failing_pair(monkeypatch):
+    R, sample, seed = 4, 2000, 0
+    w = Window(P23, R)
+    pairs = harness._draws(seed, 2, len(w), sample)
+    first = {}
+    for at, pair in enumerate(pairs):
+        first.setdefault(pair, at)
+    # the first pair drawn twice whose first draw comes after another
+    # pair's second draw
+    passed_twice = next(at for at, pair in enumerate(pairs) if first[pair] < at)
+    f = next(at for at, pair in enumerate(pairs[:-1])
+             if at > passed_twice and first[pair] == at and pair in pairs[at + 1:])
+    i, j = pairs[f]
+    bad, real = (w.elements()[i], w.elements()[j]), harness.closed_form_div
+    monkeypatch.setattr(harness, "closed_form_div",
+                        lambda a, b: None if (a, b) == bad else real(a, b))
+    report = run_suite("S14", P23, R, sample=sample, seed=seed)
+    assert report.checks_run == f + 1
+    assert report.first_counterexample == tuple(harness._ce(a=bad[0], b=bad[1]))
+    ctx = harness._Ctx(w, REFERENCE, harness._tables(P23, R, REFERENCE), sample, seed)
+    assert (report.checks_run, list(report.first_counterexample), report.details) \
+        == _plain_s14(ctx)
+
+
+def test_s16_chains_in_the_window_make_no_core_call(monkeypatch):
+    # REFERENCE's own operations, counted; the chains S16's equations
+    # walk, checked one by one
+    calls, chains = [], {"in": 0, "out": 0}
+    for name, real in (("mul", core.ap_mul), ("inv", core.ap_inv)):
+        monkeypatch.setattr(REFERENCE, name,
+                            lambda *args, real=real: calls.append(1) or real(*args))
+    for step in ("power", "multiple"):
+        real = getattr(structure._Tables, step)
+
+        def spy(t, x, y, real=real, step=step):
+            a, k = (x, y) if step == "power" else (y, x)
+            before = len(calls)
+            out = real(t, x, y)
+            made = len(calls) - before
+            if a in t.idx and not _chain_exits(t, REFERENCE, a, k, step):
+                assert made == 0, (step, a, k)
+                chains["in"] += 1
+            else:
+                chains["out"] += 1
+            return out
+
+        monkeypatch.setattr(structure._Tables, step, spy)
+    for n, p in DEFAULT_GRID:
+        assert run_suite("S16", AlgebraParams(n, p), 2).verdict == "pass"
+    assert chains["in"] > 0 and chains["out"] > 0 and calls
 
 
 def test_transpose_and_low_bit():
