@@ -756,31 +756,11 @@ def test_exhaustive_s2_multiplies_only_products_past_the_window():
         assert 0 < calls["mul"] <= 2 * (P1 - t.N) * t.N
 
 
-def _lattice_tables(t, N, covers):
-    """A copy of the tables t cut down to N elements, whose order, meets
-    and joins are those generated by the cover pairs (u, v), u below v."""
-    up = [1 << u for u in range(N)]
-    for _ in range(N):
-        for u, v in covers:
-            up[u] |= up[v]
-    down = harness._transpose(up, N)
-
-    def bound(masks, x, y):  # the common bound whose mask holds all the others
-        common = masks[x] & masks[y]
-        return next(z for z in range(N) if common >> z & 1 and not common & ~masks[z])
-
-    lattice = copy.copy(t)
-    lattice.elems, lattice.N, lattice.up, lattice.down = t.elems[:N], N, up, down
-    lattice.meet_i = [[bound(down, x, y) for y in range(N)] for x in range(N)]
-    lattice.join_i = [[bound(up, x, y) for y in range(N)] for x in range(N)]
-    return lattice
-
-
 def _relation_tables(t, up):
     """A copy of the tables t cut down to len(up) elements, whose order
     rows are up, any reflexive relation, and whose meet of x and y is the
     first z with down[z] = down[x] & down[y], 0 if none is, and dually
-    for joins."""
+    for joins: in a lattice, the meet and the join."""
     N = len(up)
     down = harness._transpose(up, N)
 
@@ -792,6 +772,16 @@ def _relation_tables(t, up):
     broken.meet_i = [[bound(down, x, y) for y in range(N)] for x in range(N)]
     broken.join_i = [[bound(up, x, y) for y in range(N)] for x in range(N)]
     return broken
+
+
+def _lattice_tables(t, N, covers):
+    """_relation_tables for the order generated by the cover pairs (u, v),
+    u below v, on N elements."""
+    up = [1 << u for u in range(N)]
+    for _ in range(N):
+        for u, v in covers:
+            up[u] |= up[v]
+    return _relation_tables(t, up)
 
 
 # a chain 0 < 1 < 2 with the pentagon 2 < 3 < 4 < 6, 2 < 5 < 6 above it,
