@@ -27,9 +27,11 @@ once against the set of ids that pass, and only a member that fails is
 walked.  S8-S11 walk each power and multiple of a window element on the
 id tables, one read per step while the chain stays in the window.  S10
 and S16 take their operations from _TableOps, a view of the tables as a
-bundle, so S16's equations read the tables too.  The structure scans
-that S8, S9, S11 and S12 call read the REFERENCE tables under every
-bundle, and run_suite builds those along with the suite's own.  Each report times
+bundle, so S16's equations read the tables too; S10's two radical routes
+compute with REFERENCE through the view of its tables.  Those routes and
+the structure scans that S8, S9, S11 and S12 call read the REFERENCE
+tables under every bundle, and run_suite builds those along with the
+suite's own.  Each report times
 the table build (tables_s) apart from the checks (elapsed) and carries
 the estimate its budget gate used next to the checks it ran.
 
@@ -204,19 +206,29 @@ def _draws(seed: int, arity: int, N: int, sample: int) -> tuple:
     returns the next M words, least significant first.  So one block of
     words, each shifted right by 32 - k, with the values >= N dropped, is
     the same sequence; another block tops it up when rejections leave too
-    few.
+    few.  For k <= 8 a value is its word's top byte shifted right by 8 - k:
+    the block's little-endian bytes hold word w's top byte at 4w + 3, and
+    one bytes.translate maps those bytes to values and drops the rejected.
     """
     assert 0 < N < 2**32
     rng = random.Random(f"{seed}:{arity}")
     k = N.bit_length()
     shift, want = 32 - k, arity * sample
-    vals: list[int] = []
+    small = k <= 8
+    if small:
+        table = bytes(b >> (8 - k) for b in range(256))
+        drop = bytes(b for b in range(256) if b >> (8 - k) >= N)
+    vals: bytearray | list[int] = bytearray() if small else []
     while len(vals) < want:
         M = ((want - len(vals)) << k) // N + 1  # the words it takes, expected
-        words = memoryview(rng.getrandbits(32 * M).to_bytes(4 * M, sys.byteorder)).cast("I")
-        if sys.byteorder == "big":  # the most significant word comes first
-            words = words[::-1]
-        vals += [v for w in words if (v := w >> shift) < N]
+        block = rng.getrandbits(32 * M)
+        if small:
+            vals += block.to_bytes(4 * M, "little")[3::4].translate(table, drop)
+        else:
+            words = memoryview(block.to_bytes(4 * M, sys.byteorder)).cast("I")
+            if sys.byteorder == "big":  # the most significant word comes first
+                words = words[::-1]
+            vals += [v for w in words if (v := w >> shift) < N]
     del vals[want:]
     return tuple(zip(*[iter(vals)] * arity))
 
@@ -560,6 +572,8 @@ def _s9(ctx: _Ctx):
 def _s10(ctx: _Ctx):
     params, t = ctx.params, ctx.t
     ops = _TableOps(t)
+    # the two radical routes compute with REFERENCE, read from its tables
+    ref = ops if ctx.ops is REFERENCE else _TableOps(_tables(params, ctx.R, REFERENCE))
     n, p = params.n, params.p
     k0 = max(n + 1, p)
     bot = core.ap_bot(params)
@@ -576,10 +590,10 @@ def _s10(ctx: _Ctx):
         if _eq(tb, top) != rad:
             return checks, _ce(a=a, t=tb), {}
         checks += 1
-        if structure.radical_member_via_term(a) != rad:
+        if structure.radical_member_via_term(a, ref) != rad:
             return checks, _ce(a=a), {"route": "term"}
         checks += 1
-        if structure.radical_member_via_powers(a) != rad:
+        if structure.radical_member_via_powers(a, ref) != rad:
             return checks, _ce(a=a), {"route": "powers"}
         checks += 1
         if not _eq(ops.join(tb, ops.neg(tb)), top):
@@ -841,7 +855,7 @@ class _SuiteEntry(_Record):
 
 
 # Suites whose structure scans read the REFERENCE tables whatever the bundle.
-_READS_REFERENCE = frozenset({"S8", "S9", "S11", "S12"})
+_READS_REFERENCE = frozenset({"S8", "S9", "S10", "S11", "S12"})
 
 SUITES: dict[str, _SuiteEntry] = {
     e.sid: e

@@ -376,24 +376,27 @@ def filter_member(f: str, a: ApElem) -> bool:
     raise ValueError(f"unknown filter id {f!r}")
 
 
-def radical_member_via_term(a: ApElem) -> bool:
+def radical_member_via_term(a: ApElem, ops: OpsBundle = REFERENCE) -> bool:
     """Radical membership decided by the boolean term hitting top.
 
     Independent of filter_member(\"Radical\", ·), which reads the order
-    above <(0,0),p> off the level; the two must agree everywhere.
+    above <(0,0),p> off the level; the two must agree everywhere.  The
+    term is computed by ops: REFERENCE, or a _TableOps view of its tables,
+    whose values are REFERENCE's.
     """
-    return core.boolean_term(a) == core.ap_top(a.params)
+    return ops.bterm(a) == core.ap_top(a)
 
 
-def radical_member_via_powers(a: ApElem) -> bool:
-    """Third route: (n+1).a^k = top for every k up to max(n+1,p)+2."""
+def radical_member_via_powers(a: ApElem, ops: OpsBundle = REFERENCE) -> bool:
+    """Third route: (n+1).a^k = top for every k up to max(n+1,p)+2,
+    computed by ops as radical_member_via_term is."""
     n, p = a.n, a.p
-    top = x = core.ap_top(a.params)
+    top = x = core.ap_top(a)
     for k in range(1, max(n + 1, p) + 3):
-        power = core.ap_mul(a, x)
+        power = ops.mul(a, x)
         if k >= 2 and power == x:  # every later power repeats it too
             break
-        if core.ap_mult(n + 1, power) != top:
+        if ops.multiple(n + 1, power) != top:
             return False
         x = power
     return True
@@ -417,10 +420,11 @@ def max_nonradical(params: AlgebraParams, radius: int = 2) -> ApElem:
 # ---------------------------------------------------------------------------
 # Congruences and quotients.
 
-def congruent(a: ApElem, b: ApElem, f: str) -> bool:
-    """a and b are identified by the filter f: (a->b)*(b->a) lands in f."""
-    both = core.ap_mul(core.ap_div(a, b), core.ap_div(b, a))
-    return filter_member(f, both)
+def congruent(a: ApElem, b: ApElem, f: str, ops: OpsBundle = REFERENCE) -> bool:
+    """a and b are identified by the filter f: (a->b)*(b->a), computed by
+    ops, lands in f.  The invalid marker lands in no filter."""
+    both = ops.mul(ops.div(a, b), ops.div(b, a))
+    return both is not _INVALID and filter_member(f, both)
 
 
 def quotient_classes(w: Window, f: str) -> list[list[ApElem]]:
@@ -478,10 +482,23 @@ def quotient_induced_mul_report(w: Window, f: str) -> dict:
     # products can join; classes past the window's are not counted.
     class_of = {i: c for c, block in enumerate(blocks) for i in block}
     reps = [cls[0] for cls in classes]
-    mul_id = t.mul_id
+    mul_id, ops = t.mul_id, _TableOps(t)
+    mul, inv = core.ap_mul, core.ap_inv
+
+    def joins(v, nv, c: int) -> bool:
+        """congruent(v, reps[c], f) for a product v past the window and
+        nv = ~v: v/rep = ~(v*~rep) and rep/v = ~(rep*~v), with ~rep read
+        from the tables and their product read when both are window
+        elements.  A class started past the window has no table row."""
+        if c >= len(blocks):
+            return congruent(v, reps[c], f)
+        i = blocks[c][0]
+        return filter_member(f, ops.mul(inv(mul(v, t.inv[i])), inv(mul(t.elems[i], nv))))
+
     for u in sorted(set(itertools.chain(*mul_id)) - class_of.keys()):
         v = t.vals[u]
-        c = next((c for c, rep in enumerate(reps) if congruent(v, rep, f)), None)
+        nv = inv(v)
+        c = next((c for c in range(len(reps)) if joins(v, nv, c)), None)
         if c is None:
             c = len(reps)
             reps.append(v)

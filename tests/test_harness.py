@@ -155,6 +155,31 @@ def test_a_mutant_structure_suite_times_the_reference_tables_as_a_build():
     assert report.tables_s > report.elapsed
 
 
+def test_a_mutant_s10_builds_the_reference_tables_before_its_checks(monkeypatch):
+    # S10's radical routes compute with REFERENCE, read from its tables;
+    # under a mutant run_suite builds those with the mutant's, before the
+    # checks start, and the report is the one the routes gave from core
+    entry, built, bundles = SUITES["S10"], [], set()
+
+    def runner(ctx):
+        built.append(harness._tables.cache_info().currsize)
+        return entry.runner(ctx)
+
+    monkeypatch.setitem(SUITES, "S10", with_fields(entry, runner=runner))
+    for route in ("radical_member_via_term", "radical_member_via_powers"):
+        real = getattr(structure, route)
+        monkeypatch.setattr(structure, route,
+                            lambda a, ops, real=real: bundles.add(ops.t.ops) or real(a, ops))
+    harness._tables.cache_clear()
+    report = run_suite("S10", P23, 2, ops=MUTATIONS["mul-case2-sign"])
+    assert built == [2] and bundles == {REFERENCE}
+    misses = harness._tables.cache_info().misses
+    harness._tables(P23, 2, REFERENCE)
+    assert harness._tables.cache_info().misses == misses
+    assert report.text_line() == ("S10 boolean-radical-term n=2 p=3 R=2 fail checks=127 "
+                                  "counterexample a=((1,-2),1) t=((2,-6),0)")
+
+
 def test_reports_are_deterministic_modulo_elapsed():
     first = run_suite("S7", P23, R=1)
     second = run_suite("S7", P23, R=1)
@@ -1278,7 +1303,8 @@ def _randrange_draws(seed, arity, N, sample):
 
 # N = 1 and the powers of two are where an off-by-one in the shift or the
 # rejection would show.
-@pytest.mark.parametrize("N", [1, 2, 3, 127, 128, 129, 255, 256, 257, 654, 2**16 + 1])
+@pytest.mark.parametrize("N", [1, 2, 3, 15, 16, 17, 63, 64, 65, 127, 128, 129, 255, 256, 257,
+                               654, 2**16 + 1])
 def test_block_draws_are_the_randrange_draws(N):
     for seed, arity, sample in itertools.product((0, 9, 11), (1, 2, 3), (1, 7, 2000)):
         want = _randrange_draws(seed, arity, N, sample)
@@ -1408,6 +1434,19 @@ def test_sampled_s14_reports_the_first_draw_of_a_repeated_failing_pair(monkeypat
     ctx = harness._Ctx(w, REFERENCE, harness._tables(P23, R, REFERENCE), sample, seed)
     assert (report.checks_run, list(report.first_counterexample), report.details) \
         == _plain_s14(ctx)
+
+
+# Warm, S10's radical routes and S11's FOmega scan read the REFERENCE
+# tables: computed from core, one sampled grid built 17,297 and 11,034
+# elements.
+@pytest.mark.parametrize("sid, bound", [("S10", 7000), ("S11", 8500)])
+def test_sampled_s10_and_s11_build_few_elements(monkeypatch, sid, bound):
+    run_grid(suites=[sid], R=4, sample=2000, seed=11)
+    made, real = [], core._mk
+    monkeypatch.setattr(core, "_mk", lambda *args: made.append(1) or real(*args))
+    reports = run_grid(suites=[sid], R=4, sample=2000, seed=11)
+    assert [r.verdict for r in reports] == ["pass"] * len(DEFAULT_GRID)
+    assert 0 < len(made) <= bound
 
 
 def test_s16_chains_in_the_window_make_no_core_call(monkeypatch):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from resilat import core, structure
-from resilat.core import AlgebraParams, LexPair, ParamsMismatchError
+from resilat.core import REFERENCE, AlgebraParams, LexPair, OpsBundle, ParamsMismatchError
 from resilat.harness import run_suite
 from resilat.structure import (
     FILTER_IDS,
     SUBALGEBRA_IDS,
     Window,
+    _TableOps,
+    _tables,
     boolean_elements,
     classify_generated_filter,
     closure,
@@ -159,19 +161,63 @@ def _random_wide_element(rng):
     return core.ap_validate(LexPair(m, r), alpha, params)
 
 
-def test_radical_powers_chain_matches_powers_from_scratch(monkeypatch):
+class _ChainCounted(OpsBundle):
+    """A bundle whose products the caller counts, with REFERENCE's
+    multiples, so that only the products a chain makes itself count."""
+
+    multiple = staticmethod(core.ap_mult)
+
+
+def test_radical_powers_chain_matches_powers_from_scratch():
     products = []
-    real_mul = core.ap_mul
-    # ap_mult multiplies through the bundle, so this counts the chain alone
-    monkeypatch.setattr(core, "ap_mul", lambda a, b: products.append(a) or real_mul(a, b))
+    ops = _ChainCounted(lambda a, b: products.append(a) or core.ap_mul(a, b), core.ap_inv)
     rng = random.Random(15)
     elems = [a for params in GRID for R in (2, 4) for a in Window(params, R).elements()]
     elems += [_random_wide_element(rng) for _ in range(2000)]
     for a in elems:
         del products[:]
-        assert radical_member_via_powers(a) == _powers_from_scratch(a), a
+        assert radical_member_via_powers(a, ops) == _powers_from_scratch(a), a
         assert 1 <= len(products) <= max(a.n + 1, a.p) + 2
     assert {radical_member_via_powers(a) for a in elems} == {False, True}
+
+
+def _assert_view_routes_are_core_routes(view, a, others):
+    """The radical routes at a, and congruent from a to each of others
+    under every filter, read through the table view, equal core's."""
+    assert radical_member_via_term(a, view) == radical_member_via_term(a), a
+    assert radical_member_via_powers(a, view) == radical_member_via_powers(a), a
+    for b, f in itertools.product(others, FILTER_IDS):
+        assert congruent(a, b, f, view) == congruent(a, b, f), (a, b, f)
+
+
+def test_table_view_routes_are_core_routes():
+    for params, R in itertools.product(GRID, (2, 4)):
+        t = _tables(params, R, REFERENCE)
+        view = _TableOps(t)
+        # every window element against the window's r = 0 elements, one
+        # in each FOmega class
+        hat = [b for b in t.elems if b.r == 0]
+        for a in t.elems:
+            _assert_view_routes_are_core_routes(view, a, hat)
+        # the products past the window that the FOmega scan classifies,
+        # against its class representatives
+        reps = [cls[0] for cls in quotient_classes(Window(params, R), "FOmega")]
+        past = {u for row in t.mul_id for u in row if u >= t.N}
+        assert past
+        for u in sorted(past):
+            _assert_view_routes_are_core_routes(view, t.vals[u], reps)
+    # wide elements read through a small window's view: under other
+    # params every operation falls back to core, and under the window's
+    # own a chain may start in the window and leave it
+    rng = random.Random(28)
+    wide = [_random_wide_element(rng) for _ in range(2000)]
+    small = _TableOps(_tables(P23, 1, REFERENCE))
+    for a in wide:
+        _assert_view_routes_are_core_routes(small, a, [a, core.ap_inv(a), core.ap_top(a)])
+    for params in GRID:
+        view = _TableOps(_tables(params, 1, REFERENCE))
+        for a in Window(params, 4).elements():
+            _assert_view_routes_are_core_routes(view, a, [a, core.ap_inv(a), core.ap_top(a)])
 
 
 def test_max_nonradical_bends_at_p1():
@@ -242,6 +288,10 @@ def test_congruent_frozen():
     a, b = el("((0,1),1)"), el("((1,-1),2)")
     assert congruent(a, b, "Improper")
     assert not congruent(a, b, "Top")
+    # a bundle whose products leave the universe gives the invalid
+    # marker, which lands in no filter, Improper included
+    lost = OpsBundle(lambda x, y: core._mk(-1, 0, 0, x.n, x.p), core.ap_inv)
+    assert not any(congruent(a, b, f, lost) for f in FILTER_IDS)
 
 
 def test_quotient_class_counts():
