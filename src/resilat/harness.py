@@ -573,7 +573,7 @@ def _s10(ctx: _Ctx):
     params, t = ctx.params, ctx.t
     ops = _TableOps(t)
     # the two radical routes compute with REFERENCE, read from its tables
-    ref = ops if ctx.ops is REFERENCE else _TableOps(_tables(params, ctx.R, REFERENCE))
+    ref = _TableOps(_tables(params, ctx.R, REFERENCE))
     n, p = params.n, params.p
     k0 = max(n + 1, p)
     bot = core.ap_bot(params)

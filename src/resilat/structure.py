@@ -420,11 +420,10 @@ def max_nonradical(params: AlgebraParams, radius: int = 2) -> ApElem:
 # ---------------------------------------------------------------------------
 # Congruences and quotients.
 
-def congruent(a: ApElem, b: ApElem, f: str, ops: OpsBundle = REFERENCE) -> bool:
-    """a and b are identified by the filter f: (a->b)*(b->a), computed by
-    ops, lands in f.  The invalid marker lands in no filter."""
-    both = ops.mul(ops.div(a, b), ops.div(b, a))
-    return both is not _INVALID and filter_member(f, both)
+def congruent(a: ApElem, b: ApElem, f: str) -> bool:
+    """a and b are identified by the filter f: (a->b)*(b->a) lands in f."""
+    both = core.ap_mul(core.ap_div(a, b), core.ap_div(b, a))
+    return filter_member(f, both)
 
 
 def quotient_classes(w: Window, f: str) -> list[list[ApElem]]:

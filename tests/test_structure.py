@@ -181,31 +181,23 @@ def test_radical_powers_chain_matches_powers_from_scratch():
     assert {radical_member_via_powers(a) for a in elems} == {False, True}
 
 
-def _assert_view_routes_are_core_routes(view, a, others):
-    """The radical routes at a, and congruent from a to each of others
-    under every filter, read through the table view, equal core's."""
+def _assert_view_routes_are_core_routes(view, a):
+    """The radical routes at a, read through the table view, equal core's."""
     assert radical_member_via_term(a, view) == radical_member_via_term(a), a
     assert radical_member_via_powers(a, view) == radical_member_via_powers(a), a
-    for b, f in itertools.product(others, FILTER_IDS):
-        assert congruent(a, b, f, view) == congruent(a, b, f), (a, b, f)
 
 
 def test_table_view_routes_are_core_routes():
     for params, R in itertools.product(GRID, (2, 4)):
         t = _tables(params, R, REFERENCE)
         view = _TableOps(t)
-        # every window element against the window's r = 0 elements, one
-        # in each FOmega class
-        hat = [b for b in t.elems if b.r == 0]
         for a in t.elems:
-            _assert_view_routes_are_core_routes(view, a, hat)
-        # the products past the window that the FOmega scan classifies,
-        # against its class representatives
-        reps = [cls[0] for cls in quotient_classes(Window(params, R), "FOmega")]
+            _assert_view_routes_are_core_routes(view, a)
+        # the products past the window, where a chain starts on a fallback
         past = {u for row in t.mul_id for u in row if u >= t.N}
         assert past
         for u in sorted(past):
-            _assert_view_routes_are_core_routes(view, t.vals[u], reps)
+            _assert_view_routes_are_core_routes(view, t.vals[u])
     # wide elements read through a small window's view: under other
     # params every operation falls back to core, and under the window's
     # own a chain may start in the window and leave it
@@ -213,11 +205,11 @@ def test_table_view_routes_are_core_routes():
     wide = [_random_wide_element(rng) for _ in range(2000)]
     small = _TableOps(_tables(P23, 1, REFERENCE))
     for a in wide:
-        _assert_view_routes_are_core_routes(small, a, [a, core.ap_inv(a), core.ap_top(a)])
+        _assert_view_routes_are_core_routes(small, a)
     for params in GRID:
         view = _TableOps(_tables(params, 1, REFERENCE))
         for a in Window(params, 4).elements():
-            _assert_view_routes_are_core_routes(view, a, [a, core.ap_inv(a), core.ap_top(a)])
+            _assert_view_routes_are_core_routes(view, a)
 
 
 def test_max_nonradical_bends_at_p1():
@@ -288,10 +280,6 @@ def test_congruent_frozen():
     a, b = el("((0,1),1)"), el("((1,-1),2)")
     assert congruent(a, b, "Improper")
     assert not congruent(a, b, "Top")
-    # a bundle whose products leave the universe gives the invalid
-    # marker, which lands in no filter, Improper included
-    lost = OpsBundle(lambda x, y: core._mk(-1, 0, 0, x.n, x.p), core.ap_inv)
-    assert not any(congruent(a, b, f, lost) for f in FILTER_IDS)
 
 
 def test_quotient_class_counts():
