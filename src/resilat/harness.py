@@ -11,29 +11,30 @@ core's invalid marker instead of raising, so the violation surfaces as
 an ordinary counterexample rather than a crash mid-suite.
 
 The suites read their operations from the tables of resilat.structure,
-built once per (params, R, bundle): every product, residual, involution,
-meet and join of window elements, and the order of those values.  Meets
-and joins stay in the window, so they are stored as window indices.
-Products can leave the window, so a check that multiplies twice has no
-table for its second step.  Exhaustive S2 interns the distinct
-first-step products into ids; one in the window has its second steps in
-the product table, and only the others are multiplied by every window
-element on either side.  Sampled S2 reads the same way per drawn triple:
-a second step whose first step is in the window comes from the product
-table, and the bundle multiplies only the others.  S13's subalgebra
+built once per (params, R, bundle): every product, residual and
+involution of window elements as the id of its value, each distinct
+value stored once, every meet and join of window elements, and the
+order of those values.  Meets and joins stay in the window, so they are
+stored as window indices.  Products can leave the window, so a check
+that multiplies twice has no table for its second step.  Exhaustive S2
+takes the distinct first-step product ids; one in the window has its
+second steps in the product table, and only the others are multiplied
+by every window element on either side.  Sampled S2 reads the same way
+per drawn triple: a second step whose first step is in the window comes
+from the product table, and the bundle multiplies only the others.  S13's subalgebra
 members are window elements, so its closure checks read the id tables
 directly: each member's four rows, read at the members, are tested at
 once against the set of ids that pass, and only a member that fails is
 walked.  S8-S11 walk each power and multiple of a window element on the
-id tables, one read per step while the chain stays in the window.  S10
-and S16 take their operations from _TableOps, a view of the tables as a
-bundle, so S16's equations read the tables too; S10's two radical routes
-compute with REFERENCE through the view of its tables.  Those routes and
+id tables, one read per step while the chain stays in the window.  The
+tables are a bundle too, the one they tabulate: S10 and S16 pass them
+where a bundle is taken, so S16's equations read the tables, and S10's
+two radical routes compute with REFERENCE's tables.  Those routes and
 the structure scans that S8, S9, S11 and S12 call read the REFERENCE
 tables under every bundle, and run_suite builds those along with the
-suite's own.  Each report times
-the table build (tables_s) apart from the checks (elapsed) and carries
-the estimate its budget gate used next to the checks it ran.
+suite's own.  Each report times the table build (tables_s) apart from
+the checks (elapsed) and carries the estimate its budget gate used next
+to the checks it ran.
 
 The order is tabulated as bitmasks over interned ids.  The distinct
 products, residuals and involutions get ids as they are computed, one
@@ -83,7 +84,7 @@ from typing import Callable
 
 from resilat import core, structure, terms
 from resilat.core import _INVALID, REFERENCE, AlgebraParams, ApElem, OpsBundle, _Record
-from resilat.structure import DEFAULT_GRID, Window, _low, _TableOps, _tables, _Tables, _transpose
+from resilat.structure import DEFAULT_GRID, Window, _low, _tables, _transpose
 from resilat.structure import checks_per_s, enforce_budget
 
 
@@ -234,10 +235,10 @@ def _draws(seed: int, arity: int, N: int, sample: int) -> tuple:
 
 
 class _Ctx(_Record):
-    """What a suite body reads: the window, the bundle under test, its
-    tables, and the sample size (None when exhaustive) and seed."""
+    """What a suite body reads: the window, the tables of the bundle under
+    test (t.ops), and the sample size (None when exhaustive) and seed."""
 
-    __slots__ = fields = ("w", "ops", "t", "sample", "seed")
+    __slots__ = fields = ("w", "t", "sample", "seed")
 
     params = property(lambda self: self.w.params)
     R = property(lambda self: self.w.R)
@@ -294,11 +295,16 @@ def _s1(ctx: _Ctx):
     return checks, None, {}
 
 
+def _invalid_id(t) -> int:
+    """The invalid marker's id in the tables t, or -1 if none has it."""
+    return next((u for u, v in enumerate(t.vals) if v is _INVALID), -1)
+
+
 def _s2(ctx: _Ctx):
-    t, elems, ops, N = ctx.t, ctx.elems, ctx.ops, ctx.N
-    mul_t, mul_id = t.mul, t.mul_id
+    t, elems, N = ctx.t, ctx.elems, ctx.N
+    ops, vals, mul_id = t.ops, t.vals, t.mul_id
     # equal values share an id, and the invalid marker's id equals nothing
-    bad = next((u for u, v in enumerate(t.vals) if v is _INVALID), -1)
+    bad = _invalid_id(t)
     checks = 0
     if ctx.sample is not None:
         # A first step with id f < N is window element f, so its second
@@ -310,30 +316,30 @@ def _s2(ctx: _Ctx):
             if f < N and g < N:
                 same = mul_id[f][k] == mul_id[i][g] != bad
             else:
-                same = _eq(mul_t[f][k] if f < N else ops.mul(mul_t[i][j], elems[k]),
-                           mul_t[i][g] if g < N else ops.mul(elems[i], mul_t[j][k]))
+                same = _eq(vals[mul_id[f][k]] if f < N else ops.mul(vals[f], elems[k]),
+                           vals[mul_id[i][g]] if g < N else ops.mul(elems[i], vals[g]))
             if not same:
                 return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
     else:
         # Products of window elements land in W_2R (anywhere, under a
-        # mutant).  Each distinct first-step product x, the invalid marker
-        # included, gets an id; in the window, x's second steps are in the
-        # product table (the bundle is pure), and any other x is
-        # multiplied once on each side.  An invalid second step is
-        # interned under a key of its side, so that it equals nothing.
-        prods = list(dict.fromkeys(v for row in mul_t for v in row))
-        first = {v: u for u, v in enumerate(prods)}
-        step = [[first[v] for v in row] for row in mul_t]
-        at = [t.idx.get(x) for x in prods]
+        # mutant).  In the window, a distinct first-step product id u has
+        # its second steps in the product table (the bundle is pure), and
+        # any other u, the invalid marker's included, is multiplied once
+        # on each side.  Second steps are interned by value, an invalid
+        # one under a key of its side, so that it equals nothing.
+        prods = list(dict.fromkeys(itertools.chain(*mul_id)))
+        first = {u: x for x, u in enumerate(prods)}
+        step = [list(map(first.__getitem__, row)) for row in mul_id]
         ids = defaultdict(lambda: len(ids))
         intern = ids.__getitem__
-        left = [list(map(intern, [ops.mul(x, c) for c in elems] if f is None else mul_t[f]))
-                for x, f in zip(prods, at)]
+        left = [list(map(intern, map(vals.__getitem__, mul_id[u]) if u < N
+                         else [ops.mul(vals[u], c) for c in elems]))
+                for u in prods]
         if _INVALID in ids:
             ids["left"] = ids.pop(_INVALID)
-        right = [list(map(intern, [row[f] if f is not None else ops.mul(a, x)
-                                   for x, f in zip(prods, at)]))
-                 for a, row in zip(elems, mul_t)]
+        right = [list(map(intern, [vals[row[u]] if u < N else ops.mul(a, vals[u])
+                                   for u in prods]))
+                 for a, row in zip(elems, mul_id)]
         triples = ctx.indices(3)
         if len(prods) <= _BYTES and len(ids) <= _BYTES:
             # row i over (j, k): left[step[i][j]] for each j, against the
@@ -390,16 +396,16 @@ def _s3(ctx: _Ctx):
 
 
 def _s4(ctx: _Ctx):
-    t, elems, ops = ctx.t, ctx.elems, ctx.ops
+    t, elems = ctx.t, ctx.elems
+    vals, up, ge, inv_id = t.vals, t.up, t.ge, t.inv_id
     checks = 0
     for i in range(ctx.N):
         checks += 1
-        if not _eq(ops.inv(t.inv[i]), elems[i]):
+        if not _eq(t.ops.inv(vals[inv_id[i]]), elems[i]):
             return checks, _ce(a=elems[i]), {}
         checks += 1
-        if not _eq(t.inv[i], t.div[i][t.bot_i]):
+        if not _eq(vals[inv_id[i]], vals[t.div_id[i][t.bot_i]]):
             return checks, _ce(a=elems[i]), {}
-    up, ge, inv_id = t.up, t.ge, t.inv_id
     for i, j in ctx.indices(2):
         checks += 1
         if up[i] >> j & 1 != ge[inv_id[j]] >> inv_id[i] & 1:
@@ -511,7 +517,7 @@ def _s7(ctx: _Ctx):
 
 
 def _s8(ctx: _Ctx):
-    params, ops, t = ctx.params, ctx.ops, ctx.t
+    params, t, ops = ctx.params, ctx.t, ctx.t.ops
     n, p = params.n, params.p
     bot = core.ap_bot(params)
     details = {"branch": "p<=n" if p <= n else "n<p"}
@@ -571,9 +577,8 @@ def _s9(ctx: _Ctx):
 
 def _s10(ctx: _Ctx):
     params, t = ctx.params, ctx.t
-    ops = _TableOps(t)
     # the two radical routes compute with REFERENCE, read from its tables
-    ref = _TableOps(_tables(params, ctx.R, REFERENCE))
+    ref = _tables(params, ctx.R, REFERENCE)
     n, p = params.n, params.p
     k0 = max(n + 1, p)
     bot = core.ap_bot(params)
@@ -596,9 +601,9 @@ def _s10(ctx: _Ctx):
         if structure.radical_member_via_powers(a, ref) != rad:
             return checks, _ce(a=a), {"route": "powers"}
         checks += 1
-        if not _eq(ops.join(tb, ops.neg(tb)), top):
+        if not _eq(t.join(tb, t.neg(tb)), top):
             return checks, _ce(a=a, t=tb), {"law": "t \\/ !t = top"}
-        v = ops.join(a, ops.neg(t.power(a, p)))
+        v = t.join(a, t.neg(t.power(a, p)))
         for k in (1, 2, 3):
             checks += 1
             if not _eq(t.multiple(n + 1, t.power(v, k)), top):
@@ -615,6 +620,7 @@ def _s11(ctx: _Ctx):
     n, p = params.n, params.p
     proper = ("Top", "FOmega", "Radical")
     member = t.filters  # bit i: elems[i] is in the filter
+    vals, mul_id = t.vals, t.mul_id
     top = core.ap_top(params)
     bot = core.ap_bot(params)
     pairs = list(ctx.indices(2))  # one draw serves every filter
@@ -629,7 +635,7 @@ def _s11(ctx: _Ctx):
                 continue
             if mf >> j & 1:
                 checks += 1
-                v = t.mul[i][j]
+                v = vals[mul_id[i][j]]
                 if v is _INVALID or not structure.filter_member(f, v):
                     return checks, [f"filter={f}"] + _ce(a=elems[i], b=elems[j]), {}
             if t.up[i] >> j & 1:
@@ -790,11 +796,12 @@ def _s13(ctx: _Ctx):
 
 def _s14(ctx: _Ctx):
     t, elems, N = ctx.t, ctx.elems, ctx.N
+    vals, div_id = t.vals, t.div_id
     draws = ctx.indices(2)
     # Draws repeat pairs, so a sampled run checks each distinct pair once,
     # in order of its first draw, and counts the checks up to that draw.
     for i, j in draws if ctx.sample is None else dict.fromkeys(draws):
-        if closed_form_div(elems[i], elems[j]) != t.div[i][j]:  # the left is never invalid
+        if closed_form_div(elems[i], elems[j]) != vals[div_id[i][j]]:  # never invalid
             at = i * N + j if ctx.sample is None else draws.index((i, j))
             return at + 1, _ce(a=elems[i], b=elems[j]), {}
     return N * N if ctx.sample is None else len(draws), None, {}
@@ -805,10 +812,11 @@ def _s15(ctx: _Ctx):
     # OpsBundle.div is ~(a * ~c) written out, so the residual table is the
     # written-out right-hand side; it disagrees with itself only where it
     # is invalid.  The residuation loop is S1's.
+    div_id, bad = t.div_id, _invalid_id(t)
     checks = 0
     for i, k in ctx.indices(2):
         checks += 1
-        if t.div[i][k] is _INVALID:
+        if div_id[i][k] == bad:
             return checks, _ce(a=elems[i], c=elems[k]), {"law": "residual agreement"}
     more, ce, details = _s1(ctx)
     return checks + more, ce, details
@@ -819,9 +827,8 @@ def _s16(ctx: _Ctx):
     kmax = max(params.n + 1, params.p)
     # the equations read the bundle's tables; run_suite has already gated
     # S16's estimate against the budget
-    ops = _TableOps(ctx.t)
     v1 = terms.check_equation(
-        terms.preset("WL", kmax), params, ctx.R, ops=ops, force=True
+        terms.preset("WL", kmax), params, ctx.R, ops=ctx.t, force=True
     )
     checks = v1.checked
     details: dict = {"k": kmax}
@@ -832,7 +839,7 @@ def _s16(ctx: _Ctx):
         params,
         ctx.R,
         domain=lambda a: structure.subalg_member("HatLn2", a),
-        ops=ops,
+        ops=ctx.t,
         force=True,
     )
     checks += v2.checked
@@ -951,7 +958,7 @@ def run_suite(
         for arity in _ARITIES:  # the window's draws, made once for every suite
             _draws(seed, arity, N, sample)
     built = time.perf_counter()
-    checks, ce, details = entry.runner(_Ctx(w, bundle, tables, sample, seed))
+    checks, ce, details = entry.runner(_Ctx(w, tables, sample, seed))
     elapsed = time.perf_counter() - built
     return SuiteReport(sid, entry.title, params.n, params.p, R, checks, estimate,
                        "pass" if ce is None else "fail", tuple(ce) if ce else None,

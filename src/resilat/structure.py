@@ -9,10 +9,12 @@ of the results.  The check-count budget lives here too, next to the
 windows whose sizes its estimates count, so that both the suites and
 the equation checker obey it.
 
-So do the per-window tables of every operation, the order and the named
-filters under one bundle.  The filter, quotient and complement scans
-read the REFERENCE tables whatever bundle a suite runs, and a scan on a
-cold window pays their build first.
+So do the per-window tables of one bundle: an id per distinct value of
+every operation, the order of those values and the named filters.  The
+tables are themselves a bundle, the one they tabulate, read from them in
+the window.  The filter, quotient and complement scans read the
+REFERENCE tables whatever bundle a suite runs, and a scan on a cold
+window pays their build first.
 """
 
 from __future__ import annotations
@@ -184,21 +186,32 @@ def _lattice_row(w: Window):
     return row
 
 
-class _Tables:
-    __slots__ = ("ops", "elems", "N", "idx", "mul", "div", "inv", "vals",
-                 "mul_id", "div_id", "inv_id", "up", "down", "ge", "meet_i",
-                 "join_i", "bot_i", "top_i", "filters")
+class _Tables(OpsBundle):
+    """The tables of the bundle ops over the window w, and the bundle
+    they tabulate, read from them.
+
+    Every distinct involution, product and residual of window elements
+    has an id, window elements first, so ids 0..N-1 are the window
+    indices; vals[u] is the value of id u, and inv_id, mul_id and div_id
+    hold ids.  As a bundle, mul, div, inv and neg read vals at those ids
+    when every operand is a window element, and past the window t.ops
+    computes; power and multiple walk the id tables.  ops must be pure,
+    so a read is the value ops returns, and oplus, meet, join and bterm
+    are OpsBundle's over these.  These methods hide OpsBundle's mul and
+    inv slots, so copy.copy, which sets every slot, fails on tables.
+    """
+
+    __slots__ = ("ops", "elems", "N", "idx", "vals", "mul_id", "div_id", "inv_id",
+                 "up", "down", "ge", "meet_i", "join_i", "bot_i", "top_i", "filters")
 
     def __init__(self, w: Window, ops: OpsBundle):
         elems = w.elements()
         N = len(elems)
-        self.ops = ops
+        self.ops, self.name = ops, ops.name
         self.elems = elems
         self.N = N
         self.idx = idx = {a: i for i, a in enumerate(elems)}
-        # Every distinct involution, product and residual gets an id as it
-        # is computed, one lookup per result, window elements first, so ids
-        # 0..N-1 are the window indices; vals[u] is the value of id u.
+        # a result gets its id as it is computed, one lookup each
         ids = defaultdict(lambda: len(ids), idx)
         intern = ids.__getitem__
         self.inv_id = list(map(intern, map(ops.inv, elems)))
@@ -219,12 +232,6 @@ class _Tables:
             mul_id = list(map(bytes, mul_id))
             div_id = list(map(bytes, div_id))
         self.mul_id, self.div_id = mul_id, div_id
-        # one object per distinct value: the rows hold vals[u], not the N**2
-        # equal results the bundle returned
-        pick = values.__getitem__
-        self.inv = list(map(pick, self.inv_id))
-        self.mul = [list(map(pick, row)) for row in mul_id]
-        self.div = [list(map(pick, row)) for row in div_id]
         # ge[u] holds the ids at or above value u, as a bitmask, from the
         # closed form of the order, a bisect or two per id; up[u] and
         # down[u], the window elements above and below it, are its low N
@@ -242,6 +249,24 @@ class _Tables:
         # filters[f]: the window elements in the named filter f
         self.filters = {f: _mask([filter_member(f, a) for a in elems])
                         for f in FILTER_IDS}
+
+    # The bundle's operations on window elements, read from the tables.
+
+    def mul(self, a, b):
+        i, j = self.idx.get(a), self.idx.get(b)
+        return self.ops.mul(a, b) if i is None or j is None else self.vals[self.mul_id[i][j]]
+
+    def div(self, a, b):
+        i, j = self.idx.get(a), self.idx.get(b)
+        return self.ops.div(a, b) if i is None or j is None else self.vals[self.div_id[i][j]]
+
+    def inv(self, a):
+        i = self.idx.get(a)
+        return self.ops.inv(a) if i is None else self.vals[self.inv_id[i]]
+
+    def neg(self, a):
+        i = self.idx.get(a)
+        return self.ops.neg(a) if i is None else self.vals[self.div_id[i][self.bot_i]]
 
     # The bundle's power and multiple of a window element, walked on ids
     # for S8-S11 and _generated_mask: a step a_i*out is mul_id[i][out], and
@@ -273,45 +298,6 @@ class _Tables:
             if out >= self.N:
                 return core._steps(op, a, self.vals[out], left - 1)
         return self.vals[out]
-
-
-class _TableOps(OpsBundle):
-    """The bundle t.ops read from its tables t, for callers that take a
-    bundle: mul, div, inv and neg are table reads when every operand is a
-    window element, and power and multiple are t's chains; past the window
-    t.ops computes.  The bundle is pure, so the values are its own, and
-    oplus, meet, join and bterm are OpsBundle's over these.  A view: it
-    stores nothing but t."""
-
-    __slots__ = ("t",)
-
-    def __init__(self, t: _Tables):
-        self.t, self.name = t, t.ops.name
-
-    def mul(self, a, b):
-        t = self.t
-        i, j = t.idx.get(a), t.idx.get(b)
-        return t.ops.mul(a, b) if i is None or j is None else t.mul[i][j]
-
-    def div(self, a, b):
-        t = self.t
-        i, j = t.idx.get(a), t.idx.get(b)
-        return t.ops.div(a, b) if i is None or j is None else t.div[i][j]
-
-    def inv(self, a):
-        i = self.t.idx.get(a)
-        return self.t.ops.inv(a) if i is None else self.t.inv[i]
-
-    def neg(self, a):
-        t = self.t
-        i = t.idx.get(a)
-        return t.ops.neg(a) if i is None else t.div[i][t.bot_i]
-
-    def power(self, a, k: int):
-        return self.t.power(a, k)
-
-    def multiple(self, k: int, a):
-        return self.t.multiple(k, a)
 
 
 @lru_cache(maxsize=64)
@@ -381,8 +367,8 @@ def radical_member_via_term(a: ApElem, ops: OpsBundle = REFERENCE) -> bool:
 
     Independent of filter_member(\"Radical\", ·), which reads the order
     above <(0,0),p> off the level; the two must agree everywhere.  The
-    term is computed by ops: REFERENCE, or a _TableOps view of its tables,
-    whose values are REFERENCE's.
+    term is computed by ops: REFERENCE, or its tables, which read
+    REFERENCE's values.
     """
     return ops.bterm(a) == core.ap_top(a)
 
@@ -481,8 +467,7 @@ def quotient_induced_mul_report(w: Window, f: str) -> dict:
     # products can join; classes past the window's are not counted.
     class_of = {i: c for c, block in enumerate(blocks) for i in block}
     reps = [cls[0] for cls in classes]
-    mul_id, ops = t.mul_id, _TableOps(t)
-    mul, inv = core.ap_mul, core.ap_inv
+    mul_id, mul, inv = t.mul_id, core.ap_mul, core.ap_inv
 
     def joins(v, nv, c: int) -> bool:
         """congruent(v, reps[c], f) for a product v past the window and
@@ -492,7 +477,8 @@ def quotient_induced_mul_report(w: Window, f: str) -> dict:
         if c >= len(blocks):
             return congruent(v, reps[c], f)
         i = blocks[c][0]
-        return filter_member(f, ops.mul(inv(mul(v, t.inv[i])), inv(mul(t.elems[i], nv))))
+        nrep = t.vals[t.inv_id[i]]
+        return filter_member(f, t.mul(inv(mul(v, nrep)), inv(mul(t.elems[i], nv))))
 
     for u in sorted(set(itertools.chain(*mul_id)) - class_of.keys()):
         v = t.vals[u]

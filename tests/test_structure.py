@@ -13,7 +13,6 @@ from resilat.structure import (
     FILTER_IDS,
     SUBALGEBRA_IDS,
     Window,
-    _TableOps,
     _tables,
     boolean_elements,
     classify_generated_filter,
@@ -190,24 +189,23 @@ def _assert_view_routes_are_core_routes(view, a):
 def test_table_view_routes_are_core_routes():
     for params, R in itertools.product(GRID, (2, 4)):
         t = _tables(params, R, REFERENCE)
-        view = _TableOps(t)
         for a in t.elems:
-            _assert_view_routes_are_core_routes(view, a)
+            _assert_view_routes_are_core_routes(t, a)
         # the products past the window, where a chain starts on a fallback
         past = {u for row in t.mul_id for u in row if u >= t.N}
         assert past
         for u in sorted(past):
-            _assert_view_routes_are_core_routes(view, t.vals[u])
+            _assert_view_routes_are_core_routes(t, t.vals[u])
     # wide elements read through a small window's view: under other
     # params every operation falls back to core, and under the window's
     # own a chain may start in the window and leave it
     rng = random.Random(28)
     wide = [_random_wide_element(rng) for _ in range(2000)]
-    small = _TableOps(_tables(P23, 1, REFERENCE))
+    small = _tables(P23, 1, REFERENCE)
     for a in wide:
         _assert_view_routes_are_core_routes(small, a)
     for params in GRID:
-        view = _TableOps(_tables(params, 1, REFERENCE))
+        view = _tables(params, 1, REFERENCE)
         for a in Window(params, 4).elements():
             _assert_view_routes_are_core_routes(view, a)
 

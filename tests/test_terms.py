@@ -199,7 +199,7 @@ def test_no_module_defines_a_dataclass_and_records_carry_no_dict():
         *nodes, parse_equation("x = x"), check_equation(parse_equation("x = x"), P23, 0),
         P23, w, structure.closure([core.ap_top(P23)]), harness.SUITES["S6"],
         harness.run_suite("S6", P23, R=0),
-        harness._Ctx(w, REFERENCE, structure._tables(P23, 1, REFERENCE), None, 0),
+        harness._Ctx(w, structure._tables(P23, 1, REFERENCE), None, 0),
     ]
     bases = {core._Record, terms.Term, terms._Binary, terms._Prefix}
     assert {type(r) for r in records} | bases == {
