@@ -33,7 +33,7 @@ def _check_flags(args: argparse.Namespace) -> None:
         raise ValueError(f"--n must be positive, got {args.n}")
     if args.p is not None and args.p < 1:
         raise ValueError(f"--p must be positive, got {args.p}")
-    if args.R < 0:
+    if "R" in args and args.R < 0:
         raise ValueError(f"--R must be >= 0, got {args.R}")
 
 
@@ -188,18 +188,23 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.kind == "hasse":
         if args.fmt not in (None, "dot"):
             raise ValueError("export hasse emits dot; use --format dot")
-        print(_emit_dot(_hasse_members(args)))
+        members = _hasse_members(args)
+    else:  # Cayley table
+        if args.fmt not in (None, "csv"):
+            raise ValueError("export table emits csv; use --format csv")
+        if args.sub is None:
+            raise ValueError("export table needs --sub")
+        members = _sub_members(args, _sub_id(args.sub))
+        if args.op not in _TABLE_OPS:
+            raise ValueError(
+                f"unknown op {args.op!r}; one of {', '.join(_TABLE_OPS)}"
+            )
+    # a diagram tests the order, a table applies its operation, on every pair
+    enforce_budget(f"export {args.kind}", AlgebraParams(args.n, args.p), args.window or 0,
+                   len(members) ** 2, force=args.force_budget)
+    if args.kind == "hasse":
+        print(_emit_dot(members))
         return 0
-    # Cayley table
-    if args.fmt not in (None, "csv"):
-        raise ValueError("export table emits csv; use --format csv")
-    if args.sub is None:
-        raise ValueError("export table needs --sub")
-    members = _sub_members(args, _sub_id(args.sub))
-    if args.op not in _TABLE_OPS:
-        raise ValueError(
-            f"unknown op {args.op!r}; one of {', '.join(_TABLE_OPS)}"
-        )
     fn = getattr(core.REFERENCE, args.op)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -247,10 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="height of the pair chain")
         sp.add_argument("--p", type=int, required=need_np,
                         help="size of the level chain")
-        sp.add_argument("--R", type=int, default=2,
-                        help="window radius for |r| (default 2)")
-        sp.add_argument("--force-budget", action="store_true",
-                        help="run even past the check-count budget")
 
     p_eval = sub.add_parser("eval", help="evaluate a term under an assignment")
     common(p_eval, need_np=True)
@@ -261,6 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run suites or an equation")
     common(p_check, need_np=False)
+    p_check.add_argument("--R", type=int, default=2,
+                         help="window radius for |r| (default 2)")
+    p_check.add_argument("--force-budget", action="store_true",
+                         help="run even past the check-count budget")
     p_check.add_argument("--suite", help="comma-separated ids, e.g. S1,S2,S10")
     p_check.add_argument("--eq", help="equation text, e.g. 'x \\/ !(x^2) = top'")
     p_check.add_argument("--format", dest="fmt", choices=("text", "json"),
@@ -269,6 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="emit a Hasse diagram or Cayley table")
     common(p_export, need_np=True)
+    p_export.add_argument("--force-budget", action="store_true",
+                          help="run even past the check-count budget")
     p_export.add_argument("kind", choices=("hasse", "table"))
     p_export.add_argument("--sub", help="subalgebra id, e.g. hatLnp")
     p_export.add_argument("--q", type=int, default=None,

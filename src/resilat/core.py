@@ -385,19 +385,8 @@ class OpsBundle:
         return self.div(a, ap_bot(a))
 
     def oplus(self, a, b):
-        """Dual sum ~(~a . ~b), one _cosum step from ~a."""
-        return self._cosum(self.inv(a), b)
-
-    def _cosum(self, na, b):
-        """The dual sum a + b given na = ~a: ~(na . ~b).
-
-        Written out deliberately: the factors are ~a and ~b, not ~a twice;
-        the symmetric form is what the recursion (k+1).x = x + k.x needs.
-        This is the one copy of the composition: oplus, multiple and the
-        window tables' multiple chains all step through it.
-        """
-        inv = self.inv
-        return inv(self.mul(na, inv(b)))
+        """Dual sum ~(~a . ~b): the residual ~a / b."""
+        return self.div(self.inv(a), b)
 
     def meet(self, a, b):
         if a is _INVALID or b is _INVALID:
@@ -418,14 +407,15 @@ class OpsBundle:
         return _steps(self.mul, a, ap_top(a), k)
 
     def multiple(self, k: int, a):
-        """k-fold dual sum; 0.a is bot.  a is fixed along the chain, so ~a
-        is computed once, and at k = 0 no raw runs."""
+        """k-fold dual sum; 0.a is bot.  A step a + out is the residual
+        ~a / out, and a is fixed along the chain, so ~a is computed once,
+        and at k = 0 no raw runs."""
         if k < 0:
             raise ValueError(f"negative multiple {k}")
         if a is _INVALID:
             return _INVALID
         bot = ap_bot(a)
-        return _steps(self._cosum, self.inv(a), bot, k) if k else bot
+        return _steps(self.div, self.inv(a), bot, k) if k else bot
 
     def bterm(self, a):
         """(n+1).a^max(n+1, p); lands in {bot, top}, top exactly on the radical."""

@@ -272,7 +272,7 @@ class _Tables(OpsBundle):
     # for S8-S11 and _generated_mask: a step a_i*out is mul_id[i][out], and
     # ~(~a_i * ~out) is div_id[f][out] for ~a_i = elems[f].  Equal values
     # share an id, so a step that returns its id is the fixed point; past
-    # the window the bundle runs the rest, a multiple by _cosum from elems[f].
+    # the window the bundle runs the rest, a multiple by div from elems[f].
 
     def power(self, a, k: int):
         i = self.idx.get(a)
@@ -284,7 +284,7 @@ class _Tables(OpsBundle):
         f = self.inv_id[self.idx[a]] if a in self.idx else self.N
         if f >= self.N or k < 0:
             return self.ops.multiple(k, a)
-        return self._chain(self.div_id[f], self.bot_i, k, self.ops._cosum,
+        return self._chain(self.div_id[f], self.bot_i, k, self.ops.div,
                            self.elems[f])
 
     def _chain(self, row, out: int, k: int, op, a):

@@ -19,26 +19,27 @@ OpsBundle method), which the parser's precedence loop, _render and _node
 all read.
 
 check_equation compiles its equation once per call.  Each distinct
-subterm becomes one node.  A node is recomputed only when the loop
-assigns its last variable.  The nodes that apply one operation share one
+subterm becomes one node, and every node keeps its value by one rule: as
+rows of interned ids, recomputed only when the loop gives its last
+variable new candidates.  The nodes that apply one operation share one
 table of its results, keyed by the ids of its operands, so while no
 operation raises, each runs once per distinct tuple of operand values.
 When one raises, the check drops the compiled loop and walks both trees
-on every assignment in order, so it ends as a plain walk does.  The two
-innermost variables run together, as blocks of interned ids: a node
-whose last variable is the second-innermost one gets a row over a block
-of that variable's candidates, and a node of the innermost level a
-plane, one row over all innermost candidates per candidate in the block.
-A one-variable equation runs its variable's candidates as blocks the
-same way.  The two sides compare as lists of rows.  Blocks start at one
-candidate and double, so a check that fails early builds little.  A node
-whose one varying operand is its level's variable keeps, in its
-operation's table, its row over all the candidates per value of the
-other operand, or, as a meet or join under an OpsBundle, reads its
-closed-form row and calls nothing; any other reads its operation's table
-along its operands' rows.  eval_term walks the same case analysis
-recursively.  Both take their operations from core.REFERENCE unless
-given another bundle.
+on every assignment in order, so it ends as a plain walk does.  One
+search loop takes an outer variable's candidates one at a time, the
+innermost variable's all at once, and the second-innermost variable's,
+or a one-variable equation's one, in blocks that start at one candidate
+and double, so a check that fails early builds little.  A node of an
+outer level has one row of one id, one of the second-innermost level a
+row over the block, and one of the innermost level a plane, one row over
+all innermost candidates per candidate in the block; the two sides
+compare as lists of rows.  A node whose one varying operand is its
+level's variable keeps, in its operation's table, its row over all the
+candidates per value of the other operand, or, as a meet or join under
+an OpsBundle, reads its closed-form row and calls nothing; any other
+reads its operation's table along its operands' rows.  eval_term walks
+the same case analysis recursively.  Both take their operations from
+core.REFERENCE unless given another bundle.
 """
 
 from __future__ import annotations
@@ -422,52 +423,40 @@ class _Table(dict):
         return got
 
 
-def _step(table: _Table, out: int, args, slots):
-    """One compiled subterm outside the two innermost levels: set slots[out]
-    to the id of its operation on the values whose ids sit in the args
-    slots, read from table."""
-    left, right = args if len(args) == 2 else (None, *args)
-
-    def step():
-        a, b = None if left is None else slots[left], slots[right]
-        slots[out] = table.fill(a, {b})[b]
-    return step
-
-
 def _stretch(rows: list, n: int) -> list:
     """rows as n rows: a single row stands for every row."""
     return rows if len(rows) == n else rows * n
 
 
-def _row(table: _Table, out, args, levels, sec, slots, grid, v: int, N: int):
-    """One compiled subterm at one of the two innermost levels: set
-    grid[out] to its rows of ids over the current block, read from table.
+def _row(table: _Table, out, args, levels, grid, v, N: int):
+    """One compiled subterm, of any level or closed: set grid[out] to its
+    rows of ids over the current candidates, read from table.
 
-    A subterm of the second-innermost level, sec, has one row, over the
-    block's candidates of that variable.  One of the innermost level has a
-    plane: a row over the innermost variable's candidates for each
-    candidate in the block, or one row for all when nothing in it varies
-    with sec.  Its varying operands, those of its own level, read their
-    rows from grid.  Along a row the other operand, if any, is constant:
-    an outer subterm, whose id sits in slots, or, under the innermost
-    level, a subterm of level sec, whose row holds one id per row of the
-    plane.  The misses of a block are filled in one batch per left id.
+    A variable's one row is its current candidates: one at an outer
+    level, a block at the second-innermost level or a lone variable's, and
+    all N at the innermost level under a block.  A subterm has one row,
+    or, at the innermost level under a block, a plane: a row over the
+    innermost candidates for each candidate in the block, or one row for
+    all when nothing in it varies with the block.  Its varying operands,
+    those of its own level, read their rows from grid.  Along a row the
+    other operand, if any, is constant: an earlier level's subterm, whose
+    one row holds one id, or one id per row of the plane.  The misses are
+    filled in one batch per left id.  A closed subterm runs once, when it
+    is compiled.
 
     A whole row's one varying operand is v, its level's variable.  Over
     all N candidates it is its table's row for its constant operand, kept
-    from one outer assignment to the next, and a closed one is sliced to a
-    smaller block.
+    from one outer assignment to the next, and a closed one is sliced to
+    fewer candidates.
     """
-    level = levels[v]
+    level = levels[out]
     left, right = args if len(args) == 2 else (None, *args)
     lvar = left is not None and levels[left] == level
     whole = [a for a in args if levels[a] == level] == [v]
 
     def ids(a) -> list:
         # a's rows where it varies at this level, else its id on each row
-        if levels[a] == level:
-            return grid[a]
-        return grid[a][0] if levels[a] == sec else [slots[a]]
+        return grid[a] if levels[a] == level else grid[a][0]
 
     def read(ls, rs) -> list[list]:
         if lvar:
@@ -476,8 +465,7 @@ def _row(table: _Table, out, args, levels, sec, slots, grid, v: int, N: int):
 
     def row():
         ls, rs = [None] if left is None else ids(left), ids(right)
-        block = grid[v][0]
-        if whole and (len(block) == N or table.closed is not None):
+        if whole and (len(block := grid[v][0]) == N or table.closed is not None):
             ks, kept = (rs, table.cols) if lvar else (ls, table.rows)
             got = list(map(kept.get, ks))
             if None in got:
@@ -532,26 +520,25 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
     """Positions in elems, one per name, of the first assignment in
     canonical order on which the two sides of eq differ; None if none does.
 
-    eq is compiled first.  Every distinct subterm owns one slot.  A
-    subterm's level is the position in names of its last variable, and
-    its value is kept as ids: equal values share one, handed out per call,
-    so the two sides compare by id.  Outside the two innermost levels a
-    subterm is recomputed right after its variable is assigned, and its id
-    sits in slots, so work on outer variables is hoisted out of the inner
-    loops; closed subterms run once, here.
+    eq is compiled first: every distinct subterm becomes one _row, and its
+    value is kept in grid as rows of ids.  Equal values share an id,
+    handed out per call, so the two sides compare by id.  A subterm's
+    level is the position in names of its last variable, and it is
+    recomputed right after that variable takes new candidates, so work on
+    outer variables is hoisted out of the inner loops; closed subterms run
+    once, here.
 
-    The innermost variables run as blocks.  For each assignment of the
-    outer variables, the candidates of the second-innermost variable, or
-    of the one variable of a one-variable equation, are taken in blocks of
-    consecutive ones: the first block is one candidate, and each later one
-    twice the one before, up to all N, carried over from one outer
-    assignment to the next.  So a check that fails early builds little,
-    and one that holds builds O(log N) blocks more than one per outer
-    assignment.  In a block, a subterm of the second-innermost level gets a
-    row of ids over the block, and one of the innermost level a plane (see
-    _row); the two sides compare as lists of rows, and the first unequal
-    row and position are the counterexample.  A one-variable equation's
-    subterms have one row each, over the block.
+    search takes the variables in order.  An outer variable takes its
+    candidates one at a time, the innermost one all N at once, and the
+    second-innermost one, or the one variable of a one-variable equation,
+    blocks of consecutive ones: the first block is one candidate, and each
+    later one twice the one before, up to all N, carried over from one
+    outer assignment to the next.  So a check that fails early builds
+    little, and one that holds builds O(log N) blocks more than one per
+    outer assignment.  Per block the two sides compare as lists of rows,
+    one per candidate in the block, over the innermost candidates (see
+    _row), and the first unequal row and position are the counterexample.
+    A one-variable equation's sides have one row each, over the block.
 
     Subterms that apply one operation share its results: one _Table per
     operation, its exponent or multiplier included, keyed by the ids of
@@ -560,13 +547,13 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
 
     Candidates are interned first: ids 0..N-1 are their positions, the
     window indices when window is given.  A subterm whose one varying
-    operand is its level's variable makes its rows whole: over a block of
-    all N candidates, it reads its table's row for each id of its other
+    operand is its level's variable makes its rows whole: over all N
+    candidates, it reads its table's row for each id of its other
     operand, made once over all N, or, as a meet or join under an
     OpsBundle with a window element, the lattice's closed-form row,
-    sliced to the block.  Any other whole row reads the table over a
-    smaller block as every subterm does, so an early failure builds
-    little.
+    sliced to its variable's candidates.  Over fewer candidates any other
+    whole row reads the table as every subterm does, so an early failure
+    builds little.
 
     The compiled order differs from the walk's, so when an operation
     raises, the compiled search is dropped and _walk_failure's outcome is
@@ -577,36 +564,32 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
     values, intern = ids.values, ids.__getitem__
     N = len(elems)
 
-    slots: list[int] = []
     levels: list[int] = []
     index: dict[Term, int] = {}
-    var_slots = [-1] * len(names)
+    var_nodes = [-1] * len(names)
     last = len(names) - 1
-    sec = last - 1 if last > 0 else None  # the second-innermost level
-    inner = last if sec is None else sec  # the first level run as blocks
+    inner = max(last - 1, 0)  # the level run as blocks: the second-innermost, or the only one
     steps: list[list] = [[] for _ in names]
-    grid: dict[int, list[list[int]]] = {}  # the innermost levels' rows
+    grid: dict[int, list[list[int]]] = {}  # each subterm's rows
     tables: dict[tuple, _Table] = {}  # (op, exponent or multiplier) -> results
 
     def add(t: Term) -> int:
-        slot = index.get(t)
-        if slot is not None:
-            return slot
+        node = index.get(t)
+        if node is not None:
+            return node
         if isinstance(t, Var):
-            slot = index[t] = len(slots)
+            node = index[t] = len(levels)
             levels.append(names.index(t.name))
-            var_slots[levels[slot]] = slot
-            slots.append(-1)
-            return slot
+            var_nodes[levels[node]] = node
+            return node
         children, fn = _node(t, params, o)
         args = tuple(add(c) for c in children)
         level = max((levels[a] for a in args), default=-1)
-        slot = index[t] = len(slots)
+        node = index[t] = len(levels)
         levels.append(level)
         if not args:  # bot or top
-            slots.append(intern(fn()))
-            return slot
-        slots.append(-1)
+            grid[node] = [[intern(fn())]]
+            return node
         key = (t.op, getattr(t, "k", None))
         table = tables.get(key)
         if table is None:
@@ -614,79 +597,58 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
             if t.op in ("meet", "join") and window is not None and isinstance(o, core.OpsBundle):
                 rows, side = structure._lattice_row(window), t.op == "join"
                 table.closed = lambda k: rows(k)[side]
+        row = _row(table, node, args, levels, grid, var_nodes[level] if level >= 0 else None, N)
         if level < 0:
-            _step(table, slot, args, slots)()
-        elif level < inner:
-            steps[level].append(_step(table, slot, args, slots))
+            row()
         else:
-            steps[level].append(_row(table, slot, args, levels, sec, slots, grid,
-                                     var_slots[level], N))
-        return slot
+            steps[level].append(row)
+        return node
 
     def side(s: int, count: int, width: int) -> list[list[int]]:
-        """Slot s's ids as count rows of width, whatever its level."""
+        """Subterm s's ids as count rows of width."""
         if levels[s] == last:
             return _stretch(grid[s], count)
-        if levels[s] == sec:
-            return [[k] * width for k in grid[s][0]]
-        return [[slots[s]] * width] * count
-
-    def run(lo: int, hi: int) -> list[int] | None:
-        """The positions of the first (candidate of level sec, candidate of
-        the innermost level) at which the sides differ over the block
-        lo..hi-1, or of the innermost candidate alone in a one-variable
-        equation; None if they agree."""
-        if sec is None:
-            grid[var_slots[last]] = [elem_ids[lo:hi]]
-            count, width = 1, hi - lo
-        else:
-            grid[var_slots[sec]] = [elem_ids[lo:hi]]
-            for step in steps[sec]:
-                step()
-            count, width = hi - lo, N
-        for step in steps[last]:
-            step()
-        found = _first_difference(side(lhs, count, width), side(rhs, count, width))
-        if found is None:
-            return None
-        return [lo + found[1]] if sec is None else [lo + found[0], found[1]]
+        return [[k] * width for k in _stretch(grid[s][0], count)]
 
     size = 1  # candidates in the next block
 
-    def blocks() -> list[int] | None:
+    def search(level: int) -> tuple[int, int] | None:
+        """The first (row, position) at which the sides differ over the
+        candidates of the variables from level on, the earlier ones' set in
+        grid; None if they agree."""
         nonlocal size
-        lo = 0
+        if level > last:
+            block = grid[var_nodes[inner]][0]
+            count, width = (1, len(block)) if inner == last else (len(block), N)
+            return _first_difference(side(lhs, count, width), side(rhs, count, width))
+        v, todo, lo = var_nodes[level], steps[level], 0
         while lo < N:
-            hi = min(lo + size, N)
-            found = run(lo, hi)
-            if found is not None:
-                return found
-            lo, size = hi, min(2 * size, N)
-        return None
-
-    def search(level: int) -> list[int] | None:
-        if level == inner:
-            return blocks()
-        slot, todo = var_slots[level], steps[level]
-        for j, vid in enumerate(elem_ids):
-            slots[slot] = vid
+            hi = min(lo + (1 if level < inner else size if level == inner else N), N)
+            grid[v] = [elem_ids[lo:hi]]
             for step in todo:
                 step()
             found = search(level + 1)
             if found is not None:
-                return [j, *found]
+                return found
+            if level == inner:
+                size = min(2 * size, N)
+            lo = hi
         return None
 
     elem_ids = list(map(intern, elems))  # ids 0..N-1 before any closed subterm
     try:
         lhs, rhs = add(eq.lhs), add(eq.rhs)
         if not names:
-            return [] if slots[lhs] != slots[rhs] else None
-        grid[var_slots[last]] = [elem_ids]
-        return search(0)
+            return [] if grid[lhs] != grid[rhs] else None
+        found = search(0)
     except Exception:  # an operation raised: the plain walk's outcome is the check's
-        pass
-    return _walk_failure(eq, names, elems, params, o)
+        return _walk_failure(eq, names, elems, params, o)
+    if found is None:
+        return None
+    # a variable's row holds its candidates' positions; the unequal row
+    # picks the block's, the unequal position the innermost variable's
+    at = {inner: found[0], last: found[1]}
+    return [grid[v][0][at.get(level, 0)] for level, v in enumerate(var_nodes)]
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,22 @@ def test_eval_requires_params():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--n", "2", "--p", "3", "x", "--R", "1", "--assign", "x=top"],
+    ["eval", "--n", "2", "--p", "3", "top", "--force-budget"],
+    ["filters", "--n", "2", "--p", "3", "top", "--R", "1"],
+    ["filters", "--n", "2", "--p", "3", "top", "--force-budget"],
+    ["export", "hasse", "--n", "1", "--p", "1", "--window", "0", "--R", "1"],
+])
+def test_a_flag_the_subcommand_never_reads_is_a_usage_error(capsys, argv):
+    # --R is check's window radius, --force-budget the budget override of
+    # check and export
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # filters
 
@@ -262,6 +278,8 @@ def test_check_usage_errors(capsys):
     assert code == 2 and "both --n and --p, or neither" in err
     code, _, err = run(capsys, ["check", "--n", "0", "--p", "3", "--suite", "S1"])
     assert code == 2
+    code, _, err = run(capsys, ["check", "--R", "-1", "--eq", "x = x"])
+    assert code == 2 and err == "error: --R must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("suite", [",", " "])
@@ -407,6 +425,24 @@ def test_export_errors(capsys):
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert fragment in err
+
+
+@pytest.mark.parametrize("argv,estimate", [
+    (["hasse", "--window", "3"], 46**2),
+    (["table", "--sub", "a2", "--window", "3", "--op", "oplus"], 30**2),
+])
+def test_export_obeys_the_budget(capsys, monkeypatch, argv, estimate):
+    # a diagram tests the order, and a table applies its operation, on
+    # every pair of members: gated before either starts
+    argv = ["export", "--n", "2", "--p", "3", *argv]
+    code, want, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    monkeypatch.setenv("RESILAT_BUDGET", "10")
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (f"budget: export {argv[5]} at n=2 p=3 R=3 needs about {estimate} "
+                   "checks, over the budget of 10\n")
+    assert run(capsys, argv + ["--force-budget"]) == (0, want, "")
 
 
 def test_export_infinite_sub_with_a_window(capsys):

@@ -1,9 +1,12 @@
-"""Every name a module of the package imports is read in that module.
+"""Every name a module of the package imports is read in that module, and
+every private name a module defines is read somewhere in the package.
 
 No linter ships with the project, so this is the check: each source file
 is parsed, and a name bound by an import must be read somewhere in it.
 Names listed in the module's __all__ are its exports and count as read;
-__future__ imports are compiler directives, not names.
+__future__ imports are compiler directives, not names.  A module-level
+function, class or constant whose name starts with one underscore must be
+read by some module of the package: as a name, an attribute or an import.
 """
 
 import ast
@@ -54,3 +57,49 @@ def test_the_check_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _defined(tree: ast.Module) -> list[str]:
+    """The names a module's top-level statements define."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return out
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """module.name for each private module-level name of sources (module
+    name -> text) that no module reads, in order of definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module}.{name}" for module, tree in trees.items() for name in _defined(tree)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_the_check_sees_unread_private_names():
+    sources = {
+        "a": ("_LIMIT, _SPARE = 3, 4\n"
+              "_count: int = 0\n"
+              "class _Kept: pass\n"
+              "def _helper(): return _LIMIT\n"
+              "def _leftover(): pass\n"
+              "__all__ = []\n"),
+        "b": "from a import _Kept\nimport a\nprint(a._helper(), a._count)\n",
+    }
+    assert unread_private_names(sources) == ["a._SPARE", "a._leftover"]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({path.stem: path.read_text() for path in SOURCES}) == []

@@ -726,6 +726,44 @@ def test_planes_match_the_walk(ops):
         assert_same(eq, P23, 0, ops=o, domain=lambda a: a.alpha != 0)
 
 
+# meets, joins, products and closed subterms of the outer levels, those
+# before the second-innermost one, which build their rows as every other
+# level does: x for three variables, w and x for four
+OUTER_SHAPES = (
+    "(x /\\ ~bot) * (y*z) = (y*z) * (~bot /\\ x)", "(x \\/ bot) * y -> z = (y * x) -> z",
+    "(x /\\ x^2) \\/ (y*z) = (z*y) \\/ (x^2 /\\ x)", "2.bot \\/ x = (y /\\ x) \\/ (z /\\ x)",
+    "(w /\\ x) * (y /\\ z) = (z /\\ y) * (x /\\ w)",
+    "((w*x) \\/ ~bot) /\\ (y*z) = (z*y) /\\ (~bot \\/ (x*w))",
+    "(w /\\ top) * (x \\/ w) * y * z = z * y * (w \\/ x) * w",
+    "(w /\\ x) \\/ (y*z) = (w \\/ x) \\/ (z*y)",
+)
+
+
+@pytest.mark.parametrize("ops", [*OPS, "other-meet"])
+def test_outer_levels_match_the_walk(ops):
+    o = other_meet_ops() if ops == "other-meet" else OPS[ops]
+    for text in OUTER_SHAPES:
+        eq = parse_equation(text)
+        # 9^3 or 8^4 assignments, with nonzero offsets
+        params = AlgebraParams(1, 2) if "w" not in text else AlgebraParams(1, 1)
+        assert_same(eq, params, 1, max_vars=4, ops=o)
+
+
+def test_an_outer_meet_under_a_bundle_calls_no_lattice_operation(monkeypatch):
+    # x /\ ~bot, w /\ x and x /\ w read their rows from the lattice's
+    # closed form, as the inner levels' meets do
+    calls = collections.Counter()
+    for name in ("ap_meet", "ap_join"):
+        def counted(a, b, name=name, fn=getattr(core, name)):
+            calls[name] += 1
+            return fn(a, b)
+        monkeypatch.setattr(core, name, counted)
+    for text, R, checked in ((OUTER_SHAPES[0], 1, 22**3), (OUTER_SHAPES[4], 0, 10**4)):
+        verdict = check_equation(parse_equation(text), P23, R, max_vars=4, ops=REFERENCE)
+        assert (verdict.holds, verdict.checked) == (True, checked)
+    assert calls == {}
+
+
 # one operation with its constant on the left in one subterm and on the
 # right in another, which read its one table along a row and along a
 # column: under a product that does not commute, a read with its operands
