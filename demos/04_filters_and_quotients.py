@@ -2,8 +2,10 @@
 
 Three proper implicative filters matter here: {top}, the band FOmega of
 top-level (n,r) elements with r <= 0, and the radical (everything at
-level p).  Each induces a congruence; the FOmega quotient collapses the
-infinite lex tails onto the finite r=0 algebra.
+level p).  Each induces a congruence, given in closed form by
+quotient_key: the FOmega quotient collapses the infinite lex tails onto
+the finite r=0 algebra (an element's class is its shape (m, level)), and
+the radical quotient is the chain L_{p+1} (its class is its level).
 """
 
 from resilat import AlgebraParams, Window, parse_element

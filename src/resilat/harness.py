@@ -615,6 +615,26 @@ def _s10(ctx: _Ctx):
     return checks, None, {"k_threshold": k0}
 
 
+def _quotient_break(w: Window, f: str) -> list[str] | None:
+    """The first window pair whose congruence under the filter f is not
+    equal quotient_keys, over all N**2 pairs; None if none.  a, b are
+    congruent when a->b and b->a lie in f, an upset closed under * with
+    x*y <= x, y: row i is div_id[i] of the REFERENCE tables read through
+    f's bit per id, ANDed with its transposed column."""
+    t = _tables(w.params, w.R, REFERENCE)
+    bits = bytes([48 + structure.filter_member(f, v) for v in t.vals]).ljust(256, b"0")
+    rows = [int((r.translate(bits) if isinstance(r, bytes)
+                 else bytes(map(bits.__getitem__, r)))[::-1], 2) for r in t.div_id]
+    keys = [structure.quotient_key(f, a) for a in t.elems]
+    same = defaultdict(int)
+    for i, k in enumerate(keys):
+        same[k] |= 1 << i
+    for i, (row, col, k) in enumerate(zip(rows, _transpose(rows, t.N), keys)):
+        if diff := row & col ^ same[k]:
+            return [f"filter={f}"] + _ce(a=t.elems[i], b=t.elems[_low(diff)])
+    return None
+
+
 def _s11(ctx: _Ctx):
     params, t, elems = ctx.params, ctx.t, ctx.elems
     n, p = params.n, params.p
@@ -698,23 +718,17 @@ def _s11(ctx: _Ctx):
         if fid != expected:
             return checks, _ce(a=a, got=fid, expected=expected), {}
     details = {"generated_filter_counts": counts}
-    # quotient class counts; the FOmega report partitions the window once,
-    # for its class count and for the induced product checked last
-    checks += 1
+    # each quotient's keys against its congruence, then its class count:
+    # HatLnp's under FOmega and L_{p+1}'s under Radical
     induced = structure.quotient_induced_mul_report(ctx.w, "FOmega")
-    fom_classes = induced["classes"]
-    details["fomega_classes"] = fom_classes
-    if fom_classes != structure.hat_size(params):
-        return checks, [f"fomega_classes={fom_classes}"], details
-    checks += 1
-    top_classes = len(structure.quotient_classes(ctx.w, "Top"))
-    if top_classes != ctx.N:
-        return checks, [f"top_classes={top_classes}"], details
-    checks += 1
-    improper_classes = len(structure.quotient_classes(ctx.w, "Improper"))
-    if improper_classes != 1:
-        return checks, [f"improper_classes={improper_classes}"], details
-    checks += 1
+    details["fomega_classes"] = induced["classes"]
+    for f, want in (("FOmega", structure.hat_size(params)), ("Top", ctx.N),
+                    ("Improper", 1), ("Radical", p + 1)):
+        checks += 1
+        if ce := _quotient_break(ctx.w, f):
+            return checks, ce, {"law": "quotient key"}
+        if (got := len(structure.quotient_classes(ctx.w, f))) != want:
+            return checks, [f"{f.lower()}_classes={got}"], details
     details["fomega_induced_mul"] = induced
     if not (induced["well_defined"] and induced["unique_r0_transversal"]):
         return checks, ["induced product on the FOmega quotient broke"], details

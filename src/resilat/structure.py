@@ -12,16 +12,16 @@ the equation checker obey it.
 So do the per-window tables of one bundle: an id per distinct value of
 every operation, the order of those values and the named filters.  The
 tables are themselves a bundle, the one they tabulate, read from them in
-the window.  The filter, quotient and complement scans read the
-REFERENCE tables whatever bundle a suite runs, and a scan on a cold
-window pays their build first.
+the window.  The filter and complement scans and the induced-product
+report read the REFERENCE tables whatever bundle a suite runs, and a
+scan on a cold window pays their build first; the quotient classes are
+in closed form and read no table.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections import defaultdict
 from bisect import bisect_left, bisect_right
 from functools import cache, lru_cache
 from operator import or_
@@ -186,6 +186,23 @@ def _lattice_row(w: Window):
     return row
 
 
+class _Ids(dict):
+    """Value -> id.  The seed's values get ids 0, 1, ... in order, and a
+    value met for the first time gets the next id, so equal values share
+    one, and values[i] is the value of id i.  The seed must not repeat."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, seed=()):
+        super().__init__(zip(seed, itertools.count()))
+        self.values = list(seed)
+
+    def __missing__(self, value) -> int:
+        i = self[value] = len(self.values)
+        self.values.append(value)
+        return i
+
+
 class _Tables(OpsBundle):
     """The tables of the bundle ops over the window w, and the bundle
     they tabulate, read from them.
@@ -208,12 +225,11 @@ class _Tables(OpsBundle):
         elems = w.elements()
         N = len(elems)
         self.ops, self.name = ops, ops.name
-        self.elems = elems
-        self.N = N
-        self.idx = idx = {a: i for i, a in enumerate(elems)}
+        self.elems, self.N = elems, N
+        self.idx = {a: i for i, a in enumerate(elems)}
         # a result gets its id as it is computed, one lookup each
-        ids = defaultdict(lambda: len(ids), idx)
-        intern = ids.__getitem__
+        ids = _Ids(elems)
+        intern, values = ids.__getitem__, ids.values
         self.inv_id = list(map(intern, map(ops.inv, elems)))
         mul = ops.mul
         mul_id = [list(map(intern, [mul(a, b) for b in elems])) for a in elems]
@@ -221,12 +237,11 @@ class _Tables(OpsBundle):
         # a_i*~b_j has id mul_id[i][f], and ~ is applied once per distinct
         # product id; where ~b is invalid or leaves the window (under a
         # mutant), the bundle's div runs.  Both rest on the bundle being pure.
-        prods = list(ids)
-        neg = cache(lambda u: ids[ops.inv(prods[u])])
+        neg = cache(lambda u: intern(ops.inv(values[u])))
         at = [f if f < N else None for f in self.inv_id]
         div_id = [[intern(ops.div(a, b)) if f is None else neg(row[f])
                    for b, f in zip(elems, at)] for a, row in zip(elems, mul_id)]
-        self.vals = values = list(ids)
+        self.vals = values
         # a bytes row holds an id in a byte, where a list holds a pointer
         if len(values) <= 256:
             mul_id = list(map(bytes, mul_id))
@@ -412,35 +427,32 @@ def congruent(a: ApElem, b: ApElem, f: str) -> bool:
     return filter_member(f, both)
 
 
-def quotient_classes(w: Window, f: str) -> list[list[ApElem]]:
-    """Partition of the window under the filter congruence.
+def quotient_key(f: str, a: ApElem):
+    """a's class under the congruence of the filter f, in closed form: a
+    itself under Top, its shape (m, level), that of its r=0 representative,
+    under FOmega, so the quotient is HatLnp, its level under Radical, so
+    the quotient is L_{p+1}, and one constant under Improper.  S11 tests
+    the keys against the residual congruence."""
+    if f == "Top":
+        return a
+    if f == "FOmega":
+        return a.m, a.alpha
+    if f == "Radical":
+        return a.alpha
+    if f == "Improper":
+        return None
+    raise ValueError(f"unknown filter id {f!r}")
 
-    Classes appear in order of their first member; each class lists its
+
+def quotient_classes(w: Window, f: str) -> list[list[ApElem]]:
+    """The window partitioned by quotient_key, with no operation call and
+    no table: classes in order of their first member, each listing its
     members in enumeration order, so classes[i][0] is the canonical
-    representative.  congruent(a_i, a_j, f) reads both residuals from
-    the REFERENCE tables, so its product and filter test are made once
-    per distinct pair of residual ids, not once per pair of elements,
-    and the product of two window residuals is a read of the product
-    table too.
-    """
-    t = _tables(w.params, w.R, REFERENCE)
-    div_id, mul_id, vals, N = t.div_id, t.mul_id, t.vals, t.N
-    inside: dict[tuple[int, int], bool] = {}
-    classes: list[list[int]] = []
-    for i in range(N):
-        for cls in classes:
-            key = (div_id[i][cls[0]], div_id[cls[0]][i])
-            if key not in inside:
-                u, v = key
-                both = (vals[mul_id[u][v]] if u < N and v < N
-                        else core.ap_mul(vals[u], vals[v]))
-                inside[key] = filter_member(f, both)
-            if inside[key]:
-                cls.append(i)
-                break
-        else:
-            classes.append([i])
-    return [[t.elems[i] for i in cls] for cls in classes]
+    representative."""
+    classes: dict = {}
+    for a in w.elements():
+        classes.setdefault(quotient_key(f, a), []).append(a)
+    return list(classes.values())
 
 
 def hat_size(params: AlgebraParams) -> int:
@@ -451,46 +463,19 @@ def hat_size(params: AlgebraParams) -> int:
 def quotient_induced_mul_report(w: Window, f: str) -> dict:
     """Evidence that the quotient carries a product, beyond class counts.
 
-    Well-definedness: the class of x*y depends only on the classes of x
-    and y, over all window pairs.  For the FOmega quotient the unique
+    Well-definedness: the quotient_key of x*y depends only on the classes
+    of x and y, over all window pairs.  For the FOmega quotient the unique
     r=0 transversal means the class product is literally the product of
-    the r=0 representatives, which is the whole isomorphism onto the
-    r=0 subalgebra at window scale.
+    the r=0 representatives, which is the whole isomorphism onto the r=0
+    subalgebra at window scale.
     """
     t = _tables(w.params, w.R, REFERENCE)
     classes = quotient_classes(w, f)
     blocks = [[t.idx[x] for x in cls] for cls in classes]
-    # The class of each distinct product id is found once: a window
-    # element is in the class it was put in, and a product outside the
-    # window is tested against the representatives.  One that matches
-    # none (under Top, every one) starts a class of its own, which later
-    # products can join; classes past the window's are not counted.
-    class_of = {i: c for c, block in enumerate(blocks) for i in block}
-    reps = [cls[0] for cls in classes]
-    mul_id, mul, inv = t.mul_id, core.ap_mul, core.ap_inv
-
-    def joins(v, nv, c: int) -> bool:
-        """congruent(v, reps[c], f) for a product v past the window and
-        nv = ~v: v/rep = ~(v*~rep) and rep/v = ~(rep*~v), with ~rep read
-        from the tables and their product read when both are window
-        elements.  A class started past the window has no table row."""
-        if c >= len(blocks):
-            return congruent(v, reps[c], f)
-        i = blocks[c][0]
-        nrep = t.vals[t.inv_id[i]]
-        return filter_member(f, t.mul(inv(mul(v, nrep)), inv(mul(t.elems[i], nv))))
-
-    for u in sorted(set(itertools.chain(*mul_id)) - class_of.keys()):
-        v = t.vals[u]
-        nv = inv(v)
-        c = next((c for c in range(len(reps)) if joins(v, nv, c)), None)
-        if c is None:
-            c = len(reps)
-            reps.append(v)
-        class_of[u] = c
+    keys = [quotient_key(f, v) for v in t.vals]
     # one block of products per pair of classes
     well_defined = all(
-        len({class_of[mul_id[x][y]] for x in bi for y in bj}) == 1
+        len({keys[t.mul_id[x][y]] for x in bi for y in bj}) == 1
         for bi in blocks
         for bj in blocks
     )
@@ -505,7 +490,8 @@ def quotient_induced_mul_report(w: Window, f: str) -> dict:
 
 def rad_quotient_report(params: AlgebraParams, radius: int = 2) -> dict:
     """Class count of the quotient by the radical, against both the
-    p-element and (p+1)-element readings.  Reported, not asserted."""
+    p-element and (p+1)-element readings.  The quotient is L_{p+1}, one
+    class per level, so the p+1 reading holds; S11 asserts it."""
     count = len(quotient_classes(Window(params, radius), "Radical"))
     return {
         "classes": count,

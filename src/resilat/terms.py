@@ -349,21 +349,6 @@ def _eval(t, env, params, o):
 # ---------------------------------------------------------------------------
 # Compiled evaluation over a sequence of assignments.
 
-class _Ids(dict):
-    """Value -> id.  A value met for the first time gets the next id, so
-    equal values share one, and values[i] is the value of id i."""
-
-    __slots__ = ("values",)
-
-    def __init__(self):  # a dict starts empty: nothing for dict.__init__
-        self.values = []
-
-    def __missing__(self, value) -> int:
-        i = self[value] = len(self.values)
-        self.values.append(value)
-        return i
-
-
 class _Table(dict):
     """The results of one operation, its exponent or multiplier included,
     shared by every subterm that applies it: left operand id (None for a
@@ -560,7 +545,7 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
     the check's: the walk's counterexample, or the exception the walk
     meets first.
     """
-    ids = _Ids()
+    ids = structure._Ids(elems)  # ids 0..N-1 are the candidates' positions
     values, intern = ids.values, ids.__getitem__
     N = len(elems)
 
@@ -624,7 +609,7 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
         v, todo, lo = var_nodes[level], steps[level], 0
         while lo < N:
             hi = min(lo + (1 if level < inner else size if level == inner else N), N)
-            grid[v] = [elem_ids[lo:hi]]
+            grid[v] = [list(range(lo, hi))]
             for step in todo:
                 step()
             found = search(level + 1)
@@ -635,7 +620,6 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
             lo = hi
         return None
 
-    elem_ids = list(map(intern, elems))  # ids 0..N-1 before any closed subterm
     try:
         lhs, rhs = add(eq.lhs), add(eq.rhs)
         if not names:

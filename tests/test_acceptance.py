@@ -117,7 +117,7 @@ def test_criterion_5_structure():
     )
     closed = [r.text_line() for r in harness.run_grid(["S13"]) if r.verdict != "pass"]
     rad = structure.rad_quotient_report(P23, 2)
-    ok = ten and booleans and not closed
+    ok = ten and booleans and not closed and rad["classes"] == P23.p + 1
     _criterion(
         5,
         f"FOmega quotient has {classes} classes at (2,3); complemented "

@@ -1,6 +1,7 @@
 """Core operations: frozen hand-computed values plus law-level properties."""
 
 import ast
+import functools
 import random
 from pathlib import Path
 
@@ -657,6 +658,34 @@ def test_boolean_term_off_window(args):
     top, bot = core.ap_top(a.params), core.ap_bot(a.params)
     assert t in (bot, top)
     assert (t == top) == structure.filter_member("Radical", a)
+
+
+# The quotient maps: shape onto HatLnp under FOmega, level onto L_{p+1}
+# under Radical.  Each is a homomorphism, so an operation's key is that of
+# the same operation on its operands' r=0 representatives, and the
+# residual congruence is equal keys.
+
+def _r0(a):
+    return core._mk(a.m, 0, a.alpha, a.n, a.p)
+
+
+@given(wide_elements(count=2))
+def test_quotient_keys_are_homomorphisms_off_window(args):
+    a, b = args
+    for f in ("FOmega", "Radical"):
+        key = functools.partial(structure.quotient_key, f)
+        assert key(core.ap_inv(a)) == key(core.ap_inv(_r0(a))), f
+        for op in (core.ap_mul, core.ap_div, core.ap_meet, core.ap_join):
+            assert key(op(a, b)) == key(op(_r0(a), _r0(b))), (f, op.__name__)
+
+
+@given(wide_elements(count=2))
+def test_congruence_is_equal_quotient_keys_off_window(args):
+    a, b = args
+    for x, y in ((a, b), (a, _r0(a)), (a, _r0(b))):
+        for f in structure.FILTER_IDS:
+            key = functools.partial(structure.quotient_key, f)
+            assert structure.congruent(x, y, f) == (key(x) == key(y)), f
 
 
 # Homogeneity: every r-comparison in core is against 0 or between sums,

@@ -202,6 +202,26 @@ def test_details_surface_the_structure_reports():
     assert d16["witness"] == "((0,0),0)"
 
 
+@pytest.mark.parametrize("f, wrong", [
+    ("Radical", lambda a: max(a.alpha, 1)),  # levels 0 and 1 merged
+    ("FOmega", lambda a: a.alpha),  # m dropped
+], ids=["Radical", "FOmega"])
+@pytest.mark.parametrize("params, R", [(P23, 2), (AlgebraParams(4, 4), 4)],  # past 256 ids
+                         ids=["23-R2", "44-R4"])
+def test_s11_fails_under_a_wrong_quotient_key(monkeypatch, f, wrong, params, R):
+    passing = run_suite("S11", params, R)
+    assert passing.verdict == "pass"
+    real = structure.quotient_key
+    monkeypatch.setattr(structure, "quotient_key",
+                        lambda g, a: wrong(a) if g == f else real(g, a))
+    report = run_suite("S11", params, R)
+    assert report.verdict == "fail"
+    assert report.first_counterexample[0] == f"filter={f}"
+    assert report.details == {"law": "quotient key"}
+    # the quotient steps are the last four
+    assert passing.checks_run - 4 < report.checks_run <= passing.checks_run
+
+
 def test_monid_invo_entry_point():
     report = run_suite("S15", P23, 1)
     assert (report.suite, report.R, report.verdict) == ("S15", 1, "pass")

@@ -579,20 +579,19 @@ def test_table_scans_cover_more_than_256_ids():
     assert len(t.vals) > 256 and isinstance(t.div_id[0], list)
 
 
-def test_quotient_products_of_window_residuals_are_table_reads(monkeypatch):
-    # over the grid's four filter quotients, ap_mul runs once per distinct
-    # pair of residual ids with one past the window (1,683 calls at R=2
-    # and 3,033 at R=4 when every distinct pair ran it)
-    for R, products in ((1, 180), (2, 360), (4, 720)):
-        windows = [Window(params, R) for params in GRID]
-        for w in windows:
-            structure._tables(w.params, R, core.REFERENCE)
+def test_quotient_classes_make_no_core_call_and_build_no_table(monkeypatch):
+    # classes are grouped by quotient_key, in closed form: over the grid's
+    # four filter quotients on cold windows, no product, no residual and
+    # no table
+    for R in (1, 2, 4):
+        structure._tables.cache_clear()
         with monkeypatch.context() as patch:
             calls = _count_core_calls(patch)
-            for w in windows:
+            for params in GRID:
                 for f in FILTER_IDS:
-                    quotient_classes(w, f)
-        assert calls["ap_mul"] == products, R
+                    quotient_classes(Window(params, R), f)
+        assert calls["ap_mul"] == calls["ap_div"] == 0, R
+        assert structure._tables.cache_info().misses == 0, R
 
 
 _COUNTED = ("ap_div", "ap_mul", "ap_leq", "ap_meet", "ap_join")
@@ -618,9 +617,8 @@ def test_structure_scans_make_no_per_pair_core_calls(monkeypatch):
         run_suite(sid, params, 2)  # warm the tables
     calls = _count_core_calls(monkeypatch)
     assert run_suite("S11", params, 2).verdict == "pass"
-    # 480 residual and 340 product calls for N=54: the distinct pairs of
-    # residual ids and the products that leave the window, not 3 per pair
-    assert calls["ap_div"] + calls["ap_mul"] <= 25 * N
+    # the quotients group by key, and their check reads the tables
+    assert calls["ap_div"] == calls["ap_mul"] == 0
     # 339 Radical membership tests, and one row each for the R generators
     # whose deep powers leave the window; every other generated filter is
     # an up row (2,916 calls for the N generators before)

@@ -855,6 +855,20 @@ def test_a_one_variable_failure_calls_each_operation_on_its_blocks_alone(text, c
     assert 0 < max(calls.values()) < 2 * checked
 
 
+def test_an_early_failure_interns_no_candidate(monkeypatch):
+    # the candidates are ids 0..N-1 when the id table is made, so a check
+    # that fails early interns only the values its first block makes
+    missing = []
+    real = structure._Ids.__missing__
+    monkeypatch.setattr(structure._Ids, "__missing__",
+                        lambda ids, value: missing.append(value) or real(ids, value))
+    verdict = check_equation(parse_equation("x \\/ !(x^2) = top"), P23, 32)
+    assert (verdict.holds, verdict.checked) == (False, 1)
+    assert len(missing) < 10
+    structure._Ids()["value"]  # the hook sees every miss
+    assert missing[-1] == "value"
+
+
 def test_meet_rows_under_a_bundle_call_no_lattice_operation(monkeypatch):
     def never(*args):
         raise AssertionError("called")
