@@ -8,9 +8,10 @@ but only in the short segment [(0,0), (n-1,0)] on the middle levels.
 Everything is integer arithmetic; there are no floats anywhere.
 
 OpsBundle, the one table of operations, derives all but the lattice
-operations from a product and an involution; ap_div, ap_neg, ap_oplus,
-ap_pow, ap_mult and boolean_term are methods of REFERENCE, its instance
-over ap_mul and ap_inv.
+operations from a product, an involution and the residual ~(a . ~b).
+REFERENCE, its instance over ap_mul and ap_inv, takes that residual in
+one case analysis, ap_div; ap_neg, ap_oplus, ap_pow, ap_mult and
+boolean_term are its methods.
 """
 
 from __future__ import annotations
@@ -307,6 +308,42 @@ def ap_inv(a: ApElem) -> ApElem:
     return _mk(n - 1 - m, -r, p - al, n, p)
 
 
+def ap_div(a: ApElem, b: ApElem) -> ApElem:
+    """The residual a / b = ~(a . ~b); a.b =< c iff b =< a/c.
+
+    ap_mul's four cases on (a, ~b), then the involution: ~b has level
+    p-be and, on a middle level, the pair (n-1-k, -s).  ~ takes a level-0
+    product to level p with its pair unchanged, so every case lands there
+    but one: for al > be the product is the chain product on level
+    al-be, which ~ moves to level p-al+be, reflecting the pair unless
+    that level is 0.
+    """
+    m, r, al, n, p = a
+    k, s, be, nb, pb = b
+    if nb != n or pb != p:
+        _same_params(a, b)
+    if be != 0 and be != p:
+        k, s = n - 1 - k, -s
+    if al != 0 and be != p:
+        if al > be:
+            m, r = m + k - n, r + s
+            if m < 0 or m == 0 and r < 0:
+                m = r = 0
+            if al == p and be == 0:
+                return _mk(m, r, 0, n, p)
+            return _mk(n - 1 - m, -r, p - al + be, n, p)
+        m, r = 2 * n - (m + k + 1), -(r + s)
+    elif al != 0:
+        m, r = n - m + k, s - r
+    elif be != p:
+        m, r = n - k + m, r - s
+    else:
+        m, r = m + k + 1, r + s
+    if m > n or m == n and r > 0:
+        m, r = n, 0
+    return _mk(m, r, p, n, p)
+
+
 # ---------------------------------------------------------------------------
 # The operation table.
 
@@ -325,14 +362,17 @@ class OpsBundle:
 
     Satisfies the evaluation protocol of the term module (mul, inv, div,
     neg, oplus, meet, join, power, multiple), plus bterm.  The lattice
-    operations are never swapped; the rest routes through mul and inv, so
-    a single corrupted constant shows up everywhere it should.
+    operations are never swapped; the rest routes through mul, inv and
+    div, the residual ~(a . ~b), so a single corrupted constant shows up
+    everywhere it should.
 
-    The pair (ap_mul, ap_inv) is closed on the universe and used as it is.
-    Any other pair is guarded, both raws, so ap_mul passes on a corrupted
-    involution's marker: a raw raising UniverseError (as results built by
-    _mk do) gives the invalid marker, which propagates, equals nothing and
-    satisfies no order.  An unvalidated result is trusted.
+    The pair (ap_mul, ap_inv) is closed on the universe and used as it is,
+    with ap_div, the same residual in one case analysis, for div.  Any
+    other pair is guarded, both raws, so ap_mul passes on a corrupted
+    involution's marker, and div is inv(mul(a, inv(b))) over the guarded
+    pair: a raw raising UniverseError (as results built by _mk do) gives
+    the invalid marker, which propagates, equals nothing and satisfies no
+    order.  An unvalidated result is trusted.
 
     Both raws must be pure: equal arguments give equal results.  The
     window tables rely on it, reading a/b as the involution of a product
@@ -344,9 +384,10 @@ class OpsBundle:
     p, ap_bot(a), without the params property.
     """
 
-    __slots__ = ("mul", "inv", "name")
+    __slots__ = ("mul", "inv", "div", "name")
 
     def __init__(self, mul, inv, name: str = "reference"):
+        div = ap_div
         if mul is not ap_mul or inv is not ap_inv:
             raw_mul, raw_inv = mul, inv
 
@@ -366,17 +407,16 @@ class OpsBundle:
                 except UniverseError:
                     return _INVALID
 
+            def div(a, b):
+                return inv(mul(a, inv(b)))
+
         self.mul = mul
         self.inv = inv
+        self.div = div
         self.name = name
 
     def __repr__(self) -> str:
         return f"OpsBundle({self.name})"
-
-    def div(self, a, b):
-        """The residual a / b = ~(a . ~b); a.b =< c iff b =< a/c."""
-        inv = self.inv
-        return inv(self.mul(a, inv(b)))
 
     def neg(self, a):
         """Negation a / bot; coincides with the involution on this algebra."""
@@ -437,7 +477,6 @@ def _steps(op, a, out, k: int):
 
 REFERENCE = OpsBundle(ap_mul, ap_inv)
 
-ap_div = REFERENCE.div
 ap_neg = REFERENCE.neg
 ap_oplus = REFERENCE.oplus
 ap_pow = REFERENCE.power

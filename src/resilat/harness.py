@@ -823,9 +823,9 @@ def _s14(ctx: _Ctx):
 
 def _s15(ctx: _Ctx):
     t, elems = ctx.t, ctx.elems
-    # OpsBundle.div is ~(a * ~c) written out, so the residual table is the
-    # written-out right-hand side; it disagrees with itself only where it
-    # is invalid.  The residuation loop is S1's.
+    # The residual table is ~(a * ~c) read off the product and involution
+    # tables, so it disagrees with the written-out right-hand side only
+    # where it is invalid.  The residuation loop is S1's.
     div_id, bad = t.div_id, _invalid_id(t)
     checks = 0
     for i, k in ctx.indices(2):

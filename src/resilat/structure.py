@@ -214,8 +214,8 @@ class _Tables(OpsBundle):
     when every operand is a window element, and past the window t.ops
     computes; power and multiple walk the id tables.  ops must be pure,
     so a read is the value ops returns, and oplus, meet, join and bterm
-    are OpsBundle's over these.  These methods hide OpsBundle's mul and
-    inv slots, so copy.copy, which sets every slot, fails on tables.
+    are OpsBundle's over these.  These methods hide OpsBundle's mul, inv
+    and div slots, so copy.copy, which sets every slot, fails on tables.
     """
 
     __slots__ = ("ops", "elems", "N", "idx", "vals", "mul_id", "div_id", "inv_id",

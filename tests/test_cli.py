@@ -375,6 +375,24 @@ def test_export_table_golden(capsys):
     assert out == TABLE_HAT_11
 
 
+# SHA-256 of the residual and dual-sum Cayley tables at (2,3), as the
+# composite route ~(a * ~b) printed them: HatLnp, and A2 in the R=3 window.
+TABLE_SHA256 = {
+    ("hatLnp", None, "div"): "2ab900e7b3fc705d44d561734936aabeff00b0a0aacb0f2afc59c8403c3fcd0f",
+    ("hatLnp", None, "oplus"): "7b6033c2a4f1b05aac15b6329ae8c59d4c0e7b1b6fdbad08c5b5647ad9808bc1",
+    ("a2", "3", "div"): "62b2cba044bac01f8e745955582c46a651c6e1e0be3d675e7fa3fdd52be1583e",
+    ("a2", "3", "oplus"): "4e8e92f26cf1d58c600482dfc8a6798c6158f166867f4302b2fe2ee77b48ea2d",
+}
+
+
+@pytest.mark.parametrize("sub, window, op", list(TABLE_SHA256))
+def test_export_residual_tables_are_pinned(capsys, sub, window, op):
+    argv = ["export", "table", "--n", "2", "--p", "3", "--sub", sub, "--op", op]
+    code, out, err = run(capsys, argv + (["--window", window] if window else []))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[sub, window, op]
+
+
 def test_export_dot_matches_the_order_oracle(capsys):
     _, out, _ = run(capsys, ["export", "hasse", "--n", "2", "--p", "3",
                              "--sub", "hatLnp"])

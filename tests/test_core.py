@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import itertools
 import random
 from pathlib import Path
 
@@ -645,10 +646,53 @@ def test_involution_is_involutive_off_window(args):
     assert core.ap_inv(core.ap_inv(a)) == a
 
 
+def _composite_div(a, b):
+    """The residual as the paper writes it, ~(a . ~b)."""
+    return core.ap_inv(core.ap_mul(a, core.ap_inv(b)))
+
+
 @given(wide_elements(count=2))
 def test_closed_form_div_off_window(args):
     a, b = args
-    assert harness.closed_form_div(a, b) == core.ap_div(a, b)
+    assert harness.closed_form_div(a, b) == core.ap_div(a, b) == _composite_div(a, b)
+
+
+@given(wide_elements(), wide_elements())
+def test_residual_routes_raise_alike_on_mixed_params(left, right):
+    # two draws, each of its own A(n,p): core's residual, the composite
+    # and S14's oracle agree on a result or on the error's message
+    (a,), (b,) = left, right
+    routes = (core.ap_div, _composite_div, harness.closed_form_div)
+    for x, y in ((a, b), (b, a)):
+        outcomes = {_outcome(route, x, y) for route in routes}
+        assert len(outcomes) == 1, (x, y, outcomes)
+        (got,) = outcomes
+        assert (got[0] is ParamsMismatchError) == ((x.n, x.p) != (y.n, y.p))
+
+
+def test_the_residual_builds_one_element(monkeypatch):
+    rng = random.Random(32)
+    pairs = [ab for params in GRID for ab in itertools.product(Window(params, 1).elements(),
+                                                               repeat=2)]
+    for _ in range(2000):
+        params = AlgebraParams(rng.randint(1, 20), rng.randint(1, 20))
+        pairs.append((_random_element(rng, params), _random_element(rng, params)))
+    elems = list(dict.fromkeys(a for a, _ in pairs))
+    built, real = [], core._mk
+    monkeypatch.setattr(core, "_mk", lambda *args: built.append(1) or real(*args))
+    for a, b in pairs:
+        del built[:]
+        core.ap_div(a, b)
+        assert len(built) == 1, (a, b)
+    for a in elems:
+        del built[:]
+        core.ap_neg(a)
+        assert len(built) == 1, a
+        # the composite route built up to max(n+1,p) + 3n + 4: one element
+        # a product, then ~a and one element a step of the multiple
+        del built[:]
+        core.boolean_term(a)
+        assert len(built) <= max(a.n + 1, a.p) + a.n + 2, a
 
 
 @given(wide_elements())

@@ -324,7 +324,8 @@ def test_closed_form_div_matches_the_composite_route():
     for n, p, R in points:
         elems = Window(AlgebraParams(n, p), R).elements()
         for a, b in itertools.product(elems, elems):
-            assert closed_form_div(a, b) == core.ap_div(a, b), (a, b)
+            composite = core.ap_inv(core.ap_mul(a, core.ap_inv(b)))
+            assert closed_form_div(a, b) == core.ap_div(a, b) == composite, (a, b)
 
 
 def test_closed_form_div_makes_no_product_or_residual_call(monkeypatch):
@@ -615,6 +616,22 @@ TWO_STEP_BUNDLES = {
 }
 
 
+def test_guarded_bundles_derive_the_residual():
+    # REFERENCE's div is core's closed form; every other bundle takes
+    # ~(a * ~b) through its own guarded mul and inv, the invalid marker
+    # included, so a corrupted constant reaches the residual
+    assert core.ap_div is core.REFERENCE.div
+    elems = Window(P23, 2).elements()
+    for bundle in TWO_STEP_BUNDLES.values():  # MUTATIONS among them
+        operands = elems if bundle is REFERENCE else (*elems, harness._INVALID)
+        for a, b in itertools.product(operands, repeat=2):
+            got, want = bundle.div(a, b), bundle.inv(bundle.mul(a, bundle.inv(b)))
+            assert got is want if want is harness._INVALID else got == want, (bundle, a, b)
+        if bundle.name in MUTATIONS:
+            assert any(bundle.div(a, b) != core.ap_div(a, b)
+                       for a, b in itertools.product(elems, repeat=2)), bundle
+
+
 def test_a_two_step_bundle_does_not_commute():
     t = harness._tables(P23, 1, TWO_STEP_BUNDLES["case2-larger-m-left"])
     mul_t = _values(t, t.mul_id)
@@ -809,7 +826,7 @@ def test_exhaustive_s2_multiplies_only_products_past_the_window():
 
 def _clone(t):
     """A copy of the tables t.  copy.copy would set every slot, and
-    OpsBundle's mul and inv slots are read-only on _Tables, whose
+    OpsBundle's mul, inv and div slots are read-only on _Tables, whose
     methods of those names override them."""
     out = object.__new__(type(t))
     for name in (*type(t).__slots__, "name"):
@@ -1492,7 +1509,7 @@ def test_s16_chains_in_the_window_make_no_core_call(monkeypatch):
     # REFERENCE's own operations, counted; the chains S16's equations
     # walk, checked one by one
     calls, chains = [], {"in": 0, "out": 0}
-    for name, real in (("mul", core.ap_mul), ("inv", core.ap_inv)):
+    for name, real in (("mul", core.ap_mul), ("inv", core.ap_inv), ("div", core.ap_div)):
         monkeypatch.setattr(REFERENCE, name,
                             lambda *args, real=real: calls.append(1) or real(*args))
     for step in ("power", "multiple"):
