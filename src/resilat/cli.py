@@ -231,7 +231,7 @@ def cmd_filters(args: argparse.Namespace) -> int:
         t_text = core.render_element(value)
     flags = " ".join(
         f"{fid}={'yes' if structure.filter_member(fid, a) else 'no'}"
-        for fid in ("Top", "FOmega", "Radical")
+        for fid in structure.FILTER_IDS[:3]
     )
     print(f"{core.render_element(a)}: {flags} t={t_text}")
     return 0

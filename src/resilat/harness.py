@@ -40,12 +40,12 @@ The order is tabulated as bitmasks over interned ids.  The distinct
 products, residuals and involutions get ids as they are computed, one
 dict lookup each, window elements first, so ids 0..N-1 are the window
 indices.  ge[u] holds the ids above value u; up[u] and down[u] hold the
-window elements above and below it.  The invalid marker gets empty
-masks.  The masks come from the closed form of the order, a bisect or
-two per id, where comparing each triple would cost about 2N**3 order
-calls.  The build's operation calls are the N**2 products and an
-involution per distinct product.  Every suite reads the order from the
-masks, a sampled run's draws included.
+window elements above and below it.  The invalid marker, id t.bad,
+gets empty masks and no filter bit.  The masks come from the closed
+form of the order, a bisect or two per id, where comparing each triple
+would cost about 2N**3 order calls.  The build's operation calls are
+the N**2 products and an involution per distinct product.  Every suite
+reads the order from the masks, a sampled run's draws included.
 
 The N**3 suites S1, S2, S3 and S7 (and S15, through S1) each test one
 predicate per triple, which a sampled run applies to its draws.  An
@@ -295,16 +295,11 @@ def _s1(ctx: _Ctx):
     return checks, None, {}
 
 
-def _invalid_id(t) -> int:
-    """The invalid marker's id in the tables t, or -1 if none has it."""
-    return next((u for u, v in enumerate(t.vals) if v is _INVALID), -1)
-
-
 def _s2(ctx: _Ctx):
     t, elems, N = ctx.t, ctx.elems, ctx.N
     ops, vals, mul_id = t.ops, t.vals, t.mul_id
     # equal values share an id, and the invalid marker's id equals nothing
-    bad = _invalid_id(t)
+    bad = t.bad
     checks = 0
     if ctx.sample is not None:
         # A first step with id f < N is window element f, so its second
@@ -615,14 +610,14 @@ def _s10(ctx: _Ctx):
     return checks, None, {"k_threshold": k0}
 
 
-def _quotient_break(w: Window, f: str) -> list[str] | None:
+def _quotient_break(w: Window, f: str) -> tuple[list[str] | None, int]:
     """The first window pair whose congruence under the filter f is not
-    equal quotient_keys, over all N**2 pairs; None if none.  a, b are
-    congruent when a->b and b->a lie in f, an upset closed under * with
-    x*y <= x, y: row i is div_id[i] of the REFERENCE tables read through
-    f's bit per id, ANDed with its transposed column."""
+    equal quotient_keys, over all N**2 pairs, or None, and the count of
+    key classes.  a, b are congruent when a->b and b->a lie in f, an upset
+    closed under * with x*y <= x, y: row i is div_id[i] of the REFERENCE
+    tables read through f's bit per id, ANDed with its transposed column."""
     t = _tables(w.params, w.R, REFERENCE)
-    bits = bytes([48 + structure.filter_member(f, v) for v in t.vals]).ljust(256, b"0")
+    bits = format(t.filters[f], f"0{len(t.vals)}b")[::-1].encode().ljust(256, b"0")
     rows = [int((r.translate(bits) if isinstance(r, bytes)
                  else bytes(map(bits.__getitem__, r)))[::-1], 2) for r in t.div_id]
     keys = [structure.quotient_key(f, a) for a in t.elems]
@@ -631,20 +626,22 @@ def _quotient_break(w: Window, f: str) -> list[str] | None:
         same[k] |= 1 << i
     for i, (row, col, k) in enumerate(zip(rows, _transpose(rows, t.N), keys)):
         if diff := row & col ^ same[k]:
-            return [f"filter={f}"] + _ce(a=t.elems[i], b=t.elems[_low(diff)])
-    return None
+            return [f"filter={f}"] + _ce(a=t.elems[i], b=t.elems[_low(diff)]), len(same)
+    return None, len(same)
 
 
 def _s11(ctx: _Ctx):
     params, t, elems = ctx.params, ctx.t, ctx.elems
     n, p = params.n, params.p
-    proper = ("Top", "FOmega", "Radical")
-    member = t.filters  # bit i: elems[i] is in the filter
-    vals, mul_id = t.vals, t.mul_id
+    proper = structure.FILTER_IDS[:3]
+    member = t.filters  # bit u: vals[u] is in the filter
+    mul_id = t.mul_id
     top = core.ap_top(params)
     bot = core.ap_bot(params)
     pairs = list(ctx.indices(2))  # one draw serves every filter
     checks = 0
+    # per filter and drawn pair: closure under *, the bit of the product's
+    # id (the invalid marker's is never set), then upward closure
     for f in proper:
         mf = member[f]
         checks += 1
@@ -655,8 +652,7 @@ def _s11(ctx: _Ctx):
                 continue
             if mf >> j & 1:
                 checks += 1
-                v = vals[mul_id[i][j]]
-                if v is _INVALID or not structure.filter_member(f, v):
+                if not mf >> mul_id[i][j] & 1:
                     return checks, [f"filter={f}"] + _ce(a=elems[i], b=elems[j]), {}
             if t.up[i] >> j & 1:
                 checks += 1
@@ -664,16 +660,17 @@ def _s11(ctx: _Ctx):
                     return checks, [f"filter={f}"] + _ce(a=elems[i], b=elems[j]), {
                         "law": "upward closure"
                     }
-    # the first element breaking the chain, then the first that the
-    # maximal non-radical element does not split off the radical
-    top_f, fomega, radical = (member[f] for f in proper)
+    # the first window element breaking the chain, then the first that
+    # the maximal non-radical element does not split off the radical
+    low = (1 << ctx.N) - 1
+    top_f, fomega, radical = (member[f] & low for f in proper)
     broken = top_f & ~fomega | fomega & ~radical
     if broken:
         i = _low(broken)
         return checks + i + 1, _ce(a=elems[i]), {"law": "filter chain"}
     checks += ctx.N
     cmax = structure.max_nonradical(params, ctx.R)
-    unsplit = ~(radical ^ t.down[t.idx[cmax]]) & ((1 << ctx.N) - 1)
+    unsplit = ~(radical ^ t.down[t.idx[cmax]]) & low
     if unsplit:
         i = _low(unsplit)
         return checks + i + 1, _ce(a=elems[i], max_nonradical=cmax), {
@@ -718,16 +715,17 @@ def _s11(ctx: _Ctx):
         if fid != expected:
             return checks, _ce(a=a, got=fid, expected=expected), {}
     details = {"generated_filter_counts": counts}
-    # each quotient's keys against its congruence, then its class count:
-    # HatLnp's under FOmega and L_{p+1}'s under Radical
+    # each quotient's keys against its congruence, then the count of
+    # classes it grouped: HatLnp's under FOmega and L_{p+1}'s under Radical
     induced = structure.quotient_induced_mul_report(ctx.w, "FOmega")
     details["fomega_classes"] = induced["classes"]
     for f, want in (("FOmega", structure.hat_size(params)), ("Top", ctx.N),
                     ("Improper", 1), ("Radical", p + 1)):
         checks += 1
-        if ce := _quotient_break(ctx.w, f):
+        ce, got = _quotient_break(ctx.w, f)
+        if ce:
             return checks, ce, {"law": "quotient key"}
-        if (got := len(structure.quotient_classes(ctx.w, f))) != want:
+        if got != want:
             return checks, [f"{f.lower()}_classes={got}"], details
     details["fomega_induced_mul"] = induced
     if not (induced["well_defined"] and induced["unique_r0_transversal"]):
@@ -752,7 +750,7 @@ def _s12(ctx: _Ctx):
 def _s13(ctx: _Ctx):
     t, elems, N = ctx.t, ctx.elems, ctx.N
     p = ctx.params.p
-    vals = t.vals
+    vals, bad = t.vals, t.bad
     # Members are window elements, so every operation on them is a table
     # read: mul and div give value ids, and meets and joins stay in the
     # window, whose indices are the first ids.  An id past the window is
@@ -761,15 +759,11 @@ def _s13(ctx: _Ctx):
     # tested at once against the set of passing ids, and only a member
     # that fails is walked.
     tables = (t.mul_id, t.div_id, t.meet_i, t.join_i)
-    past = [v is not _INVALID for v in vals[N:]]
-    targets: list[tuple[str, int | None]] = [
-        ("L2", None), ("ChangL2w", None), ("HatLnp", None),
-        ("HatLn2", None), ("A2", None),
-    ]
-    for q in range(1, p + 1):
-        if p % q == 0:
-            targets.append(("Aq", q))
-            targets.append(("HatLq", q))
+    past = [u != bad for u in range(N, len(vals))]
+    # the families Aq and HatLq, last, once per divisor q of p
+    targets = [(s, None) for s in structure.SUBALGEBRA_IDS[:-2]]
+    targets += [(s, q) for q in range(1, p + 1) if p % q == 0
+                for s in structure.SUBALGEBRA_IDS[-2:]]
     checks = 0
     for sid, q in targets:
         member = [structure.subalg_member(sid, a, q) for a in elems]
@@ -784,7 +778,7 @@ def _s13(ctx: _Ctx):
             a, c = elems[i], vals[u]
             checks += 1
             if not (member[u] if u < N
-                    else c is not _INVALID and structure.subalg_member(sid, c, q)):
+                    else u != bad and structure.subalg_member(sid, c, q)):
                 return checks, [f"subalgebra={label}"] + _ce(a=a, inv=c), {}
             rows = [table[i] for table in tables]
             if passing(itertools.chain.from_iterable(map(pick, rows))):
@@ -796,14 +790,8 @@ def _s13(ctx: _Ctx):
                     u = row[j]
                     if closed[u]:
                         continue
-                    b, c = elems[j], vals[u]
-                    if c is _INVALID:
-                        return checks, [f"subalgebra={label}"] + _ce(a=a, b=b), {}
-                    return (
-                        checks,
-                        [f"subalgebra={label}"] + _ce(a=a, b=b, result=c),
-                        {},
-                    )
+                    ce = _ce(a=a, b=elems[j]) if u == bad else _ce(a=a, b=elems[j], result=vals[u])
+                    return checks, [f"subalgebra={label}"] + ce, {}
     return checks, None, {"targets": [s if q is None else f"{s}(q={q})"
                                       for s, q in targets]}
 
@@ -826,7 +814,7 @@ def _s15(ctx: _Ctx):
     # The residual table is ~(a * ~c) read off the product and involution
     # tables, so it disagrees with the written-out right-hand side only
     # where it is invalid.  The residuation loop is S1's.
-    div_id, bad = t.div_id, _invalid_id(t)
+    div_id, bad = t.div_id, t.bad
     checks = 0
     for i, k in ctx.indices(2):
         checks += 1

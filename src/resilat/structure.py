@@ -10,12 +10,13 @@ windows whose sizes its estimates count, so that both the suites and
 the equation checker obey it.
 
 So do the per-window tables of one bundle: an id per distinct value of
-every operation, the order of those values and the named filters.  The
-tables are themselves a bundle, the one they tabulate, read from them in
-the window.  The filter and complement scans and the induced-product
-report read the REFERENCE tables whatever bundle a suite runs, and a
-scan on a cold window pays their build first; the quotient classes are
-in closed form and read no table.
+every operation, the invalid marker's id, the order of those values and
+their bits in the named filters.  The tables are themselves a bundle,
+the one they tabulate, read from them in the window.  The filter and
+complement scans and the induced-product report read the REFERENCE
+tables whatever bundle a suite runs, and a scan on a cold window pays
+their build first; the quotient classes are in closed form and read no
+table.
 """
 
 from __future__ import annotations
@@ -209,16 +210,18 @@ class _Tables(OpsBundle):
 
     Every distinct involution, product and residual of window elements
     has an id, window elements first, so ids 0..N-1 are the window
-    indices; vals[u] is the value of id u, and inv_id, mul_id and div_id
-    hold ids.  As a bundle, mul, div, inv and neg read vals at those ids
-    when every operand is a window element, and past the window t.ops
-    computes; power and multiple walk the id tables.  ops must be pure,
-    so a read is the value ops returns, and oplus, meet, join and bterm
-    are OpsBundle's over these.  These methods hide OpsBundle's mul, inv
-    and div slots, so copy.copy, which sets every slot, fails on tables.
+    indices; vals[u] is the value of id u, inv_id, mul_id and div_id hold
+    ids, and bad is the invalid marker's id, or -1.  Bit u of filters[f]
+    says vals[u] lies in the named filter f, which the marker never does.
+    As a bundle, mul, div and inv read vals at those ids when every operand
+    is a window element, and past the window t.ops computes; power and
+    multiple walk the id tables.  ops must be pure, so a read is the value
+    ops returns, and neg, oplus, meet, join and bterm are OpsBundle's over
+    these.  These methods hide OpsBundle's mul, inv and div slots, so
+    copy.copy, which sets every slot, fails on tables.
     """
 
-    __slots__ = ("ops", "elems", "N", "idx", "vals", "mul_id", "div_id", "inv_id",
+    __slots__ = ("ops", "elems", "N", "idx", "vals", "bad", "mul_id", "div_id", "inv_id",
                  "up", "down", "ge", "meet_i", "join_i", "bot_i", "top_i", "filters")
 
     def __init__(self, w: Window, ops: OpsBundle):
@@ -241,7 +244,7 @@ class _Tables(OpsBundle):
         at = [f if f < N else None for f in self.inv_id]
         div_id = [[intern(ops.div(a, b)) if f is None else neg(row[f])
                    for b, f in zip(elems, at)] for a, row in zip(elems, mul_id)]
-        self.vals = values
+        self.vals, self.bad = values, ids.get(_INVALID, -1)
         # a bytes row holds an id in a byte, where a list holds a pointer
         if len(values) <= 256:
             mul_id = list(map(bytes, mul_id))
@@ -261,8 +264,7 @@ class _Tables(OpsBundle):
         self.meet_i, self.join_i = map(list, zip(*map(_lattice_row(w), range(N))))
         self.bot_i = self.idx[core.ap_bot(w.params)]
         self.top_i = self.idx[core.ap_top(w.params)]
-        # filters[f]: the window elements in the named filter f
-        self.filters = {f: _mask([filter_member(f, a) for a in elems])
+        self.filters = {f: _mask([v is not _INVALID and filter_member(f, v) for v in values])
                         for f in FILTER_IDS}
 
     # The bundle's operations on window elements, read from the tables.
@@ -278,10 +280,6 @@ class _Tables(OpsBundle):
     def inv(self, a):
         i = self.idx.get(a)
         return self.ops.inv(a) if i is None else self.vals[self.inv_id[i]]
-
-    def neg(self, a):
-        i = self.idx.get(a)
-        return self.ops.neg(a) if i is None else self.vals[self.div_id[i][self.bot_i]]
 
     # The bundle's power and multiple of a window element, walked on ids
     # for S8-S11 and _generated_mask: a step a_i*out is mul_id[i][out], and
@@ -456,8 +454,8 @@ def quotient_classes(w: Window, f: str) -> list[list[ApElem]]:
 
 
 def hat_size(params: AlgebraParams) -> int:
-    """Element count of the r = 0 subalgebra: 2(n+1) + n(p-1)."""
-    return 2 * (params.n + 1) + params.n * (params.p - 1)
+    """Element count of the r = 0 subalgebra, the radius-0 window."""
+    return len(Window(params, 0))
 
 
 def quotient_induced_mul_report(w: Window, f: str) -> dict:
@@ -535,9 +533,9 @@ def classify_generated_filter(a: ApElem, w: Window) -> str:
     would be a genuine counterexample to the classification.
     """
     got = _generated_mask(a, w)
-    filters = _tables(w.params, w.R, REFERENCE).filters
+    t = _tables(w.params, w.R, REFERENCE)
     for fid in FILTER_IDS:
-        if got == filters[fid]:
+        if got == t.filters[fid] & ((1 << t.N) - 1):
             return fid
     raise RuntimeError(
         f"filter generated by {core.render_element(a)} matches no candidate"

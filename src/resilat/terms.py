@@ -658,7 +658,6 @@ def check_equation(
     eq: Equation,
     params: AlgebraParams,
     radius: int,
-    max_vars: int = 3,
     domain=None,
     ops=None,
     force: bool = False,
@@ -682,10 +681,6 @@ def check_equation(
     if radius < 0:
         raise ValueError(f"window radius must be >= 0, got {radius}")
     names = sorted(free_vars(eq.lhs) | free_vars(eq.rhs))
-    if len(names) > max_vars:
-        raise ValueError(
-            f"{len(names)} free variables exceed the cap of {max_vars}"
-        )
     structure.enforce_budget("eq", params, radius, equation_estimate(eq, params, radius, domain),
                              force=force)
     window = structure.Window(params, radius)
@@ -731,14 +726,3 @@ def preset(name: str, m: int | None = None, params: AlgebraParams | None = None)
             raise ValueError("preset WLwitness needs params")
         return preset("WL", params.n)
     raise ValueError(f"unknown preset {name!r}")
-
-
-def load_equations(text: str) -> list[tuple[int, Equation]]:
-    """Parse equations from text, one per line; '#' starts a comment."""
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        out.append((lineno, parse_equation(stripped)))
-    return out

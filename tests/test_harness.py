@@ -222,6 +222,38 @@ def test_s11_fails_under_a_wrong_quotient_key(monkeypatch, f, wrong, params, R):
     assert passing.checks_run - 4 < report.checks_run <= passing.checks_run
 
 
+def test_s11_fails_where_a_product_leaves_the_radical():
+    # two radical elements below top multiply to bottom, which the
+    # closure test under * reads as the product id's Radical bit
+    leak = OpsBundle(harness._mul_override(
+        lambda a, b: a.alpha == a.p == b.alpha and a.m < a.n and b.m < b.n,
+        lambda a, b: (0, 0)), core.ap_inv, "radical-leak")
+    report = run_suite("S11", P23, 1, ops=leak)
+    assert report.verdict == "fail" and report.details == {}
+    assert report.first_counterexample == ("filter=Radical", "a=((0,0),3)", "b=((0,0),3)")
+
+
+@pytest.mark.parametrize("params, R", [(P23, 2), (AlgebraParams(4, 4), 4)],  # past 256 ids
+                         ids=["23-R2", "44-R4"])
+def test_quotient_break_counts_the_classes_it_grouped(params, R):
+    w = Window(params, R)
+    for f in structure.FILTER_IDS:
+        assert harness._quotient_break(w, f) == (None, len(structure.quotient_classes(w, f)))
+
+
+def test_warm_s11_makes_no_filter_member_call(monkeypatch):
+    # the filter bits of every table value are read from the tables
+    params, runs = AlgebraParams(3, 3), [{"R": 4, "sample": 2000, "seed": 11}, {"R": 2}]
+    for kw in runs:
+        run_suite("S11", params, **kw)
+    real, calls = structure.filter_member, []
+    monkeypatch.setattr(structure, "filter_member",
+                        lambda f, a: calls.append(f) or real(f, a))
+    for kw in runs:
+        assert run_suite("S11", params, **kw).verdict == "pass"
+    assert calls == []
+
+
 def test_monid_invo_entry_point():
     report = run_suite("S15", P23, 1)
     assert (report.suite, report.R, report.verdict) == ("S15", 1, "pass")
@@ -1144,6 +1176,30 @@ def test_tables_are_the_pairwise_build_off_the_grid(n, p, R, name):
     t = structure._Tables(w, TWO_STEP_BUNDLES[name])
     _assert_pairwise_order(t, (name, n, p, R))
     _assert_pairwise_lattice(t, _pairwise_lattice(w.elements()), (name, n, p, R))
+
+
+# The tables hold the invalid marker's id and the named filters' bits
+# over every value id, window elements first.
+
+@pytest.mark.parametrize("name", list(TWO_STEP_BUNDLES))  # MUTATIONS among them
+def test_tables_hold_the_invalid_id_and_every_values_filter_bits(name):
+    for params, R in ((P23, 2), (AlgebraParams(4, 4), 4)):  # the second past 256 ids
+        t = harness._tables(params, R, TWO_STEP_BUNDLES[name])
+        invalid = [u for u, v in enumerate(t.vals) if v is harness._INVALID]
+        assert t.bad == (invalid[0] if invalid else -1) and len(invalid) <= 1
+        for f in structure.FILTER_IDS:
+            want = [v is not harness._INVALID and structure.filter_member(f, v)
+                    for v in t.vals]
+            assert [bool(t.filters[f] >> u & 1) for u in range(len(t.vals))] == want, f
+            assert t.filters[f] >> len(t.vals) == 0
+    # the one bundle whose products past the window are all the marker
+    assert len(t.vals) > 256 or name == "invalid-past-r2"
+
+
+def test_the_tables_see_an_invalid_value_past_the_window():
+    assert harness._tables(P23, 2, REFERENCE).bad == -1
+    t = harness._tables(AlgebraParams(4, 4), 4, TWO_STEP_BUNDLES["invalid-past-r2"])
+    assert t.vals[t.bad] is harness._INVALID and t.bad >= t.N
 
 
 # Powers and multiples of window elements walk the id tables; each walk

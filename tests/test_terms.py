@@ -40,7 +40,6 @@ from resilat.terms import (
     equation_estimate,
     eval_term,
     free_vars,
-    load_equations,
     parse_equation,
     parse_term,
     preset,
@@ -348,11 +347,14 @@ def test_check_domain_restriction():
     assert verdict.checked == 1
 
 
-def test_check_var_cap_and_radius():
+def test_check_four_variables_under_the_budget_and_radius(monkeypatch):
+    # the budget alone bounds the variable count: 10**4 assignments at R=0
     eq = parse_equation("w * x * y * z = z * y * x * w")
-    with pytest.raises(ValueError):
+    assert equation_estimate(eq, P23, 0) == 10**4
+    assert check_equation(eq, P23, radius=0) == EquationVerdict(True, 0, 10**4, None)
+    monkeypatch.setenv(BUDGET_ENV, str(10**4 - 1))
+    with pytest.raises(BudgetError):
         check_equation(eq, P23, radius=0)
-    assert check_equation(eq, P23, radius=0, max_vars=4).holds
     with pytest.raises(ValueError):
         check_equation(parse_equation("x = x"), P23, radius=-1)
 
@@ -369,7 +371,7 @@ def test_idempotent_power_stabilises_only_on_the_diagonal():
 
 
 # ---------------------------------------------------------------------------
-# Presets and equation files.
+# Presets.
 
 def test_preset_renders():
     assert render_equation(preset("E", 2)) == "x^3 ≈ x^2"
@@ -390,21 +392,6 @@ def test_preset_validation():
         preset("Bterm")
     with pytest.raises(ValueError):
         preset("nope", 1)
-
-
-def test_load_equations():
-    text = """
-    # laws to try
-    x * y = y * x
-    x -> x ≈ top   # reflexive
-
-    """
-    loaded = load_equations(text)
-    assert [lineno for lineno, _ in loaded] == [3, 4]
-    assert loaded[0][1] == parse_equation("x * y = y * x")
-    assert loaded[1][1] == parse_equation("x -> x = top")
-    with pytest.raises(ParseError):
-        load_equations("x * y = y * x\nx ->\n")
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +426,10 @@ def walk_eval(t, env, params, o):
     raise TypeError(f"not a term: {t!r}")
 
 
-def walk_check(eq, params, radius, max_vars=3, domain=None, ops=None):
+def walk_check(eq, params, radius, domain=None, ops=None):
     """The window check as a plain loop: walk both trees on every assignment."""
     o = core.REFERENCE if ops is None else ops
     names = sorted(free_vars(eq.lhs) | free_vars(eq.rhs))
-    assert len(names) <= max_vars
     elems = structure.Window(params, radius).elements()
     if domain is not None:
         elems = tuple(e for e in elems if domain(e))
@@ -620,10 +606,10 @@ def test_compiled_check_matches_the_walk_on_edge_cases():
         for ops in OPS.values():
             assert_same(parse_equation(text), P23, 0, ops=ops)
     assert check_equation(parse_equation("bot = top"), P23, 0).counterexample == {}
-    # four variables under a raised cap, holding and failing
+    # four variables, holding and failing
     for text in ("w * x * y * z = z * y * x * w", "w * x -> y = z \\/ w"):
         for ops in (None, MUTATIONS["mul-case2-sign"]):
-            assert_same(parse_equation(text), P23, 0, max_vars=4, ops=ops)
+            assert_same(parse_equation(text), P23, 0, ops=ops)
 
 
 def test_compiled_check_matches_the_walk_on_row_shapes():
@@ -746,7 +732,7 @@ def test_outer_levels_match_the_walk(ops):
         eq = parse_equation(text)
         # 9^3 or 8^4 assignments, with nonzero offsets
         params = AlgebraParams(1, 2) if "w" not in text else AlgebraParams(1, 1)
-        assert_same(eq, params, 1, max_vars=4, ops=o)
+        assert_same(eq, params, 1, ops=o)
 
 
 def test_an_outer_meet_under_a_bundle_calls_no_lattice_operation(monkeypatch):
@@ -759,7 +745,7 @@ def test_an_outer_meet_under_a_bundle_calls_no_lattice_operation(monkeypatch):
             return fn(a, b)
         monkeypatch.setattr(core, name, counted)
     for text, R, checked in ((OUTER_SHAPES[0], 1, 22**3), (OUTER_SHAPES[4], 0, 10**4)):
-        verdict = check_equation(parse_equation(text), P23, R, max_vars=4, ops=REFERENCE)
+        verdict = check_equation(parse_equation(text), P23, R, ops=REFERENCE)
         assert (verdict.holds, verdict.checked) == (True, checked)
     assert calls == {}
 
