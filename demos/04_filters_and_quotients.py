@@ -14,7 +14,6 @@ from resilat.structure import (
     classify_generated_filter,
     closure,
     filter_member,
-    hat_size,
     quotient_classes,
     quotient_induced_mul_report,
     rad_quotient_report,
@@ -30,7 +29,7 @@ for text in ["((2,0),3)", "((2,-4),3)", "((0,5),3)", "((1,0),2)"]:
 
 print(f"\nFOmega quotient of the R=2 window: "
       f"{len(quotient_classes(w, 'FOmega'))} classes "
-      f"(the r=0 algebra has {hat_size(P)} elements)")
+      f"(the r=0 algebra has {len(Window(P, 0))} elements)")
 print(f"induced product report: {quotient_induced_mul_report(w, 'FOmega')}")
 print(f"radical quotient report: {rad_quotient_report(P)}")
 

@@ -45,7 +45,8 @@ gets empty masks and no filter bit.  The masks come from the closed
 form of the order, a bisect or two per id, where comparing each triple
 would cost about 2N**3 order calls.  The build's operation calls are
 the N**2 products and an involution per distinct product.  Every suite
-reads the order from the masks, a sampled run's draws included.
+reads the order from the masks, a sampled run's draws included.  The
+rows are in structure's row format: bytes while their ids fit in a byte.
 
 The N**3 suites S1, S2, S3 and S7 (and S15, through S1) each test one
 predicate per triple, which a sampled run applies to its draws.  An
@@ -56,9 +57,10 @@ are the plain loop's.  S1's row compares the up rows of row i's products
 with the transposed down rows of its residuals.  S3's row tests its
 three laws only on the window's cover pairs, c_k covering b_j,
 reading ge bits; the order is transitive, so they imply the laws on
-every pair b_j <= c_k.  S2 and S7 compose their rows
-with bytes.translate, a row read through another, while their ids fit in
-a byte (window elements, for S7); past 256 they walk every triple.  S7's
+every pair b_j <= c_k.  S2 and S7 compose bytes rows with
+bytes.translate, a row read through another: S7 the tables' meet and
+join rows, S2 second-step rows of its own in the same format; past a
+byte they walk every triple.  S7's
 N**2 pair laws, which every run checks in full, go a row at a time too:
 a row that passes its row test is skipped, and any other is walked pair
 by pair.
@@ -77,7 +79,6 @@ import json
 import random
 import sys
 import time
-from collections import defaultdict
 from functools import lru_cache, reduce
 from operator import itemgetter, or_
 from typing import Callable
@@ -253,9 +254,6 @@ class _Ctx(_Record):
         return _draws(self.seed, arity, self.N, self.sample)
 
 
-_BYTES = 256  # ids a bytes row holds, when exhaustive S2 and S7 compose rows
-
-
 def _first_row(holds: Callable[[int], bool], N: int):
     """The checks an exhaustive (i, j, k) loop makes before the first i
     whose row fails holds, and that row's triples, to walk for its first
@@ -325,7 +323,7 @@ def _s2(ctx: _Ctx):
         prods = list(dict.fromkeys(itertools.chain(*mul_id)))
         first = {u: x for x, u in enumerate(prods)}
         step = [list(map(first.__getitem__, row)) for row in mul_id]
-        ids = defaultdict(lambda: len(ids))
+        ids = structure._Ids()
         intern = ids.__getitem__
         left = [list(map(intern, map(vals.__getitem__, mul_id[u]) if u < N
                          else [ops.mul(vals[u], c) for c in elems]))
@@ -336,7 +334,7 @@ def _s2(ctx: _Ctx):
                                    for u in prods]))
                  for a, row in zip(elems, mul_id)]
         triples = ctx.indices(3)
-        if len(prods) <= _BYTES and len(ids) <= _BYTES:
+        if len(prods) <= structure._BYTES and len(ids) <= structure._BYTES:
             # row i over (j, k): left[step[i][j]] for each j, against the
             # step rows read through right[i]
             left = [bytes(r) for r in left]
@@ -482,15 +480,14 @@ def _s7(ctx: _Ctx):
             if not upper >> u & 1 or upper & ~up[u]:
                 return checks, _ce(a=elems[i], b=elems[j]), {"law": "lub"}
     triples = ctx.indices(3)
-    if ctx.sample is None and N <= _BYTES:
-        # For fixed i each law is an N x N block over (j, k) of table rows
+    if ctx.sample is None and N <= structure._BYTES:
+        # For fixed i each law is an N x N block over (j, k) of bytes rows
         # read through other rows: one bytes.translate per row.
-        meet_b, join_b = [bytes(r) for r in meet_i], [bytes(r) for r in join_i]
-        meet_t, join_t = [r.ljust(256) for r in meet_b], [r.ljust(256) for r in join_b]
-        meets, joins = b"".join(meet_b), b"".join(join_b)
+        meet_t, join_t = [r.ljust(256) for r in meet_i], [r.ljust(256) for r in join_i]
+        meets, joins = b"".join(meet_i), b"".join(join_i)
 
         def holds(i: int) -> bool:
-            mb, jb = meet_b[i], join_b[i]
+            mb, jb = meet_i[i], join_i[i]
             return (joins.translate(meet_t[i])
                     == b"".join([mb.translate(join_t[z]) for z in meet_i[i]])
                     and meets.translate(join_t[i])
@@ -514,15 +511,15 @@ def _s7(ctx: _Ctx):
 def _s8(ctx: _Ctx):
     params, t, ops = ctx.params, ctx.t, ctx.t.ops
     n, p = params.n, params.p
-    bot = core.ap_bot(params)
+    bot, radical = core.ap_bot(params), t.filters["Radical"]
     details = {"branch": "p<=n" if p <= n else "n<p"}
     checks = 0
-    for a in ctx.elems:
+    for i, a in enumerate(ctx.elems):
         checks += 1
         v = ops.join(a, ops.inv(t.power(a, p)))
         if v is _INVALID or not structure.filter_member("Radical", v):
             return checks, _ce(a=a, value=v), details
-        rad = structure.filter_member("Radical", a)
+        rad = radical >> i & 1
         checks += 1
         if (not rad) != _eq(t.power(a, n + 1 if p <= n else p), bot):
             return checks, _ce(a=a), details
@@ -539,11 +536,11 @@ def _s9(ctx: _Ctx):
     params, t = ctx.params, ctx.t
     n, p = params.n, params.p
     k0 = max(n + 1, p)
-    bot = core.ap_bot(params)
+    bot, radical = core.ap_bot(params), t.filters["Radical"]
     checks = 0
-    for a in ctx.elems:
+    for i, a in enumerate(ctx.elems):
         checks += 1
-        if _eq(t.power(a, k0), bot) == structure.filter_member("Radical", a):
+        if _eq(t.power(a, k0), bot) == radical >> i & 1:
             return checks, _ce(a=a), {"k_threshold": k0}
     c = structure.max_nonradical(params, ctx.R)
     literal = core.ap_validate(core.LexPair(n - 1, 0), p - 1, params)
@@ -576,16 +573,16 @@ def _s10(ctx: _Ctx):
     ref = _tables(params, ctx.R, REFERENCE)
     n, p = params.n, params.p
     k0 = max(n + 1, p)
-    bot = core.ap_bot(params)
-    top = core.ap_top(params)
+    bot, top = core.ap_bot(params), core.ap_top(params)
+    radical = t.filters["Radical"]
     checks = 0
-    for a in ctx.elems:
+    for i, a in enumerate(ctx.elems):
         deep = t.power(a, k0)
         tb = t.multiple(n + 1, deep)
         checks += 1
         if not (_eq(tb, bot) or _eq(tb, top)):
             return checks, _ce(a=a, t=tb), {}
-        rad = structure.filter_member("Radical", a)
+        rad = radical >> i & 1
         checks += 1
         if _eq(tb, top) != rad:
             return checks, _ce(a=a, t=tb), {}
@@ -618,12 +615,12 @@ def _quotient_break(w: Window, f: str) -> tuple[list[str] | None, int]:
     tables read through f's bit per id, ANDed with its transposed column."""
     t = _tables(w.params, w.R, REFERENCE)
     bits = format(t.filters[f], f"0{len(t.vals)}b")[::-1].encode().ljust(256, b"0")
-    rows = [int((r.translate(bits) if isinstance(r, bytes)
+    rows = [int((r.translate(bits) if len(t.vals) <= structure._BYTES
                  else bytes(map(bits.__getitem__, r)))[::-1], 2) for r in t.div_id]
     keys = [structure.quotient_key(f, a) for a in t.elems]
-    same = defaultdict(int)
+    same: dict = {}
     for i, k in enumerate(keys):
-        same[k] |= 1 << i
+        same[k] = same.get(k, 0) | 1 << i
     for i, (row, col, k) in enumerate(zip(rows, _transpose(rows, t.N), keys)):
         if diff := row & col ^ same[k]:
             return [f"filter={f}"] + _ce(a=t.elems[i], b=t.elems[_low(diff)]), len(same)
@@ -719,7 +716,7 @@ def _s11(ctx: _Ctx):
     # classes it grouped: HatLnp's under FOmega and L_{p+1}'s under Radical
     induced = structure.quotient_induced_mul_report(ctx.w, "FOmega")
     details["fomega_classes"] = induced["classes"]
-    for f, want in (("FOmega", structure.hat_size(params)), ("Top", ctx.N),
+    for f, want in (("FOmega", len(Window(params, 0))), ("Top", ctx.N),
                     ("Improper", 1), ("Radical", p + 1)):
         checks += 1
         ce, got = _quotient_break(ctx.w, f)
@@ -991,11 +988,7 @@ def run_grid(
     return reports
 
 
-def mutation_check(
-    params: AlgebraParams | None = None,
-    R: int = 2,
-    suites=None,
-) -> dict[str, list[str]]:
+def mutation_check(params: AlgebraParams | None = None, R: int = 2) -> dict[str, list[str]]:
     """Which suites catch each documented mutation.
 
     Returns mutation name -> list of failing suite ids; an empty list
@@ -1003,11 +996,10 @@ def mutation_check(
     somewhere.
     """
     params = AlgebraParams(2, 3) if params is None else params
-    sids = list(SUITES) if suites is None else list(suites)
     out: dict[str, list[str]] = {}
     for name, bundle in MUTATIONS.items():
         caught = []
-        for sid in sids:
+        for sid in SUITES:
             if run_suite(sid, params, R, ops=bundle).verdict == "fail":
                 caught.append(sid)
         out[name] = caught

@@ -11,9 +11,11 @@ the equation checker obey it.
 
 So do the per-window tables of one bundle: an id per distinct value of
 every operation, the invalid marker's id, the order of those values and
-their bits in the named filters.  The tables are themselves a bundle,
-the one they tabulate, read from them in the window.  The filter and
-complement scans and the induced-product report read the REFERENCE
+their bits in the named filters.  Every id row, the meet and join rows
+of window indices included, is bytes while its ids fit in a byte (at
+most _BYTES of them) and a list past that.  The tables are themselves a
+bundle, the one they tabulate, read from them in the window.  The filter
+and complement scans and the induced-product report read the REFERENCE
 tables whatever bundle a suite runs, and a scan on a cold window pays
 their build first; the quotient classes are in closed form and read no
 table.
@@ -187,6 +189,14 @@ def _lattice_row(w: Window):
     return row
 
 
+_BYTES = 256  # the row format: a byte per id where a list holds a pointer
+
+
+def _rows(rows: list, ids: int) -> list:
+    """rows in the row format for ids distinct ids."""
+    return list(map(bytes, rows)) if ids <= _BYTES else list(rows)
+
+
 class _Ids(dict):
     """Value -> id.  The seed's values get ids 0, 1, ... in order, and a
     value met for the first time gets the next id, so equal values share
@@ -233,7 +243,7 @@ class _Tables(OpsBundle):
         # a result gets its id as it is computed, one lookup each
         ids = _Ids(elems)
         intern, values = ids.__getitem__, ids.values
-        self.inv_id = list(map(intern, map(ops.inv, elems)))
+        inv_id = list(map(intern, map(ops.inv, elems)))
         mul = ops.mul
         mul_id = [list(map(intern, [mul(a, b) for b in elems])) for a in elems]
         # The residual a/b is ~(a*~b).  Where ~b_j is the window element f,
@@ -241,15 +251,12 @@ class _Tables(OpsBundle):
         # product id; where ~b is invalid or leaves the window (under a
         # mutant), the bundle's div runs.  Both rest on the bundle being pure.
         neg = cache(lambda u: intern(ops.inv(values[u])))
-        at = [f if f < N else None for f in self.inv_id]
+        at = [f if f < N else None for f in inv_id]
         div_id = [[intern(ops.div(a, b)) if f is None else neg(row[f])
                    for b, f in zip(elems, at)] for a, row in zip(elems, mul_id)]
         self.vals, self.bad = values, ids.get(_INVALID, -1)
-        # a bytes row holds an id in a byte, where a list holds a pointer
-        if len(values) <= 256:
-            mul_id = list(map(bytes, mul_id))
-            div_id = list(map(bytes, div_id))
-        self.mul_id, self.div_id = mul_id, div_id
+        self.inv_id = _rows([inv_id], len(values))[0]
+        self.mul_id, self.div_id = _rows(mul_id, len(values)), _rows(div_id, len(values))
         # ge[u] holds the ids at or above value u, as a bitmask, from the
         # closed form of the order, a bisect or two per id; up[u] and
         # down[u], the window elements above and below it, are its low N
@@ -261,7 +268,8 @@ class _Tables(OpsBundle):
         self.down = _transpose(ge[:N], len(values))
         # meets and joins of window elements stay in the window, and each
         # row is a few runs of window indices
-        self.meet_i, self.join_i = map(list, zip(*map(_lattice_row(w), range(N))))
+        meet_i, join_i = zip(*map(_lattice_row(w), range(N)))
+        self.meet_i, self.join_i = _rows(meet_i, N), _rows(join_i, N)
         self.bot_i = self.idx[core.ap_bot(w.params)]
         self.top_i = self.idx[core.ap_top(w.params)]
         self.filters = {f: _mask([v is not _INVALID and filter_member(f, v) for v in values])
@@ -451,11 +459,6 @@ def quotient_classes(w: Window, f: str) -> list[list[ApElem]]:
     for a in w.elements():
         classes.setdefault(quotient_key(f, a), []).append(a)
     return list(classes.values())
-
-
-def hat_size(params: AlgebraParams) -> int:
-    """Element count of the r = 0 subalgebra, the radius-0 window."""
-    return len(Window(params, 0))
 
 
 def quotient_induced_mul_report(w: Window, f: str) -> dict:
@@ -653,11 +656,14 @@ def _covers(up: list[int], down: list[int]) -> list[list[int]]:
 
 
 def cover_edges(elems) -> tuple[tuple[int, int], ...]:
-    """Hasse cover pairs (i, j) over a sequence of elements: elems[i] is
-    strictly below elems[j] with nothing in between."""
+    """Hasse cover pairs (i, j) over a sequence of elements of one algebra:
+    elems[i] is strictly below elems[j] with nothing in between.  The
+    order comes from its closed form, _order_rows, with no ap_leq call."""
     if isinstance(elems, Window):
         elems = elems.elements()
     elems = tuple(elems)
-    up = [_mask([core.ap_leq(a, b) for b in elems]) for a in elems]
+    for b in elems:
+        core._same_params(elems[0], b)
+    up = _order_rows(elems, elems[0].n, elems[0].p) if elems else []
     covers = _covers(up, _transpose(up, len(elems)))
     return tuple((i, j) for i, cover in enumerate(covers) for j in cover)

@@ -669,7 +669,7 @@ def check_equation(
     domain optionally restricts candidate values (a predicate on elements).
     A True verdict only speaks for the window, hence the radius field.
     Like the suites, the check raises BudgetError before it starts when
-    equation_estimate exceeds the budget, unless force is set.
+    equation_estimate exceeds the budget; force skips the estimate.
 
     A substitute ops bundle must be pure and return hashable values, as
     elements are: subterms that apply one operation share its results, so
@@ -681,8 +681,9 @@ def check_equation(
     if radius < 0:
         raise ValueError(f"window radius must be >= 0, got {radius}")
     names = sorted(free_vars(eq.lhs) | free_vars(eq.rhs))
-    structure.enforce_budget("eq", params, radius, equation_estimate(eq, params, radius, domain),
-                             force=force)
+    if not force:
+        structure.enforce_budget("eq", params, radius,
+                                 equation_estimate(eq, params, radius, domain))
     window = structure.Window(params, radius)
     elems = window.elements() if domain is None else tuple(filter(domain, window.elements()))
     o = core.REFERENCE if ops is None else ops

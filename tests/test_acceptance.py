@@ -109,7 +109,7 @@ def test_criterion_4_power_thresholds():
 def test_criterion_5_structure():
     w = Window(P23, 2)
     classes = len(structure.quotient_classes(w, "FOmega"))
-    ten = classes == 10 == structure.hat_size(P23)
+    ten = classes == 10 == len(Window(P23, 0))
     booleans = all(
         structure.boolean_elements(Window(params, 2))
         == {core.ap_bot(params), core.ap_top(params)}

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,10 @@ from resilat.core import AlgebraParams
 from resilat.cli import main
 
 P23 = AlgebraParams(2, 3)
+
+# a child process finds the package where pytest's pythonpath put it
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])))
 
 HASSE_HAT_23 = """digraph hasse {
   rankdir=BT;
@@ -529,6 +535,7 @@ def test_module_entry_point():
          "x*x", "--assign", "x=((1,0),2)"],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "((0,0),1)\n"
@@ -542,7 +549,7 @@ def test_check_eq_starts_without_the_harness():
             "'inspect') if m in sys.modules)); sys.exit(code)")
     at_one_point, over_the_grid = (
         subprocess.run([sys.executable, "-c", code, "check", *argv, "--eq", "x*y = y*x"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=SRC_ENV)
         for argv in (["--n", "2", "--p", "3", "--R", "1"], ["--R", "0", "--format", "json"])
     )
     for proc in (at_one_point, over_the_grid):

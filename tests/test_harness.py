@@ -1,5 +1,6 @@
 """Suite registry, budgets, determinism, dual-route oracles, mutations."""
 
+import contextlib
 import copy
 import itertools
 import json
@@ -254,6 +255,31 @@ def test_warm_s11_makes_no_filter_member_call(monkeypatch):
     assert calls == []
 
 
+def test_warm_s8_to_s10_read_the_radical_bits(monkeypatch):
+    # a window element's Radical membership is a bit of the tables'
+    # filters; S8 decides only its join values, which can leave the window
+    params = AlgebraParams(3, 3)
+    N = len(Window(params, 2))
+    for sid in ("S8", "S9", "S10"):
+        run_suite(sid, params, 2)
+    real, calls = structure.filter_member, []
+    monkeypatch.setattr(structure, "filter_member",
+                        lambda f, a: calls.append(f) or real(f, a))
+    for sid, most in (("S8", N), ("S9", 0), ("S10", 0)):
+        del calls[:]
+        assert run_suite(sid, params, 2).verdict == "pass"
+        assert len(calls) <= most, sid
+
+
+def test_s16_makes_no_equation_estimate(monkeypatch):
+    # run_suite has gated S16's estimate, so its two checks make none
+    def estimate(*args, **kwargs):
+        raise AssertionError("equation_estimate called")
+
+    monkeypatch.setattr(terms, "equation_estimate", estimate)
+    assert run_suite("S16", P23, 2).verdict == "pass"
+
+
 def test_monid_invo_entry_point():
     report = run_suite("S15", P23, 1)
     assert (report.suite, report.R, report.verdict) == ("S15", 1, "pass")
@@ -494,6 +520,81 @@ def test_every_mutation_is_caught():
         "inv-reflect-const": "S1 S3 S4 S5 S8 S13 S14 S15 S16",
         "inv-reflect-sign": "S1 S3 S4 S5 S13 S14 S15 S16",
     }
+
+
+# Bundles that reach failure returns no mutation reaches, each by one
+# override of the product or the involution.  A return that reads only
+# the closed-form order, the filter bits or the REFERENCE tables, which
+# no bundle changes, stays out of reach.
+
+def _inv_fixing_the_middle_levels(a):
+    # an involution still, and ~a = a/bot, but not antitone
+    return a if 0 < a.alpha < a.p else core.ap_inv(a)
+
+
+def _inv_fixing_bot(a):
+    return a if a == core.ap_bot(a.params) else core.ap_inv(a)
+
+
+def _mul_override_pair(x, y, z):
+    """The product, except that x*y and y*x are z, all three literals."""
+    def mul(a, b):
+        pair = {core.parse_element(v, a.params) for v in (x, y)}
+        if {a, b} == pair:
+            return core.parse_element(z, a.params)
+        return core.ap_mul(a, b)
+    return mul
+
+
+def _mul_squaring_hat_to_bot(a, b):
+    # every r = 0 square but top's is bot: WL at m = n holds on HatLn2
+    if a == b and a.r == 0 and a != core.ap_top(a.params):
+        return core.ap_bot(a.params)
+    return core.ap_mul(a, b)
+
+
+UNREACHED_RETURNS = [
+    # S4's pair loop: checks past the 2N involution checks, N = 22
+    ("S4", OpsBundle(core.ap_mul, _inv_fixing_the_middle_levels, "inv-fixes-middle"),
+     "fail checks=52 counterexample a=((0,0),0) b=((0,0),1)", {}),
+    # S6's unit and absorption check, the first of element 10's two
+    ("S6", OpsBundle(_mul_override_pair("((1,0),1)", "((2,0),3)", "((2,0),0)"),
+                     core.ap_inv, "top-not-unit"),
+     "fail checks=21 counterexample a=((1,0),1)", {}),
+    ("S8", OpsBundle(core.ap_mul, _inv_fixing_bot, "inv-fixes-bot"),
+     "fail checks=1 counterexample a=((0,0),0) value=((0,0),0)", {"branch": "n<p"}),
+    # the maximal non-radical element's square is bot, a step early
+    ("S9", OpsBundle(_mul_override_pair("((1,0),2)", "((1,0),2)", "((2,0),0)"),
+                     core.ap_inv, "early-threshold"),
+     "fail checks=24 counterexample c=((1,0),2) k=2", None),
+    ("S10", OpsBundle(_mul_override_pair("((2,0),3)", "((2,0),3)", "((2,0),0)"),
+                      core.ap_inv, "top-square-bot"),
+     "fail checks=2 counterexample a=((0,0),0) t=((2,0),3)", {}),
+    ("S10", OpsBundle(_mul_override_pair("((2,0),3)", "((2,0),0)", "((1,-1),1)"),
+                      core.ap_inv, "bot-not-absorbing"),
+     "fail checks=5 counterexample a=((0,0),0) t=((2,0),0)", {"law": "t \\/ !t = top"}),
+    ("S10", OpsBundle(_mul_override_pair("((0,0),3)", "((1,0),3)", "((1,0),0)"),
+                      core.ap_inv, "radical-product-drops"),
+     "fail checks=143 counterexample a=((0,0),3) k=3",
+     {"law": "(n+1).(x \\/ !(x^p))^k = top"}),
+    ("S11", OpsBundle(_mul_override_pair("((0,0),3)", "((0,0),3)", "((0,1),3)"),
+                      core.ap_inv, "radical-generator-not-idempotent"),
+     "fail checks=144 counterexample a=((0,0),3)", {"law": "idempotent radical generator"}),
+    ("S11", OpsBundle(_mul_override_pair("((1,0),2)", "((1,0),2)", "((1,0),2)"),
+                      core.ap_inv, "literal-idempotent"),
+     "fail checks=145 counterexample a=((1,0),2)", {"law": "deep power bottoms out"}),
+    ("S16", OpsBundle(_mul_squaring_hat_to_bot, core.ap_inv, "hat-squares-bot"),
+     "fail checks=28 counterexample no witness against the m=2 equation", {"k": 3}),
+]
+
+
+@pytest.mark.parametrize("sid, bundle, tail, details", UNREACHED_RETURNS,
+                         ids=[b.name for _, b, _, _ in UNREACHED_RETURNS])
+def test_failure_returns_no_mutation_reaches(sid, bundle, tail, details):
+    report = run_suite(sid, P23, 1, ops=bundle)
+    assert report.text_line() == f"{sid} {SUITES[sid].title} n=2 p=3 R=1 {tail}"
+    if details is not None:
+        assert report.details == details
 
 
 def test_failing_report_shape():
@@ -753,15 +854,29 @@ def _spy_row_scans(monkeypatch):
     return rows
 
 
+@contextlib.contextmanager
+def _list_rows(monkeypatch):
+    """What a window past 256 ids does, forced at a small one: the row
+    format's threshold at 0, so the tables built inside hold list rows.
+    The table cache is cleared on entry and exit, so no list-row table
+    is read under the real threshold."""
+    structure._tables.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(structure, "_BYTES", 0)
+            yield
+    finally:
+        structure._tables.cache_clear()
+
+
 @pytest.mark.parametrize("name", list(TWO_STEP_BUNDLES))
 def test_row_suites_match_plain_on_the_fallback(monkeypatch, name):
-    # what a window past 256 values does, forced at a small one: an
-    # N = 257 window would cost 17 million triples
-    monkeypatch.setattr(harness, "_BYTES", 0)
+    # an N = 257 window would cost 17 million triples
     rows = _spy_row_scans(monkeypatch)
-    for R in (1, 2):
-        _assert_suites_match_plain(TWO_STEP_BUNDLES[name], R, None,
-                                   (("S2", _plain_s2), ("S7", _plain_s7)))
+    with _list_rows(monkeypatch):
+        for R in (1, 2):
+            _assert_suites_match_plain(TWO_STEP_BUNDLES[name], R, None,
+                                       (("S2", _plain_s2), ("S7", _plain_s7)))
     assert rows == []
 
 
@@ -812,8 +927,8 @@ def test_s2_invalid_second_steps_equal_nothing(monkeypatch):
     line = run_suite("S2", P23, 1, ops=bundle).text_line()
     assert line.endswith("fail checks=1 counterexample a=((0,0),0) b=((0,0),0) "
                          "c=((0,0),0)")
-    for limit in (harness._BYTES, 0):  # composed rows, then the fallback
-        monkeypatch.setattr(harness, "_BYTES", limit)
+    _assert_suites_match_plain(bundle, 1, None, (("S2", _plain_s2),))  # composed rows
+    with _list_rows(monkeypatch):  # then the fallback
         _assert_suites_match_plain(bundle, 1, None, (("S2", _plain_s2),))
 
 
@@ -870,7 +985,8 @@ def _relation_tables(t, up):
     """A copy of the tables t cut down to len(up) elements, whose order
     rows are up, any reflexive relation, and whose meet of x and y is the
     first z with down[z] = down[x] & down[y], 0 if none is, and dually
-    for joins: in a lattice, the meet and the join."""
+    for joins: in a lattice, the meet and the join.  Its rows are bytes,
+    as the tables' are at this size."""
     N = len(up)
     down = harness._transpose(up, N)
 
@@ -879,8 +995,8 @@ def _relation_tables(t, up):
 
     broken = _clone(t)
     broken.elems, broken.N, broken.up, broken.down = t.elems[:N], N, up, down
-    broken.meet_i = [[bound(down, x, y) for y in range(N)] for x in range(N)]
-    broken.join_i = [[bound(up, x, y) for y in range(N)] for x in range(N)]
+    broken.meet_i = [bytes(bound(down, x, y) for y in range(N)) for x in range(N)]
+    broken.join_i = [bytes(bound(up, x, y) for y in range(N)) for x in range(N)]
     return broken
 
 
@@ -912,7 +1028,7 @@ def test_s7_rows_match_plain_on_broken_tables(monkeypatch):
         broken = _clone(t)
         rows = [list(row) for row in getattr(t, table)]
         rows[5][9] = (rows[5][9] + 1) % t.N
-        setattr(broken, table, rows)
+        setattr(broken, table, list(map(bytes, rows)))
         cases.append(broken)
     # relations that are not orders: the chain 0 < 1 < 2 with 1 <= 0 too,
     # or without 0 <= 2, and one whose row 0 fails only the transitivity
@@ -934,7 +1050,7 @@ def test_s7_rows_match_plain_on_broken_tables(monkeypatch):
         assert want[1] is not None
         assert harness._s7(ctx) == want
         with monkeypatch.context() as m:
-            m.setattr(harness, "_BYTES", 0)
+            m.setattr(structure, "_BYTES", 0)
             assert harness._s7(ctx) == want
         laws.add(want[2]["law"])
     assert laws == {"antisymmetry", "transitivity", "glb", "lub",
@@ -1144,8 +1260,9 @@ def _assert_bundle_values(t, bundle, where):
 
 
 def _assert_pairwise_lattice(t, lattice, where):
-    _assert_rows(t.meet_i, lattice[0], ("meet_i", *where))
-    _assert_rows(t.join_i, lattice[1], ("join_i", *where))
+    # bytes rows, as lists
+    _assert_rows(list(map(list, t.meet_i)), lattice[0], ("meet_i", *where))
+    _assert_rows(list(map(list, t.join_i)), lattice[1], ("join_i", *where))
 
 
 def _pairwise_lattice(elems):
@@ -1194,6 +1311,31 @@ def test_tables_hold_the_invalid_id_and_every_values_filter_bits(name):
             assert t.filters[f] >> len(t.vals) == 0
     # the one bundle whose products past the window are all the marker
     assert len(t.vals) > 256 or name == "invalid-past-r2"
+
+
+def test_every_id_row_is_bytes_while_its_ids_fit_in_a_byte():
+    for n, p in DEFAULT_GRID:
+        for R in range(5):
+            t = harness._tables(AlgebraParams(n, p), R, REFERENCE)
+            assert t.N <= structure._BYTES  # so the lattice rows are bytes
+            for rows, ids in (([t.inv_id], len(t.vals)), (t.mul_id, len(t.vals)),
+                              (t.div_id, len(t.vals)), (t.meet_i, t.N), (t.join_i, t.N)):
+                kind = bytes if ids <= structure._BYTES else list
+                assert all(type(row) is kind for row in rows), (n, p, R)
+    t = harness._tables(AlgebraParams(4, 4), 4, REFERENCE)  # past 256 values
+    assert type(t.mul_id[0]) is type(t.div_id[0]) is list
+    assert type(t.meet_i[0]) is type(t.join_i[0]) is bytes
+
+
+def test_s7_reads_the_lattice_rows_as_they_are(monkeypatch):
+    # the tables hold bytes meet and join rows, so S7 makes no copy
+    params = AlgebraParams(3, 3)
+    run_suite("S7", params, 2)
+    made = []
+    monkeypatch.setattr(harness, "bytes", lambda *args: made.append(args) or bytes(*args),
+                        raising=False)
+    assert run_suite("S7", params, 2).verdict == "pass"
+    assert made == []
 
 
 def test_the_tables_see_an_invalid_value_past_the_window():

@@ -21,7 +21,6 @@ from resilat.structure import (
     cover_edges,
     filter_member,
     generated_filter,
-    hat_size,
     max_nonradical,
     quotient_classes,
     quotient_induced_mul_report,
@@ -289,17 +288,19 @@ def test_quotient_class_counts():
 
 
 def test_hat_size_formula():
-    assert hat_size(P23) == 10
-    assert hat_size(AlgebraParams(1, 1)) == 4
+    # the r = 0 subalgebra is the radius-0 window, counted in closed form
+    assert len(Window(P23, 0)) == 10
+    assert len(Window(AlgebraParams(1, 1), 0)) == 4
     for params in GRID:
-        assert hat_size(params) == len(Window(params, 0))
+        hat = [a for a in Window(params, 2).elements() if a.r == 0]
+        assert len(Window(params, 0)) == len(hat) == len(Window(params, 0).elements())
 
 
 def test_fomega_collapse_matches_the_diagonal():
     # classes of the FOmega congruence biject with the r = 0 elements
     for params in GRID:
         w = Window(params, 1)
-        assert len(quotient_classes(w, "FOmega")) == hat_size(params)
+        assert len(quotient_classes(w, "FOmega")) == len(Window(params, 0))
 
 
 def test_top_class_of_fomega_quotient():
@@ -428,7 +429,7 @@ def test_closure_of_a_diagonal_generator_is_the_whole_diagonal():
     result = closure([el("((1,0),1)")])
     assert not result.truncated
     assert set(result.elements) == set(Window(P23, 0).elements())
-    assert len(result.elements) == hat_size(P23)
+    assert len(result.elements) == len(Window(P23, 0))
 
 
 def test_closure_truncates_on_an_infinite_subalgebra():
@@ -470,8 +471,7 @@ def test_cover_edges_of_the_four_chain():
     assert cover_edges(w) == ((0, 2), (1, 0), (2, 3))
 
 
-def test_cover_edges_match_a_brute_force_oracle():
-    elems = Window(P23, 1).elements()
+def _brute_force_covers(elems):
     strict = {
         (i, j)
         for i, a in enumerate(elems)
@@ -483,7 +483,28 @@ def test_cover_edges_match_a_brute_force_oracle():
         for (i, j) in strict
         if not any((i, k) in strict and (k, j) in strict for k in range(len(elems)))
     }
-    assert set(cover_edges(elems)) == expected
+    return expected
+
+
+def test_cover_edges_match_a_brute_force_oracle():
+    elems = Window(P23, 1).elements()
+    assert set(cover_edges(elems)) == _brute_force_covers(elems)
+
+
+def test_cover_edges_read_the_closed_form_of_the_order(monkeypatch):
+    elems = Window(P23, 3).elements()
+    with monkeypatch.context() as patch:
+        calls = _count_core_calls(patch)
+        got = cover_edges(elems)
+    assert calls["ap_leq"] == 0
+    assert set(got) == _brute_force_covers(elems)
+    # the order of any sequence of one algebra's elements: a subalgebra's
+    # members, out of window order and repeated
+    some = [*elems[40:2:-3], elems[7]]
+    assert set(cover_edges(some)) == _brute_force_covers(some)
+    assert cover_edges(()) == ()
+    with pytest.raises(ParamsMismatchError):
+        cover_edges([core.ap_top(P23), core.ap_top(AlgebraParams(1, 1))])
 
 
 # ---------------------------------------------------------------------------

@@ -1048,3 +1048,17 @@ def test_check_equation_obeys_the_budget(monkeypatch):
     assert check_equation(preset("EM", 2), P23, 2, domain=lambda a: a == top).holds
     with pytest.raises(BudgetError):
         check_equation(parse_equation("x * y = y * x"), P23, 0)
+
+
+def test_a_forced_check_makes_no_estimate(monkeypatch):
+    # force skips the gate, so nothing counts the window or the domain
+    def estimate(*args, **kwargs):
+        raise AssertionError("equation_estimate called")
+
+    eq, top = preset("EM", 2), core.ap_top(P23)
+    want = [check_equation(eq, P23, 2), check_equation(eq, P23, 2, domain=lambda a: a == top)]
+    monkeypatch.setattr(terms, "equation_estimate", estimate)
+    assert [check_equation(eq, P23, 2, force=True),
+            check_equation(eq, P23, 2, domain=lambda a: a == top, force=True)] == want
+    with pytest.raises(AssertionError, match="equation_estimate called"):
+        check_equation(eq, P23, 2)
