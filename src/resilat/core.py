@@ -125,14 +125,6 @@ class ApElem(NamedTuple):
     p: int
 
     @property
-    def first(self) -> LexPair:
-        return LexPair(self.m, self.r)
-
-    @property
-    def second(self) -> int:
-        return self.alpha
-
-    @property
     def params(self) -> AlgebraParams:
         return _params(self.n, self.p)
 
@@ -348,7 +340,15 @@ def ap_div(a: ApElem, b: ApElem) -> ApElem:
 # The operation table.
 
 class _Invalid:
+    # equal to nothing, itself included; hashed by identity, so a dict or a set finds it
     __slots__ = ()
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return False
+
+    def __ne__(self, other):
+        return True
 
     def __repr__(self) -> str:
         return "<invalid>"
@@ -378,8 +378,8 @@ class OpsBundle:
     window tables rely on it, reading a/b as the involution of a product
     already in the product table, applied once per distinct product; so
     do power and multiple, which stop at the first step that returns the
-    value it was given (the invalid marker is its own fixed point), and
-    multiple, which computes ~a once per chain rather than at every step.
+    value it was given (past the marker, which equals nothing, no raw call
+    runs), and multiple, which computes ~a once per chain, not every step.
     neg, power and multiple build bot and top from the operand's own n and
     p, ap_bot(a), without the params property.
     """

@@ -7,8 +7,8 @@ the five MUTATIONS overrides one case of the product or involution, to
 prove the suites are not vacuous.
 
 A corrupted operation can leave the universe; the bundle then returns
-core's invalid marker instead of raising, so the violation surfaces as
-an ordinary counterexample rather than a crash mid-suite.
+core's invalid marker, which by its type equals nothing, so the
+violation surfaces as an ordinary counterexample, not a crash mid-suite.
 
 The suites read their operations from the tables of resilat.structure,
 built once per (params, R, bundle): every product, residual and
@@ -87,13 +87,6 @@ from resilat import core, structure, terms
 from resilat.core import _INVALID, REFERENCE, AlgebraParams, ApElem, OpsBundle, _Record
 from resilat.structure import DEFAULT_GRID, Window, _low, _tables, _transpose
 from resilat.structure import checks_per_s, enforce_budget
-
-
-def _eq(x: object, y: object) -> bool:
-    """Equality where the invalid marker equals nothing, itself included."""
-    if x is _INVALID or y is _INVALID:
-        return False
-    return x == y
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +302,8 @@ def _s2(ctx: _Ctx):
             if f < N and g < N:
                 same = mul_id[f][k] == mul_id[i][g] != bad
             else:
-                same = _eq(vals[mul_id[f][k]] if f < N else ops.mul(vals[f], elems[k]),
-                           vals[mul_id[i][g]] if g < N else ops.mul(elems[i], vals[g]))
+                same = ((vals[mul_id[f][k]] if f < N else ops.mul(vals[f], elems[k]))
+                        == (vals[mul_id[i][g]] if g < N else ops.mul(elems[i], vals[g])))
             if not same:
                 return checks, _ce(a=elems[i], b=elems[j], c=elems[k]), {}
     else:
@@ -394,10 +387,10 @@ def _s4(ctx: _Ctx):
     checks = 0
     for i in range(ctx.N):
         checks += 1
-        if not _eq(t.ops.inv(vals[inv_id[i]]), elems[i]):
+        if t.ops.inv(vals[inv_id[i]]) != elems[i]:
             return checks, _ce(a=elems[i]), {}
         checks += 1
-        if not _eq(vals[inv_id[i]], vals[t.div_id[i][t.bot_i]]):
+        if vals[inv_id[i]] != vals[t.div_id[i][t.bot_i]]:
             return checks, _ce(a=elems[i]), {}
     for i, j in ctx.indices(2):
         checks += 1
@@ -521,12 +514,12 @@ def _s8(ctx: _Ctx):
             return checks, _ce(a=a, value=v), details
         rad = radical >> i & 1
         checks += 1
-        if (not rad) != _eq(t.power(a, n + 1 if p <= n else p), bot):
+        if (not rad) != (t.power(a, n + 1 if p <= n else p) == bot):
             return checks, _ce(a=a), details
     if n < p:
         c = structure.max_nonradical(params, ctx.R)
         checks += 1
-        if not _eq(t.power(c, p - 1), ops.inv(c)):
+        if t.power(c, p - 1) != ops.inv(c):
             return checks, _ce(c=c), details
         details["cyclic_witness"] = core.render_element(c)
     return checks, None, details
@@ -540,7 +533,7 @@ def _s9(ctx: _Ctx):
     checks = 0
     for i, a in enumerate(ctx.elems):
         checks += 1
-        if _eq(t.power(a, k0), bot) == radical >> i & 1:
+        if (t.power(a, k0) == bot) == radical >> i & 1:
             return checks, _ce(a=a), {"k_threshold": k0}
     c = structure.max_nonradical(params, ctx.R)
     literal = core.ap_validate(core.LexPair(n - 1, 0), p - 1, params)
@@ -558,7 +551,7 @@ def _s9(ctx: _Ctx):
         )
     for k in range(1, k0 + 1):  # bottom first at k0
         checks += 1
-        if _eq(powers[k - 1], bot) != (k == k0):
+        if (powers[k - 1] == bot) != (k == k0):
             return checks, _ce(c=c, k=k), details
     if p >= 2:
         checks += 1
@@ -580,11 +573,11 @@ def _s10(ctx: _Ctx):
         deep = t.power(a, k0)
         tb = t.multiple(n + 1, deep)
         checks += 1
-        if not (_eq(tb, bot) or _eq(tb, top)):
+        if not (tb == bot or tb == top):
             return checks, _ce(a=a, t=tb), {}
         rad = radical >> i & 1
         checks += 1
-        if _eq(tb, top) != rad:
+        if (tb == top) != rad:
             return checks, _ce(a=a, t=tb), {}
         checks += 1
         if structure.radical_member_via_term(a, ref) != rad:
@@ -593,16 +586,16 @@ def _s10(ctx: _Ctx):
         if structure.radical_member_via_powers(a, ref) != rad:
             return checks, _ce(a=a), {"route": "powers"}
         checks += 1
-        if not _eq(t.join(tb, t.neg(tb)), top):
+        if t.join(tb, t.neg(tb)) != top:
             return checks, _ce(a=a, t=tb), {"law": "t \\/ !t = top"}
         v = t.join(a, t.neg(t.power(a, p)))
         for k in (1, 2, 3):
             checks += 1
-            if not _eq(t.multiple(n + 1, t.power(v, k)), top):
+            if t.multiple(n + 1, t.power(v, k)) != top:
                 return checks, _ce(a=a, k=k), {"law": "(n+1).(x \\/ !(x^p))^k = top"}
         mv = t.multiple(k0, deep)
         checks += 1
-        if not (_eq(mv, bot) or _eq(mv, top)) or _eq(mv, top) != rad:
+        if not (mv == bot or mv == top) or (mv == top) != rad:
             return checks, _ce(a=a, value=mv), {"law": "max.x^max boolean-radical"}
     return checks, None, {"k_threshold": k0}
 
@@ -686,11 +679,11 @@ def _s11(ctx: _Ctx):
                 return checks, _ce(a=a), {"law": "pair power collapse"}
     zero_p = core.ap_validate(core.LexPair(0, 0), p, params)
     checks += 1
-    if not _eq(t.power(zero_p, deep), zero_p):
+    if t.power(zero_p, deep) != zero_p:
         return checks, _ce(a=zero_p), {"law": "idempotent radical generator"}
     literal = core.ap_validate(core.LexPair(n - 1, 0), p - 1, params)
     checks += 1
-    if not _eq(t.power(literal, deep), bot):
+    if t.power(literal, deep) != bot:
         return checks, _ce(a=literal), {"law": "deep power bottoms out"}
     # every principal filter matches one of the four candidates
     counts = {f: 0 for f in structure.FILTER_IDS}

@@ -507,7 +507,8 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
 
     eq is compiled first: every distinct subterm becomes one _row, and its
     value is kept in grid as rows of ids.  Equal values share an id,
-    handed out per call, so the two sides compare by id.  A subterm's
+    handed out per call, so the two sides compare by id; the invalid
+    marker equals nothing, so its id is -1 on the right.  A subterm's
     level is the position in names of its last variable, and it is
     recomputed right after that variable takes new candidates, so work on
     outer variables is hoisted out of the inner loops; closed subterms run
@@ -589,6 +590,10 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
             steps[level].append(row)
         return node
 
+    def apart(rows: list[list[int]]) -> list[list[int]]:  # the marker's id, if any, as -1
+        bad = ids.get(core._INVALID)
+        return rows if bad is None else [[-1 if u == bad else u for u in r] for r in rows]
+
     def side(s: int, count: int, width: int) -> list[list[int]]:
         """Subterm s's ids as count rows of width."""
         if levels[s] == last:
@@ -605,7 +610,7 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
         if level > last:
             block = grid[var_nodes[inner]][0]
             count, width = (1, len(block)) if inner == last else (len(block), N)
-            return _first_difference(side(lhs, count, width), side(rhs, count, width))
+            return _first_difference(side(lhs, count, width), apart(side(rhs, count, width)))
         v, todo, lo = var_nodes[level], steps[level], 0
         while lo < N:
             hi = min(lo + (1 if level < inner else size if level == inner else N), N)
@@ -623,7 +628,7 @@ def _first_failure(eq: Equation, names, elems, params, o, window=None) -> list[i
     try:
         lhs, rhs = add(eq.lhs), add(eq.rhs)
         if not names:
-            return [] if grid[lhs] != grid[rhs] else None
+            return [] if grid[lhs] != apart(grid[rhs]) else None
         found = search(0)
     except Exception:  # an operation raised: the plain walk's outcome is the check's
         return _walk_failure(eq, names, elems, params, o)

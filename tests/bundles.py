@@ -10,3 +10,16 @@ NONCOMMUTATIVE = core.OpsBundle(
         lambda a, b: harness._case2(a, b) and a.m > b.m,
         lambda a, b: (2 * a.n - (a.m + b.m + 1), -(a.r + b.r) - 1)),
     core.ap_inv, "case2-larger-m-left")
+
+
+def _mul_invalid_past_r2(a, b):
+    """The product, except that an operand with |r| > 2 gives a level
+    outside the universe, which raises as the validating constructor
+    does: at R=2 only second steps go invalid, on either side or both;
+    at R=4 first steps do too."""
+    if abs(a.r) > 2 or abs(b.r) > 2:
+        return core.ap_validate(core.LexPair(a.m, a.r), a.p + 1, a.params)
+    return core.ap_mul(a, b)
+
+
+INVALID_PAST_R2 = core.OpsBundle(_mul_invalid_past_r2, core.ap_inv, "invalid-past-r2")

@@ -9,7 +9,11 @@ function, class or constant whose name starts with one underscore must be
 read by some module of the package: as a name, an attribute or an import.
 A public module-level function or class must be named by a module of the
 package, a demo, a benchmark file or a word of the README, so an API that
-only its own tests call is caught.
+only its own tests call is caught.  So must a public method or property
+of a class of the package: a module, a demo or a benchmark file reads it
+as an attribute or names it in a string constant (the getattr dispatch
+of the term nodes' op and the CLI's table ops), or a code span of the
+README holds it.
 """
 
 import ast
@@ -150,3 +154,53 @@ def test_every_public_name_is_named_outside_the_tests():
     assert unnamed_public_names({path.stem: path.read_text() for path in SOURCES},
                                 [path.read_text() for path in readers],
                                 (ROOT / "README.md").read_text()) == []
+
+
+def unnamed_public_members(sources: dict[str, str], readers: list[str], readme: str) -> list[str]:
+    """module.Class.name for each public method or property of a
+    module-level class of sources (module name -> text) that no module of
+    sources and no reader text reads as an attribute or names in a string
+    constant, and that no code span of readme holds, in order of
+    definition.  Dunder methods are exempt."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    named = set()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    for _, span in re.findall(r"(`+)(.+?)\1", readme, re.S):
+        named.update(re.findall(r"\w+", span))
+    return [f"{module}.{cls.name}.{node.name}"
+            for module, tree in trees.items() for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_") and node.name not in named]
+
+
+def test_the_check_sees_unnamed_public_members():
+    sources = {
+        "a": ("class Box:\n"
+              "    LIMIT = 3\n"
+              "    def __init__(self): pass\n"
+              "    def read(self): pass\n"
+              "    def dispatched(self): pass\n"
+              "    @property\n"
+              "    def documented(self): pass\n"
+              "    def spare(self): pass\n"
+              "    @property\n"
+              "    def unused(self): pass\n"
+              "    def _private(self): pass\n"
+              "def spare(): pass\n"),
+        "b": "import a\nprint(getattr(a.Box(), 'dispatched'))\n",
+    }
+    readers = ["import a\na.Box().read()\n"]
+    readme = "```\nBox().documented\n```\nA spare part and an unused one are not code.\n"
+    assert unnamed_public_members(sources, readers, readme) == ["a.Box.spare", "a.Box.unused"]
+
+
+def test_every_public_member_is_named_outside_the_tests():
+    readers = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    assert unnamed_public_members({path.stem: path.read_text() for path in SOURCES},
+                                  [path.read_text() for path in readers],
+                                  (ROOT / "README.md").read_text()) == []

@@ -85,7 +85,7 @@ def test_window_is_valid_and_duplicate_free(params, radius):
     elems = Window(params, radius).elements()
     assert len(set(elems)) == len(elems)
     for a in elems:
-        assert core.ap_validate(a.first, a.second, params) == a
+        assert core.ap_validate((a.m, a.r), a.alpha, params) == a
         assert -radius <= a.r <= radius
 
 

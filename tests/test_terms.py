@@ -47,7 +47,7 @@ from resilat.terms import (
     render_term,
 )
 
-from bundles import NONCOMMUTATIVE
+from bundles import INVALID_PAST_R2, NONCOMMUTATIVE
 
 P23 = AlgebraParams(2, 3)
 
@@ -610,6 +610,26 @@ def test_compiled_check_matches_the_walk_on_edge_cases():
     for text in ("w * x * y * z = z * y * x * w", "w * x -> y = z \\/ w"):
         for ops in (None, MUTATIONS["mul-case2-sign"]):
             assert_same(parse_equation(text), P23, 0, ops=ops)
+
+
+@pytest.mark.parametrize("text", ["x*y = y*x", "x*y = x*y"])
+def test_the_check_sees_the_invalid_marker_equal_nothing(text):
+    # at R=4 first steps go invalid too: x*y is the marker first at
+    # x=((0,0),0), y=((0,3),0), on both sides, and it equals nothing
+    eq = parse_equation(text)
+    got = check_equation(eq, P23, 4, ops=INVALID_PAST_R2)
+    assert got == EquationVerdict(False, 4, 4, {"x": el("((0,0),0)"), "y": el("((0,3),0)")})
+    assert got == walk_check(eq, P23, 4, ops=INVALID_PAST_R2)
+    elems = structure.Window(P23, 4).elements()
+    assert terms._walk_failure(eq, ["x", "y"], elems, P23, INVALID_PAST_R2) == [0, 3]
+
+
+def test_a_closed_equation_of_two_markers_fails():
+    ops = reference_ops()
+    ops.mul = lambda a, b: core._INVALID
+    eq = parse_equation("top * top = top * top")
+    assert check_equation(eq, P23, 0, ops=ops) == EquationVerdict(False, 0, 1, {})
+    assert walk_check(eq, P23, 0, ops=ops) == EquationVerdict(False, 0, 1, {})
 
 
 def test_compiled_check_matches_the_walk_on_row_shapes():
